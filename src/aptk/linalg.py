@@ -1,8 +1,12 @@
 """Exact integer and rational linear algebra.
 
-Everything here runs on arbitrary-precision integers and fractions.Fraction;
-no floating point enters any computation.  Pivoting and branching rules are
-fixed (smallest index first) so results are identical run to run.
+Everything here runs on arbitrary-precision integers; no floating point
+enters any computation.  The simplex tableau is fraction-free: each row is
+an integer vector that stands for a rational row up to a positive factor,
+reduced by its gcd after every elimination (integer-preserving elimination
+in the manner of Bareiss).  Rational values appear only at the boundary, as
+fractions.Fraction inputs and solution points.  Pivoting and branching rules
+are fixed (smallest index first) so results are identical run to run.
 """
 
 from __future__ import annotations
@@ -18,65 +22,91 @@ Coeffs = Dict[str, int]
 
 
 # ---------------------------------------------------------------------------
-# Exact two-phase simplex over nonnegative variables.
+# Exact two-phase simplex over nonnegative variables, on integer rows.
 # ---------------------------------------------------------------------------
 
 
-def _pivot(tableau: List[List[Fraction]], basis: List[int], row: int, col: int) -> None:
+def _nonzeros(line: List[int]) -> List[Tuple[int, int]]:
+    return [(j, v) for j, v in enumerate(line) if v]
+
+
+def _eliminate(
+    line: List[int], col: int, piv: int, pivot_terms: List[Tuple[int, int]]
+) -> List[int]:
+    """piv * line - line[col] * pivot row, divided by its gcd.
+
+    piv > 0 is the pivot row's entry in col and pivot_terms its nonzero
+    (index, value) pairs; tableaus are sparse, so only those are visited.
+    """
+    factor = line[col]
+    out = [piv * v for v in line] if piv != 1 else line[:]
+    for j, p in pivot_terms:
+        out[j] -= factor * p
+    g = math.gcd(*out)
+    return [v // g for v in out] if g > 1 else out
+
+
+def _pivot(
+    tableau: List[List[int]], basis: List[int], row: int, col: int
+) -> List[Tuple[int, int]]:
+    """Make col basic in row, whose entry there must be positive; returns
+    the pivot row's nonzero terms."""
     piv = tableau[row][col]
-    if piv != 1:
-        tableau[row] = [v / piv for v in tableau[row]]
-    pivot_row = tableau[row]
+    terms = _nonzeros(tableau[row])
     for r, line in enumerate(tableau):
         if r != row and line[col]:
-            factor = line[col]
-            # tableaus are sparse; skipping zero pivot-row entries pays off
-            tableau[r] = [
-                v if not p else v - factor * p for v, p in zip(line, pivot_row)
-            ]
+            tableau[r] = _eliminate(line, col, piv, terms)
     basis[row] = col
+    return terms
 
 
-def _run_simplex(tableau, basis, cost, num_cols, allowed) -> Tuple[str, Fraction]:
+def _run_simplex(tableau, basis, cost, num_cols) -> Tuple[str, int]:
     """Minimise cost over the current tableau with Bland's rule.
 
     cost is a full row (length num_cols + 1, last entry the running value,
-    stored negated as usual).  Returns ('optimal', value) or ('unbounded', _).
+    stored negated as usual), kept only up to a positive factor: its signs
+    pick the pivots.  Returns ('optimal', v) or ('unbounded', v), where v is
+    that positive multiple of minus the optimum.
     """
     m = len(tableau)
     # price out basic variables
     for r in range(m):
-        if cost[basis[r]]:
-            factor = cost[basis[r]]
-            line = tableau[r]
-            for c in range(num_cols + 1):
-                if line[c]:
-                    cost[c] -= factor * line[c]
+        b = basis[r]
+        if cost[b]:
+            cost = _eliminate(cost, b, tableau[r][b], _nonzeros(tableau[r]))
     while True:
         col = -1
         for c in range(num_cols):
-            if allowed[c] and cost[c] < 0:
+            if cost[c] < 0:
                 col = c
                 break
         if col < 0:
-            return "optimal", -cost[num_cols]
+            return "optimal", cost[num_cols]
+        # smallest ratio rhs / entry, ties to the smallest basic index;
+        # the ratios are compared by cross-multiplying
         row = -1
-        best: Optional[Fraction] = None
         for r in range(m):
-            if tableau[r][col] > 0:
-                ratio = tableau[r][num_cols] / tableau[r][col]
-                if best is None or ratio < best or (ratio == best and basis[r] < basis[row]):
-                    best = ratio
+            a = tableau[r][col]
+            if a > 0:
+                if row < 0:
+                    row = r
+                    continue
+                left = tableau[r][num_cols] * tableau[row][col]
+                right = tableau[row][num_cols] * a
+                if left < right or (left == right and basis[r] < basis[row]):
                     row = r
         if row < 0:
-            return "unbounded", Fraction(0)
-        _pivot(tableau, basis, row, col)
-        factor = cost[col]
-        if factor:
-            line = tableau[row]
-            for c in range(num_cols + 1):
-                if line[c]:
-                    cost[c] -= factor * line[c]
+            return "unbounded", cost[num_cols]
+        terms = _pivot(tableau, basis, row, col)
+        if cost[col]:
+            cost = _eliminate(cost, col, tableau[row][col], terms)
+
+
+def _integer_row(values) -> Tuple[List[int], int]:
+    """(the values, ints or Fractions, times the lcm L of their
+    denominators, L)."""
+    scale = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (scale // v.denominator) for v in values], scale
 
 
 def solve_lp(
@@ -84,66 +114,56 @@ def solve_lp(
     rows: Sequence[Tuple[Sequence[Fraction], str, Fraction]],
     objective: Optional[Sequence[Fraction]] = None,
 ) -> Tuple[str, Optional[List[Fraction]]]:
-    """Exact LP over x >= 0: rows are (coeffs, rel, rhs) with rel in <=, =, >=.
+    """Exact LP over x >= 0: rows are (coeffs, rel, rhs) with rel in <=, =, >=
+    and every number an int or a Fraction.
 
     Returns ('infeasible', None), ('optimal', x) or ('unbounded', x) where in
     the unbounded case x is still a feasible point.
+
+    The tableau is fraction-free: row r holds integers and stands for the
+    rational row tableau[r] / tableau[r][basis[r]], whose basic coefficient
+    is kept positive; every elimination divides the row by its gcd.  Pivots
+    follow Bland's smallest-index rule on that rational tableau, so the
+    pivot sequence, and with it the returned point, is the one of the
+    textbook rational simplex.
     """
-    work: List[Tuple[List[Fraction], str, Fraction]] = []
+    work: List[Tuple[List[int], str, int]] = []
     for coeffs, rel, rhs in rows:
-        coeffs = [Fraction(c) for c in coeffs]
-        rhs = Fraction(rhs)
-        if rhs < 0:
-            coeffs = [-c for c in coeffs]
-            rhs = -rhs
+        line, scale = _integer_row(list(coeffs) + [rhs])
+        if line[-1] < 0:
+            line = [-v for v in line]
             rel = {"<=": ">=", ">=": "<=", "=": "="}[rel]
-        work.append((coeffs, rel, rhs))
+        work.append((line, rel, scale))
 
     m = len(work)
     num_slack = sum(1 for _, rel, _ in work if rel != "=")
     total = num_vars + num_slack
-    artificial_of: Dict[int, int] = {}
-    tableau: List[List[Fraction]] = []
+    grand = total + sum(1 for _, rel, _ in work if rel != "<=")
+    tableau: List[List[int]] = []
     basis: List[int] = []
     slack_idx = num_vars
-    art_cols: List[int] = []
-
-    for r, (coeffs, rel, rhs) in enumerate(work):
-        line = list(coeffs) + [Fraction(0)] * (num_slack)
+    art_idx = total
+    for line, rel, scale in work:
+        # slack and artificial entries are +-scale, i.e. +-1 in the rational
+        # row; phase 1 weighs the artificials by these entries
+        full = line[:-1] + [0] * (grand - num_vars) + line[-1:]
         if rel == "<=":
-            line[slack_idx] = Fraction(1)
-            basic = slack_idx
-            slack_idx += 1
-        elif rel == ">=":
-            line[slack_idx] = Fraction(-1)
-            basic = -1
+            full[slack_idx] = scale
+            basis.append(slack_idx)
             slack_idx += 1
         else:
-            basic = -1
-        if basic < 0:
-            artificial_of[r] = len(art_cols)
-            art_cols.append(r)
-            basic = None  # patched below once artificial columns exist
-        tableau.append(line + [rhs])
-        basis.append(basic if basic is not None else -1)
+            if rel == ">=":
+                full[slack_idx] = -scale
+                slack_idx += 1
+            full[art_idx] = scale
+            basis.append(art_idx)
+            art_idx += 1
+        g = math.gcd(*full)
+        tableau.append([v // g for v in full] if g > 1 else full)
 
-    num_art = len(art_cols)
-    grand = total + num_art
-    for r in range(m):
-        line = tableau[r]
-        art_part = [Fraction(0)] * num_art
-        if basis[r] == -1:
-            art_part[artificial_of[r]] = Fraction(1)
-            basis[r] = total + artificial_of[r]
-        tableau[r] = line[:total] + art_part + [line[total]]
-
-    allowed = [True] * grand
-
-    if num_art:
-        cost = [Fraction(0)] * (grand + 1)
-        for j in range(total, grand):
-            cost[j] = Fraction(1)
-        status, value = _run_simplex(tableau, basis, cost, grand, allowed)
+    if grand > total:
+        cost = [0] * total + [1] * (grand - total) + [0]
+        _, value = _run_simplex(tableau, basis, cost, grand)
         if value != 0:
             return "infeasible", None
         # drive surviving artificials out of the basis
@@ -151,24 +171,25 @@ def solve_lp(
             if basis[r] >= total:
                 for c in range(total):
                     if tableau[r][c] != 0:
+                        if tableau[r][c] < 0:
+                            tableau[r] = [-v for v in tableau[r]]
                         _pivot(tableau, basis, r, c)
                         break
+        # artificial columns may never enter again: drop them
         rows_keep = [r for r in range(m) if basis[r] < total]
-        tableau = [tableau[r] for r in rows_keep]
+        tableau = [tableau[r][:total] + tableau[r][grand:] for r in rows_keep]
         basis = [basis[r] for r in rows_keep]
-        for j in range(total, grand):
-            allowed[j] = False
 
-    cost = [Fraction(0)] * (grand + 1)
+    cost = [0] * (total + 1)
     if objective is not None:
-        for j, c in enumerate(objective):
-            cost[j] = Fraction(c)
-    status, _ = _run_simplex(tableau, basis, cost, grand, allowed)
+        weights, _ = _integer_row(objective)
+        cost[: len(weights)] = weights
+    status, _ = _run_simplex(tableau, basis, cost, total)
 
     solution = [Fraction(0)] * num_vars
     for r, b in enumerate(basis):
         if b < num_vars:
-            solution[b] = tableau[r][grand]
+            solution[b] = Fraction(tableau[r][total], tableau[r][b])
     return status, solution
 
 

@@ -387,7 +387,8 @@ def weakly_connected_components(lts: Lts) -> List[List[str]]:
 
 def spanning_tree(lts: Lts) -> SpanningTree:
     """BFS spanning tree from the initial state; arcs explored in insertion order."""
-    unreachable = [s for s in lts.states if s not in set(reachable_states(lts))]
+    reachable = set(reachable_states(lts))
+    unreachable = [s for s in lts.states if s not in reachable]
     if unreachable:
         raise PreconditionError(f"state {unreachable[0]} is unreachable; no spanning tree")
     tree = SpanningTree()
@@ -538,7 +539,8 @@ def isomorphic(l1: Lts, l2: Lts) -> Check:
 
     # Backtracking over states in BFS-then-declaration order.
     order = reachable_states(l1)
-    order += [s for s in l1.states if s not in set(order)]
+    seen = set(order)
+    order += [s for s in l1.states if s not in seen]
     sig1 = {s: _signature(l1, s) for s in l1.states}
     sig2 = {s: _signature(l2, s) for s in l2.states}
 
