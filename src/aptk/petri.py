@@ -8,7 +8,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from functools import reduce
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from .common import (
     AptError,
@@ -331,12 +331,40 @@ class StateGraph:
         return path
 
 
-def reachability_graph(net: PetriNet, state_limit: int = DEFAULT_STATE_LIMIT) -> StateGraph:
-    """BFS over concrete markings; states are named s0, s1, ... in discovery
-    order and arcs carry the transition's label.
+def _accelerate(graph: StateGraph, state: str, marking: Marking) -> Marking:
+    """Karp-Miller acceleration of `marking`, a successor of `state`: while it
+    strictly covers a marking on the BFS-tree path to `state`, the strictly
+    increased places jump to OMEGA."""
+    changed = True
+    while changed:
+        changed = False
+        cursor: Optional[str] = state
+        while cursor is not None:
+            anc = graph.markings[cursor]
+            if marking.covers(anc) and marking != anc:
+                counts = list(marking.counts)
+                for i, (a, b) in enumerate(zip(marking.counts, anc.counts)):
+                    if a is not OMEGA and (b is OMEGA or a > b):
+                        counts[i] = OMEGA
+                        changed = True
+                marking = Marking(marking.places, tuple(counts))
+            cursor = graph.parent[cursor][0] if cursor in graph.parent else None
+    return marking
 
-    Raises StateLimitExceededError past `state_limit` states, which suggests
-    an unbounded net; the coverability graph always terminates.
+
+def _explore(
+    net: PetriNet, state_limit: int, accelerate: bool
+) -> Iterator[Tuple[StateGraph, str]]:
+    """Breadth-first search over markings, shared by every state-space
+    construction of this module.
+
+    Yields (graph, state) for each state as it is discovered, so a caller
+    can stop early; the graph then holds what was found so far.  States are
+    named s0, s1, ... in discovery order, and each arc, labelled with its
+    transition's label, is added as soon as it is found.  With `accelerate`,
+    every successor marking goes through Karp-Miller acceleration, which
+    makes the search finite.  Raises StateLimitExceededError, naming the
+    graph being built, before a state past `state_limit` is added.
     """
     lts = Lts(name="", description="")
     for lab in net.labels:
@@ -344,89 +372,77 @@ def reachability_graph(net: PetriNet, state_limit: int = DEFAULT_STATE_LIMIT) ->
     initial = net.initial_marking()
     names: Dict[Marking, str] = {initial: "s0"}
     lts.add_state("s0", initial=True)
-    markings = {"s0": initial}
-    graph = StateGraph(lts, markings)
+    graph = StateGraph(lts, {"s0": initial})
+    yield graph, "s0"
     queue = deque(["s0"])
-    arcs: List[Tuple[str, str, str]] = []
     while queue:
         state = queue.popleft()
-        marking = markings[state]
+        marking = graph.markings[state]
         for t in net.transitions:
             if not enabled(net, marking, t):
                 continue
             nxt = fire(net, marking, t)
+            if accelerate:
+                nxt = _accelerate(graph, state, nxt)
             name = names.get(nxt)
-            if name is None:
+            fresh = name is None
+            if fresh:
                 if len(names) >= state_limit:
                     raise StateLimitExceededError(
-                        f"more than {state_limit} states; the net is possibly unbounded, "
-                        "try the coverability graph"
+                        f"the coverability graph has more than {state_limit} states"
+                        if accelerate
+                        else f"the reachability graph has more than {state_limit} "
+                        "states; the net is possibly unbounded, try the coverability graph"
                     )
                 name = f"s{len(names)}"
                 names[nxt] = name
                 lts.add_state(name)
-                markings[name] = nxt
+                graph.markings[name] = nxt
                 graph.parent[name] = (state, t)
                 queue.append(name)
             graph.fired_transitions.add(t)
-            arcs.append((state, net.label(t), name))
-    for arc in arcs:
-        lts.add_arc(*arc)
+            lts.add_arc(state, net.label(t), name)
+            if fresh:
+                yield graph, name
+
+
+def _graph(net: PetriNet, state_limit: int, accelerate: bool) -> StateGraph:
+    """The whole graph of `_explore`."""
+    for graph, _ in _explore(net, state_limit, accelerate):
+        pass
     return graph
 
 
-def coverability_graph(net: PetriNet) -> StateGraph:
-    """Karp-Miller style graph: when a new marking strictly covers one of its
-    ancestors on the tree path, the strictly increased places jump to OMEGA.
-    Identical omega-markings are merged globally.  For a bounded net no
-    acceleration ever fires and the result is the reachability graph.
+def reachability_graph(net: PetriNet, state_limit: int = DEFAULT_STATE_LIMIT) -> StateGraph:
+    """All reachable markings, found by the shared breadth-first explorer:
+    states are named s0, s1, ... in discovery order and arcs carry the
+    transition's label.
+
+    Raises StateLimitExceededError past `state_limit` states, which suggests
+    an unbounded net; the coverability graph of an unbounded net is finite.
     """
-    lts = Lts(name="", description="")
-    for lab in net.labels:
-        lts.add_label(lab)
-    initial = net.initial_marking()
-    names: Dict[Marking, str] = {initial: "s0"}
-    lts.add_state("s0", initial=True)
-    markings = {"s0": initial}
-    tree_parent: Dict[str, Optional[str]] = {"s0": None}
-    graph = StateGraph(lts, markings)
-    queue = deque(["s0"])
-    arcs: List[Tuple[str, str, str]] = []
-    while queue:
-        state = queue.popleft()
-        marking = markings[state]
-        for t in net.transitions:
-            if not enabled(net, marking, t):
-                continue
-            nxt = fire(net, marking, t)
-            # accelerate against the ancestor chain until stable
-            changed = True
-            while changed:
-                changed = False
-                cursor: Optional[str] = state
-                while cursor is not None:
-                    anc = markings[cursor]
-                    if nxt.covers(anc) and nxt != anc:
-                        counts = list(nxt.counts)
-                        for i, (a, b) in enumerate(zip(nxt.counts, anc.counts)):
-                            if a is not OMEGA and (b is OMEGA or a > b):
-                                counts[i] = OMEGA
-                                changed = True
-                        nxt = Marking(nxt.places, tuple(counts))
-                    cursor = tree_parent[cursor]
-            name = names.get(nxt)
-            if name is None:
-                name = f"s{len(names)}"
-                names[nxt] = name
-                lts.add_state(name)
-                markings[name] = nxt
-                tree_parent[name] = state
-                graph.parent[name] = (state, t)
-                queue.append(name)
-            graph.fired_transitions.add(t)
-            arcs.append((state, net.label(t), name))
-    for arc in arcs:
-        lts.add_arc(*arc)
+    return _graph(net, state_limit, accelerate=False)
+
+
+def coverability_graph(net: PetriNet) -> StateGraph:
+    """Karp-Miller style graph from the shared breadth-first explorer: when a
+    new marking strictly covers one of its ancestors on the tree path, the
+    strictly increased places jump to OMEGA.  Identical omega-markings are
+    merged globally.  For a bounded net no acceleration ever fires and the
+    result is the reachability graph.
+
+    The graph is finite, but can be huge: past DEFAULT_STATE_LIMIT states
+    it raises StateLimitExceededError.
+    """
+    return _graph(net, DEFAULT_STATE_LIMIT, accelerate=True)
+
+
+def _bounded_graph(net: PetriNet, state_limit: int, check: str) -> StateGraph:
+    """The reachability graph of a bounded net, which is its coverability
+    graph; raises UnboundedNetError if that graph holds an OMEGA."""
+    graph = _graph(net, state_limit, accelerate=True)
+    if any(m.has_omega() for m in graph.markings.values()):
+        raise UnboundedNetError(f"{check} requires a bounded net")
     return graph
 
 
@@ -440,13 +456,17 @@ def bounded(net: PetriNet, k: Optional[int] = None) -> Check:
     every reachable marking keeps every place at or below k.
 
     A negative answer carries (place, firing sequence); the sequence is
-    shortest in BFS order and its final marking shows the excess.
+    shortest in BFS order and its final marking shows the excess.  With k,
+    the shared breadth-first explorer runs over concrete markings only and
+    stops at the first one above k, which an unbounded net always reaches.
+    Both searches raise StateLimitExceededError past DEFAULT_STATE_LIMIT
+    states.
     """
-    cover = coverability_graph(net)
-    omega_state = next(
-        (s for s in cover.lts.states if cover.markings[s].has_omega()), None
-    )
     if k is None:
+        cover = coverability_graph(net)
+        omega_state = next(
+            (s for s in cover.lts.states if cover.markings[s].has_omega()), None
+        )
         if omega_state is None:
             return Check(True)
         marking = cover.markings[omega_state]
@@ -458,48 +478,15 @@ def bounded(net: PetriNet, k: Optional[int] = None) -> Check:
         )
     if k < 0:
         raise AptError("k must be nonnegative")
-    if omega_state is None:
-        graph = reachability_graph(net)
-    else:
-        graph = None  # unbounded: search concrete markings breadth-first
-    if graph is not None:
-        for state in graph.lts.states:  # discovery order
-            marking = graph.markings[state]
-            for place, count in marking.items():
-                if count > k:
-                    return Check(
-                        False,
-                        (place, graph.path_to(state)),
-                        f"place {place} reaches {count} > {k} tokens",
-                    )
-        return Check(True)
-    # Unbounded net: some reachable marking must exceed k; plain BFS finds a
-    # shortest witness without needing the full (infinite) state space.
-    initial = net.initial_marking()
-    seen = {initial}
-    parent: Dict[Marking, Tuple[Marking, str]] = {}
-    queue = deque([initial])
-    while queue:
-        marking = queue.popleft()
-        for place, count in marking.items():
+    for graph, state in _explore(net, DEFAULT_STATE_LIMIT, accelerate=False):
+        for place, count in graph.markings[state].items():
             if count > k:
-                path: List[str] = []
-                cursor = marking
-                while cursor in parent:
-                    cursor, t = parent[cursor]
-                    path.append(t)
-                path.reverse()
                 return Check(
-                    False, (place, path), f"place {place} reaches {count} > {k} tokens"
+                    False,
+                    (place, graph.path_to(state)),
+                    f"place {place} reaches {count} > {k} tokens",
                 )
-        for t in net.transitions:
-            if enabled(net, marking, t):
-                nxt = fire(net, marking, t)
-                if nxt not in seen:
-                    seen.add(nxt)
-                    parent[nxt] = (marking, t)
-                    queue.append(nxt)
-    raise AptError("unreachable: an unbounded net always exceeds k somewhere")
+    return Check(True)
 
 
 def weakly_live(net: PetriNet) -> Check:
@@ -516,16 +503,14 @@ def weakly_live(net: PetriNet) -> Check:
 
 def persistent(net: PetriNet) -> Check:
     """Persistence of the reachability graph; requires a bounded net."""
-    if not bounded(net):
-        raise UnboundedNetError("persistence check requires a bounded net")
-    return lts_is_persistent(reachability_graph(net).lts)
+    graph = _bounded_graph(net, DEFAULT_STATE_LIMIT, "persistence check")
+    return lts_is_persistent(graph.lts)
 
 
 def reversible(net: PetriNet) -> Check:
     """Reversibility of the reachability graph; requires a bounded net."""
-    if not bounded(net):
-        raise UnboundedNetError("reversibility check requires a bounded net")
-    return lts_is_reversible(reachability_graph(net).lts)
+    graph = _bounded_graph(net, DEFAULT_STATE_LIMIT, "reversibility check")
+    return lts_is_reversible(graph.lts)
 
 
 # ---------------------------------------------------------------------------
@@ -681,9 +666,7 @@ def _conflict_scan(net: PetriNet, state_limit: int, binary: bool) -> Check:
     plain = is_plain(net)
     if not plain:
         return Check(False, plain.witness, "not plain")
-    if not bounded(net):
-        raise UnboundedNetError("the check requires a bounded net")
-    graph = reachability_graph(net, state_limit)
+    graph = _bounded_graph(net, state_limit, "the check")
     for state in graph.lts.states:
         marking = graph.markings[state]
         live = [t for t in net.transitions if enabled(net, marking, t)]

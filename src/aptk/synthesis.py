@@ -24,6 +24,7 @@ from .common import (
 from .linalg import LinearSystem, integer_kernel_basis
 from .lts import (
     Lts,
+    SpanningTree,
     is_deterministic,
     is_totally_reachable,
     isomorphic,
@@ -194,8 +195,13 @@ def region_basis(lts: Lts) -> List[Tuple[int, ...]]:
     cycle, from the fundamental-cycle rows of a fixed spanning tree.  Every
     valid region's effect vector is an integer combination of it."""
     _check_synthesis_input(lts)
-    tree = spanning_tree(lts)
-    labels = lts.labels
+    rows = _cycle_rows(spanning_tree(lts), lts.labels)
+    return integer_kernel_basis(rows, dim=len(lts.labels))
+
+
+def _cycle_rows(tree: SpanningTree, labels: Sequence[str]) -> List[Tuple[int, ...]]:
+    """Distinct nonzero Parikh vectors of the fundamental cycles that the
+    chords of a spanning tree close; a region's effects are zero on each."""
     rows: List[Tuple[int, ...]] = []
     for arc in tree.chords:
         row = (
@@ -204,7 +210,7 @@ def region_basis(lts: Lts) -> List[Tuple[int, ...]]:
         ).as_tuple(labels)
         if any(row) and row not in rows:
             rows.append(row)
-    return integer_kernel_basis(rows, dim=len(labels))
+    return rows
 
 
 def enumerate_separation_problems(lts: Lts) -> List[SeparationProblem]:
@@ -275,16 +281,8 @@ class _Engine:
         self.psi = {
             s: self.tree.path_parikh[s].as_tuple(self.labels) for s in self.states
         }
-        rows: List[Tuple[int, ...]] = []
-        for arc in self.tree.chords:
-            row = (
-                self.tree.path_parikh[arc.source].added(arc.label)
-                - self.tree.path_parikh[arc.target]
-            ).as_tuple(self.labels)
-            if any(row) and row not in rows:
-                rows.append(row)
-        self.cycle_rows = rows
-        self.basis = integer_kernel_basis(rows, dim=len(self.labels))
+        self.cycle_rows = _cycle_rows(self.tree, self.labels)
+        self.basis = integer_kernel_basis(self.cycle_rows, dim=len(self.labels))
         # states enabling each label, and the (state, label) pairs of all arcs
         self.enabled_states: Dict[str, List[str]] = {t: [] for t in self.labels}
         self.arc_pairs: List[Tuple[str, str]] = []
@@ -785,8 +783,8 @@ def _verify_success(lts: Lts, net: PetriNet, props: PropertySet) -> None:
         raise InternalError(f"requested {props.k}-bounded, bound exceeded")
 
 
-def _run_engine(lts: Lts, props: PropertySet, problems: List[SeparationProblem]) -> SynthesisOutcome:
-    engine = _Engine(lts, props)
+def _run_engine(engine: _Engine, problems: List[SeparationProblem]) -> SynthesisOutcome:
+    lts, props = engine.lts, engine.props
     regions: List[Region] = []
     failed: List[SeparationProblem] = []
     for problem in problems:
@@ -831,9 +829,8 @@ def synthesize(lts: Lts, props: Optional[PropertySet] = None) -> SynthesisOutcom
     props = props or PropertySet()
     if props.language:
         return synthesize_language_only(lts, props)
-    _check_synthesis_input(lts)
-    problems = enumerate_separation_problems(lts)
-    return _run_engine(lts, props, problems)
+    engine = _Engine(lts, props)  # checks the input before the quadratic enumeration
+    return _run_engine(engine, enumerate_separation_problems(lts))
 
 
 def _is_acyclic(lts: Lts) -> bool:
@@ -900,7 +897,7 @@ def synthesize_language_only(lts: Lts, props: Optional[PropertySet] = None) -> S
         )
     tree = _unfold_to_tree(lts)
     problems = [p for p in enumerate_separation_problems(tree) if p.kind == "essp"]
-    return _run_engine(tree, props, problems)
+    return _run_engine(_Engine(tree, props), problems)
 
 
 def word_lts(word: Sequence[str]) -> Lts:

@@ -38,9 +38,11 @@ from aptk import (
     weakly_live,
     word_in_language,
 )
+from aptk import petri
 from aptk.generators import bitnet, cyclenet, philnet_bistate
 
 from conftest import make_example_lts
+from reference_petri import bounded as reference_bounded
 
 
 def unbounded_net() -> PetriNet:
@@ -232,7 +234,16 @@ def test_random_nets_boundedness_verdict_cross_checked():
             with pytest.raises(StateLimitExceededError):
                 reachability_graph(net, state_limit=300)
             unbounded_seen += 1
+        assert_k_bounded_matches_reference(net)
     assert bounded_seen > 10 and unbounded_seen > 10
+    for net in [bitnet(3), cyclenet(3, 2), unbounded_net()]:
+        assert_k_bounded_matches_reference(net)
+
+
+def assert_k_bounded_matches_reference(net):
+    # verdict, witness and detail, as returned by the replaced bounded()
+    for k in range(4):
+        assert bounded(net, k) == reference_bounded(net, k)
 
 
 def test_coverability_matches_reachability_on_generators():
@@ -282,6 +293,26 @@ def test_unbounded_k_witness():
     assert place == "p" and sequence == ["t", "t", "t"]
 
 
+def test_k_bounded_builds_no_coverability_graph(monkeypatch):
+    def refuse(net):
+        raise AssertionError("bounded(net, k) built a coverability graph")
+
+    monkeypatch.setattr(petri, "coverability_graph", refuse)
+    assert bounded(unbounded_net(), 2).witness == ("p", ["t", "t", "t"])
+
+
+def test_state_limit_names_the_construction(monkeypatch):
+    # bitnet(4) has 16 states; every search stops at the module's limit
+    monkeypatch.setattr(petri, "DEFAULT_STATE_LIMIT", 10)
+    with pytest.raises(StateLimitExceededError, match="coverability graph has more") as err:
+        coverability_graph(bitnet(4))
+    assert "try the coverability graph" not in str(err.value)
+    with pytest.raises(StateLimitExceededError, match="reachability graph has more"):
+        bounded(bitnet(4), 1)
+    with pytest.raises(StateLimitExceededError, match="coverability graph has more"):
+        bounded(bitnet(4))
+
+
 # -- liveness, persistence, reversibility ----------------------------------------
 
 
@@ -320,6 +351,18 @@ def test_reversible_false_sink():
 def test_persistent_requires_bounded():
     with pytest.raises(UnboundedNetError):
         persistent(unbounded_net())
+
+
+def test_bounded_net_analyses_build_one_state_space(monkeypatch, n1):
+    analyses = (persistent, reversible, is_bcf, is_bicf)
+    expected = [analysis(n1) for analysis in analyses]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a second state space was built")
+
+    monkeypatch.setattr(petri, "reachability_graph", refuse)
+    monkeypatch.setattr(petri, "bounded", refuse)
+    assert [analysis(n1) for analysis in analyses] == expected
 
 
 def test_persistent_no_transitions():

@@ -33,6 +33,7 @@ from aptk import (
     word_lts,
     word_synthesize,
 )
+from aptk import synthesis as synthesis_module
 from aptk.synthesis import SeparationProblem, _Engine, check_region
 from aptk.generators import bitnet, cyclenet
 
@@ -414,6 +415,17 @@ def test_synthesize_conflict_free_on_bit():
 
 
 def test_synthesize_rejects_nondeterministic():
+    lts = Lts.from_data("s0", [("s0", "a", "s1"), ("s0", "a", "s2")])
+    with pytest.raises(PreconditionError):
+        synthesize(lts)
+
+
+def test_synthesize_checks_input_before_enumerating(monkeypatch):
+    # a bad input fails fast, without the quadratic problem enumeration
+    def refuse(lts):
+        raise AssertionError("separation problems enumerated")
+
+    monkeypatch.setattr(synthesis_module, "enumerate_separation_problems", refuse)
     lts = Lts.from_data("s0", [("s0", "a", "s1"), ("s0", "a", "s2")])
     with pytest.raises(PreconditionError):
         synthesize(lts)
