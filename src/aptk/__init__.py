@@ -68,7 +68,6 @@ from .linalg import (
     LinearSystem,
     integer_kernel_basis,
     minimal_semipositive_solutions,
-    solve_integer_feasibility,
 )
 from .structure import (
     IncidenceMatrices,
@@ -87,9 +86,7 @@ from .synthesis import (
     format_report,
     minimize_regions,
     region_basis,
-    solve_separation_fast_none,
-    solve_separation_general,
-    solve_separation_pure,
+    solve_separation,
     synthesize,
     synthesize_language_only,
     word_lts,

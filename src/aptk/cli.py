@@ -205,26 +205,18 @@ def _run_siphons(net, traps: bool) -> List[str]:
 
 
 def _run_synthesize(props: synthesis.PropertySet, lts, outfile: Optional[str] = None) -> List[str]:
-    outcome = synthesis.synthesize(lts, props)
-    lines = synthesis.format_report(outcome)
-    if outcome.success and outcome.net is not None:
-        text = aptio.render(aptio.Document(kind="LPN", net=outcome.net))
-        if outfile is not None:
-            lines += _write_or_print(text, outfile)
-        else:
-            lines.append(text.rstrip("\n"))
-    return lines
+    return _synthesis_output(synthesis.synthesize(lts, props), outfile)
 
 
 def _run_word_synthesize(props: synthesis.PropertySet, word: List[str], outfile: Optional[str] = None) -> List[str]:
-    outcome = synthesis.word_synthesize(props, word)
+    return _synthesis_output(synthesis.word_synthesize(props, word), outfile)
+
+
+def _synthesis_output(outcome: synthesis.SynthesisOutcome, outfile: Optional[str]) -> List[str]:
+    """The report, then the synthesized net (printed, or written to outfile)."""
     lines = synthesis.format_report(outcome)
     if outcome.success and outcome.net is not None:
-        text = aptio.render(aptio.Document(kind="LPN", net=outcome.net))
-        if outfile is not None:
-            lines += _write_or_print(text, outfile)
-        else:
-            lines.append(text.rstrip("\n"))
+        lines += _write_or_print(aptio.render(aptio.Document(kind="LPN", net=outcome.net)), outfile)
     return lines
 
 

@@ -446,11 +446,6 @@ class LinearSystem:
                 raise InternalError("solution fails a constraint; solver bug")
 
 
-def solve_integer_feasibility(system: LinearSystem) -> Optional[Dict[str, int]]:
-    """Module-level alias for LinearSystem.solve."""
-    return system.solve()
-
-
 # ---------------------------------------------------------------------------
 # Integer kernel lattice basis.
 # ---------------------------------------------------------------------------

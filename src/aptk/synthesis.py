@@ -494,95 +494,62 @@ class _Engine:
             bounds.append(weight_ub - 1 + weight_ub * sum(psi))
         return min(bounds) if bounds else None
 
-    # -- fast paths ----------------------------------------------------------
+    # -- basis solver --------------------------------------------------------
 
-    def solve_fast_none(self, problem: SeparationProblem) -> Optional[Region]:
-        """Property-free solving over basis coefficients.
+    def solve_basis(self, problem: SeparationProblem) -> Optional[Region]:
+        """Solving over basis coefficients x: effects = sum of x[j] * basis[j].
 
-        Event/state: find an effect with strictly smaller value at the
-        problem state than at every state enabling the label, build the
-        canonical pure region, then raise both weights of the label until it
-        is disabled exactly there.  State pairs: a basis region separates, or
-        nothing does.
-        """
-        if problem.kind == "ssp":
-            diff = tuple(
-                a - b for a, b in zip(self.psi[problem.state], self.psi[problem.other])
-            )
-            for vector in self.basis:
-                if _dot(vector, diff) != 0:
-                    return self.region_from_effects(vector)
-            return None
-
-        t = problem.label
-        rows = []
-        psi_s = self.psi[problem.state]
-        for enabled_state in self.enabled_states[t]:
-            rows.append(
-                tuple(a - b for a, b in zip(psi_s, self.psi[enabled_state]))
-            )
-        system = LinearSystem()
-        for j in range(len(self.basis)):
-            system.add_variable(f"x{j}")
-        for row in rows:
-            coeffs = {
-                f"x{j}": _dot(vector, row) for j, vector in enumerate(self.basis)
-            }
-            coeffs = {n: c for n, c in coeffs.items() if c}
-            system.add_constraint(coeffs, "<=", -1)
-        solution = system.solve()
-        if solution is None:
-            return None
-        effects = _combine(self.basis, [solution[f"x{j}"] for j in range(len(self.basis))], len(self.labels))
-        region = self.region_from_effects(effects)
-        values = self.region_values(region)
-        index = self.lab_index[t]
-        raise_by = max(0, values[problem.state] - region.backward[index] + 1)
-        if raise_by:
-            backward = list(region.backward)
-            forward = list(region.forward)
-            backward[index] += raise_by
-            forward[index] += raise_by
-            region = Region(self.labels, region.initial, tuple(backward), tuple(forward))
-        check_region(self.lts, region)
-        if not self.solves(region, problem):
-            raise InternalError(f"fast path failed to separate {problem}")
-        return region
-
-    def solve_fast_pure(self, problem: SeparationProblem, plain: bool) -> Optional[Region]:
-        """Pure (optionally plain) solving over basis coefficients.
-
-        Event/state: the pure inequality asks the effect of (path difference
-        plus the label) to be negative against every state.  Plainness caps
-        the per-label effects at one; the coefficient box then comes from an
+        Serves the property-free case and `pure`, optionally with `plain`.
+        State pairs: the first basis region whose values differ at the two
+        states, else (plain only) one boxed solve.  Event/state: every row
+        must have a negative effect.  The rows are the path difference to
+        each state enabling the label; with `pure`, to every state, plus
+        the label itself.  Without `pure` both weights of the label are then
+        raised until it is disabled exactly there.  Plainness caps the
+        per-label effects at one; the coefficient box then comes from an
         exact pseudo-inverse bound, keeping branch and bound complete.
         """
-        if problem.kind == "ssp":
-            diff = tuple(
-                a - b for a, b in zip(self.psi[problem.state], self.psi[problem.other])
-            )
-            for vector in self.basis:
-                if _dot(vector, diff) != 0 and (
-                    not plain or all(abs(e) <= 1 for e in vector)
-                ):
-                    return self.region_from_effects(vector)
-            if not plain:
-                return None
-            return self._fast_pure_solve(rows=[], separation=diff, plain=True)
-
-        t = problem.label
+        pure, plain = self.props.pure, self.props.plain
         psi_s = self.psi[problem.state]
-        unit = tuple(1 if u == t else 0 for u in self.labels)
-        rows = []
-        for other in self.states:
-            rows.append(
-                tuple(
-                    a - b + u for a, b, u in zip(psi_s, self.psi[other], unit)
-                )
-            )
-        return self._fast_pure_solve(rows=rows, separation=None, plain=plain)
+        if problem.kind == "ssp":
+            diff = tuple(a - b for a, b in zip(psi_s, self.psi[problem.other]))
+            dots = [_dot(vector, diff) for vector in self.basis]
+            for vector, dot in zip(self.basis, dots):
+                if dot and not (plain and any(abs(e) > 1 for e in vector)):
+                    return self._checked(self.region_from_effects(vector), problem)
+            if not (plain and any(dots)):
+                return None
+            rows = [diff]
+        elif pure:
+            unit = tuple(int(u == problem.label) for u in self.labels)
+            rows = [
+                tuple(a - b + u for a, b, u in zip(psi_s, self.psi[other], unit))
+                for other in self.states
+            ]
+        else:
+            rows = [
+                tuple(a - b for a, b in zip(psi_s, self.psi[enabled_state]))
+                for enabled_state in self.enabled_states[problem.label]
+            ]
+        effects = self._basis_effects(rows, plain)
+        if effects is None:
+            return None
+        region = self.region_from_effects(effects)
+        if problem.kind == "essp" and not pure:
+            index = self.lab_index[problem.label]
+            values = self.region_values(region)
+            raise_by = max(0, values[problem.state] - region.backward[index] + 1)
+            if raise_by:
+                backward = list(region.backward)
+                forward = list(region.forward)
+                backward[index] += raise_by
+                forward[index] += raise_by
+                region = Region(self.labels, region.initial, tuple(backward), tuple(forward))
+        return self._checked(region, problem)
 
-    def _fast_pure_solve(self, rows, separation, plain: bool) -> Optional[Region]:
+    def _basis_effects(self, rows, plain: bool) -> Optional[Tuple[int, ...]]:
+        """Effects of an integer x with every row's effect at most -1 and,
+        under `plain`, every effect in [-1, 1]; None when there is none."""
         system = LinearSystem()
         boxes = _coefficient_boxes(self.basis) if plain else [None] * len(self.basis)
         for j, box in enumerate(boxes):
@@ -594,14 +561,8 @@ class _Engine:
             coeffs = {f"x{j}": _dot(v, row) for j, v in enumerate(self.basis)}
             coeffs = {n: c for n, c in coeffs.items() if c}
             system.add_constraint(coeffs, "<=", -1)
-        if separation is not None:
-            coeffs = {f"x{j}": _dot(v, separation) for j, v in enumerate(self.basis)}
-            coeffs = {n: c for n, c in coeffs.items() if c}
-            if not coeffs:
-                return None
-            system.add_constraint(coeffs, "<=", -1)
         if plain:
-            for i, label in enumerate(self.labels):
+            for i in range(len(self.labels)):
                 coeffs = {f"x{j}": v[i] for j, v in enumerate(self.basis) if v[i]}
                 if not coeffs:
                     continue
@@ -610,34 +571,34 @@ class _Engine:
         solution = system.solve()
         if solution is None:
             return None
-        effects = _combine(
+        return _combine(
             self.basis, [solution[f"x{j}"] for j in range(len(self.basis))], len(self.labels)
         )
-        region = self.region_from_effects(effects)
+
+    def _checked(self, region: Region, problem: SeparationProblem) -> Region:
         check_region(self.lts, region)
-        if not region.is_pure():
-            raise InternalError("pure fast path produced an impure region")
+        if self.props.pure and not region.is_pure():
+            raise InternalError("basis solver produced an impure region")
+        if not self.solves(region, problem):
+            raise InternalError(f"basis solver failed to separate {problem}")
         return region
 
     # -- dispatch ------------------------------------------------------------
 
     def solve(self, problem: SeparationProblem) -> Optional[Region]:
+        """The basis solver without locations for no property, `pure` and
+        `plain,pure`; the general solver for everything else."""
         props = self.props
-        no_extras = not (
-            props.pure
-            or props.plain
+        if (
+            self.lts.locations
             or props.on
             or props.tnet
             or props.cf
             or props.k is not None
-        )
-        if self.lts.locations:
+            or (props.plain and not props.pure)
+        ):
             return self.solve_general(problem)
-        if no_extras:
-            return self.solve_fast_none(problem)
-        if props.pure and not (props.on or props.tnet or props.cf or props.k is not None):
-            return self.solve_fast_pure(problem, plain=props.plain)
-        return self.solve_general(problem)
+        return self.solve_basis(problem)
 
 
 def _dot(a: Sequence[int], b: Sequence[int]) -> int:
@@ -684,30 +645,16 @@ def _coefficient_boxes(basis) -> List[int]:
 
 
 # ---------------------------------------------------------------------------
-# Public solving entry points.
+# Public solving entry point and the separation pass.
 # ---------------------------------------------------------------------------
 
 
-def solve_separation_general(
+def solve_separation(
     lts: Lts, problem: SeparationProblem, props: Optional[PropertySet] = None
 ) -> Optional[Region]:
-    """General solver; supports every property combination and locations."""
-    engine = _Engine(lts, props or PropertySet())
-    return engine.solve_general(problem)
-
-
-def solve_separation_fast_none(lts: Lts, problem: SeparationProblem) -> Optional[Region]:
-    """Fast property-free solver over the region basis."""
-    engine = _Engine(lts, PropertySet())
-    return engine.solve_fast_none(problem)
-
-
-def solve_separation_pure(
-    lts: Lts, problem: SeparationProblem, plain: bool = False
-) -> Optional[Region]:
-    """Fast solver for pure (optionally plain) regions."""
-    engine = _Engine(lts, PropertySet(pure=True, plain=plain))
-    return engine.solve_fast_pure(problem, plain=plain)
+    """A region of the requested properties that solves one separation
+    problem, or None when there is none."""
+    return _Engine(lts, props or PropertySet()).solve(problem)
 
 
 def minimize_regions(
@@ -784,21 +731,28 @@ def _verify_success(lts: Lts, net: PetriNet, props: PropertySet) -> None:
 
 
 def _run_engine(engine: _Engine, problems: List[SeparationProblem]) -> SynthesisOutcome:
+    """One separation pass: solve the problems in order, skipping those that
+    a region found earlier solves.  Each region's solved-problem set is
+    computed once, when the region is found; a found region solves its own
+    problem, which no earlier region solves, so it is always a new one."""
     lts, props = engine.lts, engine.props
-    regions: List[Region] = []
+    solved: List[Tuple[Region, Set[int]]] = []
+    covered: Set[int] = set()
     failed: List[SeparationProblem] = []
-    for problem in problems:
-        if any(engine.solves(region, problem) for region in regions):
+    for i, problem in enumerate(problems):
+        if i in covered:
             continue
         region = engine.solve(problem)
         if region is None:
             failed.append(problem)
-        elif region not in regions:
-            regions.append(region)
+            continue
+        problem_set = {j for j, other in enumerate(problems) if engine.solves(region, other)}
+        solved.append((region, problem_set))
+        covered |= problem_set
 
     outcome = SynthesisOutcome(success=not failed, properties=props, lts=lts)
     if failed:
-        outcome.regions = regions
+        outcome.regions = [region for region, _ in solved]
         for problem in failed:
             if problem.kind == "ssp":
                 outcome.failed_ssp.append((problem.state, problem.other))
@@ -806,11 +760,7 @@ def _run_engine(engine: _Engine, problems: List[SeparationProblem]) -> Synthesis
                 outcome.failed_essp.setdefault(problem.label, []).append(problem.state)
         return outcome
 
-    solved = [
-        (region, {i for i, problem in enumerate(problems) if engine.solves(region, problem)})
-        for region in regions
-    ]
-    minimized = minimize_regions(problems, solved) if regions else []
+    minimized = minimize_regions(problems, solved) if solved else []
     name = f"synthesized from {lts.name}" if lts.name else "synthesized"
     net = _build_net(lts, minimized, name=name)
     outcome.regions = minimized
@@ -949,17 +899,12 @@ def format_report(outcome: SynthesisOutcome) -> List[str]:
     lines = [f"success: {'Yes' if outcome.success else 'No'}"]
     if outcome.properties.verbose and outcome.regions and outcome.lts is not None:
         lines.append("solvedEventStateSeparationProblems:")
-        tree = spanning_tree(outcome.lts)
-        labels = outcome.lts.labels
+        engine = _Engine(outcome.lts, outcome.properties)
         for region in outcome.regions:
             lines.append(f"{region}:")
-            values = {
-                s: region.initial
-                + _dot(region.effects(), tree.path_parikh[s].as_tuple(labels))
-                for s in tree.order
-            }
-            for label in labels:
-                disabled = [s for s in tree.order if values[s] < region.b(label)]
+            values = engine.region_values(region)
+            for label in engine.labels:
+                disabled = [s for s in engine.states if values[s] < region.b(label)]
                 if disabled:
                     lines.append(
                         f"\tseparates event {label} at states [{', '.join(disabled)}]"

@@ -1,0 +1,150 @@
+"""The basis-space solvers that aptk.synthesis._Engine.solve_basis replaced,
+kept verbatim as the reference for its differential tests.
+
+`solve_fast_none` served the property-free case, `solve_fast_pure` with
+`_fast_pure_solve` the pure and the plain pure cases.  They were methods of
+`_Engine`; here each takes the engine as `self`, and the one method call
+between them became a function call.  `solve_basis` must return the same
+`Region`, or None, for every separation problem.
+"""
+
+from __future__ import annotations
+
+from typing import Optional
+
+from aptk.common import InternalError
+from aptk.linalg import LinearSystem
+from aptk.synthesis import (
+    Region,
+    SeparationProblem,
+    _coefficient_boxes,
+    _combine,
+    _dot,
+    check_region,
+)
+
+
+def solve_fast_none(self, problem: SeparationProblem) -> Optional[Region]:
+    """Property-free solving over basis coefficients.
+
+    Event/state: find an effect with strictly smaller value at the
+    problem state than at every state enabling the label, build the
+    canonical pure region, then raise both weights of the label until it
+    is disabled exactly there.  State pairs: a basis region separates, or
+    nothing does.
+    """
+    if problem.kind == "ssp":
+        diff = tuple(
+            a - b for a, b in zip(self.psi[problem.state], self.psi[problem.other])
+        )
+        for vector in self.basis:
+            if _dot(vector, diff) != 0:
+                return self.region_from_effects(vector)
+        return None
+
+    t = problem.label
+    rows = []
+    psi_s = self.psi[problem.state]
+    for enabled_state in self.enabled_states[t]:
+        rows.append(
+            tuple(a - b for a, b in zip(psi_s, self.psi[enabled_state]))
+        )
+    system = LinearSystem()
+    for j in range(len(self.basis)):
+        system.add_variable(f"x{j}")
+    for row in rows:
+        coeffs = {
+            f"x{j}": _dot(vector, row) for j, vector in enumerate(self.basis)
+        }
+        coeffs = {n: c for n, c in coeffs.items() if c}
+        system.add_constraint(coeffs, "<=", -1)
+    solution = system.solve()
+    if solution is None:
+        return None
+    effects = _combine(self.basis, [solution[f"x{j}"] for j in range(len(self.basis))], len(self.labels))
+    region = self.region_from_effects(effects)
+    values = self.region_values(region)
+    index = self.lab_index[t]
+    raise_by = max(0, values[problem.state] - region.backward[index] + 1)
+    if raise_by:
+        backward = list(region.backward)
+        forward = list(region.forward)
+        backward[index] += raise_by
+        forward[index] += raise_by
+        region = Region(self.labels, region.initial, tuple(backward), tuple(forward))
+    check_region(self.lts, region)
+    if not self.solves(region, problem):
+        raise InternalError(f"fast path failed to separate {problem}")
+    return region
+
+
+def solve_fast_pure(self, problem: SeparationProblem, plain: bool) -> Optional[Region]:
+    """Pure (optionally plain) solving over basis coefficients.
+
+    Event/state: the pure inequality asks the effect of (path difference
+    plus the label) to be negative against every state.  Plainness caps
+    the per-label effects at one; the coefficient box then comes from an
+    exact pseudo-inverse bound, keeping branch and bound complete.
+    """
+    if problem.kind == "ssp":
+        diff = tuple(
+            a - b for a, b in zip(self.psi[problem.state], self.psi[problem.other])
+        )
+        for vector in self.basis:
+            if _dot(vector, diff) != 0 and (
+                not plain or all(abs(e) <= 1 for e in vector)
+            ):
+                return self.region_from_effects(vector)
+        if not plain:
+            return None
+        return _fast_pure_solve(self, rows=[], separation=diff, plain=True)
+
+    t = problem.label
+    psi_s = self.psi[problem.state]
+    unit = tuple(1 if u == t else 0 for u in self.labels)
+    rows = []
+    for other in self.states:
+        rows.append(
+            tuple(
+                a - b + u for a, b, u in zip(psi_s, self.psi[other], unit)
+            )
+        )
+    return _fast_pure_solve(self, rows=rows, separation=None, plain=plain)
+
+
+def _fast_pure_solve(self, rows, separation, plain: bool) -> Optional[Region]:
+    system = LinearSystem()
+    boxes = _coefficient_boxes(self.basis) if plain else [None] * len(self.basis)
+    for j, box in enumerate(boxes):
+        if box is None:
+            system.add_variable(f"x{j}")
+        else:
+            system.add_variable(f"x{j}", lower=-box, upper=box)
+    for row in rows:
+        coeffs = {f"x{j}": _dot(v, row) for j, v in enumerate(self.basis)}
+        coeffs = {n: c for n, c in coeffs.items() if c}
+        system.add_constraint(coeffs, "<=", -1)
+    if separation is not None:
+        coeffs = {f"x{j}": _dot(v, separation) for j, v in enumerate(self.basis)}
+        coeffs = {n: c for n, c in coeffs.items() if c}
+        if not coeffs:
+            return None
+        system.add_constraint(coeffs, "<=", -1)
+    if plain:
+        for i, label in enumerate(self.labels):
+            coeffs = {f"x{j}": v[i] for j, v in enumerate(self.basis) if v[i]}
+            if not coeffs:
+                continue
+            system.add_constraint(coeffs, "<=", 1)
+            system.add_constraint(coeffs, ">=", -1)
+    solution = system.solve()
+    if solution is None:
+        return None
+    effects = _combine(
+        self.basis, [solution[f"x{j}"] for j in range(len(self.basis))], len(self.labels)
+    )
+    region = self.region_from_effects(effects)
+    check_region(self.lts, region)
+    if not region.is_pure():
+        raise InternalError("pure fast path produced an impure region")
+    return region

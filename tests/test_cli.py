@@ -151,6 +151,23 @@ def test_word_synthesize_failure_report(capsys):
     ]
 
 
+def test_word_synthesize_success_prints_or_writes_net(tmp_path):
+    report = [
+        "success: Yes",
+        "failedStateSeparationProblems: []",
+        "failedEventStateSeparationProblems: {}",
+    ]
+    status, printed = dispatch(["word_synthesize", "none", "a,b"])
+    assert status == 0
+    lines = printed.splitlines()
+    assert lines[:3] == report and ".type LPN" in lines
+    out = tmp_path / "word.apt"
+    status, written = dispatch(["word_synthesize", "none", "a,b", str(out)])
+    assert status == 0
+    assert written.splitlines() == report + [f"output_written_to: {out}"]
+    assert out.read_text().rstrip("\n").splitlines() == lines[3:]
+
+
 def test_generators_roundtrip(tmp_path):
     out = tmp_path / "bits.apt"
     status, _ = dispatch(["bitnet_generator", "2", str(out)])

@@ -25,9 +25,7 @@ from aptk import (
     reachability_graph,
     region_basis,
     render,
-    solve_separation_fast_none,
-    solve_separation_general,
-    solve_separation_pure,
+    solve_separation,
     synthesize,
     synthesize_language_only,
     word_lts,
@@ -93,7 +91,7 @@ def test_problem_counts_two_states():
 
 def test_fast_none_word_essp():
     lts = word_lts(["a", "b"])
-    region = solve_separation_fast_none(lts, SeparationProblem("essp", "s0", label="b"))
+    region = _Engine(lts, PropertySet()).solve_basis(SeparationProblem("essp", "s0", label="b"))
     assert region is not None
     assert region.effect("a") >= 1 and region.b("b") >= 1
 
@@ -106,19 +104,29 @@ def test_ssp_equal_parikh_vectors_unsolvable():
          ("s3", "c", "s0"), ("s4", "c", "s0")],
     )
     problem = SeparationProblem("ssp", "s3", other="s4")
-    assert solve_separation_fast_none(lts, problem) is None
-    assert solve_separation_general(lts, problem) is None
+    engine = _Engine(lts, PropertySet())
+    assert engine.solve_basis(problem) is None
+    assert engine.solve_general(problem) is None
+
+
+def test_solve_separation_dispatches_on_properties(example_lts):
+    for problem in enumerate_separation_problems(example_lts):
+        for props in (None, PropertySet(pure=True), PropertySet(pure=True, plain=True)):
+            expected = _Engine(example_lts, props or PropertySet()).solve_basis(problem)
+            assert solve_separation(example_lts, problem, props) == expected
+        expected = _Engine(example_lts, PropertySet(k=1)).solve_general(problem)
+        assert solve_separation(example_lts, problem, PropertySet(k=1)) == expected
 
 
 def test_safe_essp_b_s4_unsolvable(example_lts):
     problem = SeparationProblem("essp", "s4", label="b")
-    region = solve_separation_general(example_lts, problem, PropertySet(k=1))
+    region = _Engine(example_lts, PropertySet(k=1)).solve_general(problem)
     assert region is None
 
 
 def test_safe_essp_c_solvable_with_canonical_region(example_lts):
     problem = SeparationProblem("essp", "s6", label="c")
-    region = solve_separation_general(example_lts, problem, PropertySet(k=1))
+    region = _Engine(example_lts, PropertySet(k=1)).solve_general(problem)
     assert region is not None
     assert region.initial == 1 and region.b("c") == 1 and region.f("d") == 1
 
@@ -126,7 +134,7 @@ def test_safe_essp_c_solvable_with_canonical_region(example_lts):
 def test_general_matches_fast_none_per_problem(example_lts):
     engine = _Engine(example_lts, PropertySet())
     for problem in enumerate_separation_problems(example_lts):
-        fast = engine.solve_fast_none(problem)
+        fast = engine.solve_basis(problem)
         general = engine.solve_general(problem)
         assert (fast is None) == (general is None), str(problem)
 
@@ -134,7 +142,7 @@ def test_general_matches_fast_none_per_problem(example_lts):
 def test_general_matches_fast_pure_per_problem(example_lts):
     engine = _Engine(example_lts, PropertySet(pure=True))
     for problem in enumerate_separation_problems(example_lts):
-        fast = engine.solve_fast_pure(problem, plain=False)
+        fast = engine.solve_basis(problem)
         general = engine.solve_general(problem)
         assert (fast is None) == (general is None), str(problem)
 
@@ -184,10 +192,10 @@ def test_fast_paths_agree_with_general_on_small_systems():
         eng_pp = _Engine(lts, PropertySet(pure=True, plain=True))
         eng_p = _Engine(lts, PropertySet(pure=True))
         for problem in enumerate_separation_problems(lts):
-            fast_pp = eng_pp.solve_fast_pure(problem, plain=True)
+            fast_pp = eng_pp.solve_basis(problem)
             general_pp = eng_pp.solve_general(problem)
             assert (fast_pp is None) == (general_pp is None), str(problem)
-            fast_p = eng_p.solve_fast_pure(problem, plain=False)
+            fast_p = eng_p.solve_basis(problem)
             general_p = eng_p.solve_general(problem)
             assert (fast_p is None) == (general_p is None), str(problem)
             if fast_pp is not None:  # plain+pure solvable implies pure solvable
@@ -273,7 +281,7 @@ def test_plain_pure_effect_bound():
     # needing |effect| >= 2 on one label is unsolvable in plain+pure mode
     lts = word_lts(["a", "a", "b"])
     problem = SeparationProblem("essp", "s0", label="b")
-    unrestricted = solve_separation_pure(lts, problem, plain=False)
+    unrestricted = _Engine(lts, PropertySet(pure=True)).solve_basis(problem)
     assert unrestricted is not None
     # brute-force oracle over plain pure regions: effects in {-1,0,1}
     engine = _Engine(lts, PropertySet(pure=True, plain=True))
@@ -282,7 +290,7 @@ def test_plain_pure_effect_bound():
         region = engine.region_from_effects((e_a, e_b))
         if engine.solves(region, problem):
             solvable = True
-    restricted = solve_separation_pure(lts, problem, plain=True)
+    restricted = engine.solve_basis(problem)
     assert (restricted is not None) == solvable
 
 
@@ -480,6 +488,38 @@ def test_minimize_preserves_feasibility_example(example_lts):
     engine = _Engine(example_lts, PropertySet())
     for problem in problems:
         assert any(engine.solves(r, problem) for r in outcome.regions)
+
+
+def test_separation_pass_evaluates_each_region_once(example_lts, monkeypatch):
+    # outside the solvers, the pass asks once per (distinct region, problem)
+    calls = {"pass": 0}
+    inside = []
+    found = []
+    solves, solve, minimize = _Engine.solves, _Engine.solve, synthesis_module.minimize_regions
+
+    def counting_solves(self, region, problem):
+        if not inside:
+            calls["pass"] += 1
+        return solves(self, region, problem)
+
+    def marked_solve(self, problem):
+        inside.append(problem)
+        try:
+            return solve(self, problem)
+        finally:
+            inside.pop()
+
+    def recording_minimize(problems, solved):
+        found.extend(region for region, _ in solved)
+        return minimize(problems, solved)
+
+    monkeypatch.setattr(_Engine, "solves", counting_solves)
+    monkeypatch.setattr(_Engine, "solve", marked_solve)
+    monkeypatch.setattr(synthesis_module, "minimize_regions", recording_minimize)
+    assert synthesize(example_lts).success
+    problems = enumerate_separation_problems(example_lts)
+    assert len(set(found)) == len(found) > 0
+    assert calls["pass"] == len(found) * len(problems)
 
 
 # -- word synthesis ----------------------------------------------------------------
