@@ -2,14 +2,17 @@
 
 A document is a `.type LPN` (labelled Petri net) or `.type LTS` file made of
 dot-keyword sections in any order; `/*..*/` and `//` comments are allowed
-between any two tokens.  The writer emits a canonical form: parsing its
-output yields a structurally identical model, and printing is idempotent.
+between any two tokens.  One compiled regular expression, with an
+alternative per token kind, lexes a document.  The writer emits a canonical
+form: parsing its output yields a structurally identical model, and
+printing is idempotent.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .common import AptError, ParseError
 from .lts import Lts
@@ -44,105 +47,78 @@ _PUNCT = {
 }
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # SECTION ID NUM STR ARROW plus _PUNCT values and EOF
     value: str
     line: int
     column: int
 
 
+# Tried in this order; SKIP is whitespace and comments, ERROR any character
+# that starts no token, and _token_regex fills in the two %s.
+_TOKEN = (
+    r"(?P<SKIP>[ \t\r\n]+|//[^\n]*|/\*.*?\*/)"
+    r"|(?P<SECTION>\.\w*)"
+    r'|(?P<STR>"[^"\\]*(?:\\["\\][^"\\]*)*")'
+    r"|(?P<ARROW>->)"
+    r"|(?P<PUNCT>[{}\[\],:*=])"
+    r"|(?P<NUM>[\d%s]+)"
+    r"|(?P<ID>[^\W\d%s]\w*)"
+    r"|(?P<ERROR>.)"
+)
+_STRING_BODY = re.compile(r'[^"\\]*(?:\\["\\][^"\\]*)*')
+
+
+def _token_regex(text: str) -> re.Pattern:
+    """The token regex for `text`: a NUM is a run of str.isdigit characters,
+    an ID starts with a letter or '_'.  Outside ASCII, \\d misses digits such
+    as '²' and \\w holds for every numeral, so the text's numerals that are
+    not letters or decimal digits join NUM if digits and never start an ID."""
+    odd = "" if text.isascii() else "".join(
+        sorted(c for c in set(text) if c.isnumeric() and not (c.isdecimal() or c.isalpha()))
+    )
+    digits = "".join(c for c in odd if c.isdigit())
+    return re.compile(_TOKEN % (re.escape(digits), re.escape(odd)), re.DOTALL)
+
+
+def _lex_error(text: str, i: int) -> ParseError:
+    """The error at `i`, where no token starts."""
+    at, message = i, f"unexpected character {text[i]!r}"
+    if text.startswith("/*", i):
+        message = "unterminated comment"
+    elif text[i] == '"':
+        j = _STRING_BODY.match(text, i + 1).end()
+        if j == len(text):
+            message = "unterminated string"
+        else:
+            at = j
+            message = "dangling escape" if j + 1 == len(text) else f"unknown escape \\{text[j + 1]}"
+    return ParseError(message, text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at))
+
+
 def _tokenize(text: str) -> List[_Token]:
     tokens: List[_Token] = []
-    i = 0
-    line = 1
-    col = 1
-    n = len(text)
-
-    def advance(k: int = 1):
-        nonlocal i, line, col
-        for _ in range(k):
-            if i < n and text[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-
-    while i < n:
-        ch = text[i]
-        if ch in " \t\r\n":
-            advance()
-            continue
-        if text.startswith("//", i):
-            while i < n and text[i] != "\n":
-                advance()
-            continue
-        if text.startswith("/*", i):
-            start_line, start_col = line, col
-            advance(2)
-            while i < n and not text.startswith("*/", i):
-                advance()
-            if i >= n:
-                raise ParseError("unterminated comment", start_line, start_col)
-            advance(2)
-            continue
-        start_line, start_col = line, col
-        if ch == ".":
-            advance()
-            j = i
-            while i < n and (text[i].isalnum() or text[i] == "_"):
-                advance()
-            word = text[j:i]
-            if not word:
-                raise ParseError("lone '.'", start_line, start_col)
-            tokens.append(_Token("SECTION", word, start_line, start_col))
-            continue
-        if ch == '"':
-            advance()
-            out = []
-            while True:
-                if i >= n:
-                    raise ParseError("unterminated string", start_line, start_col)
-                c = text[i]
-                if c == "\\":
-                    if i + 1 >= n:
-                        raise ParseError("dangling escape", line, col)
-                    nxt = text[i + 1]
-                    if nxt not in ('"', "\\"):
-                        raise ParseError(f"unknown escape \\{nxt}", line, col)
-                    out.append(nxt)
-                    advance(2)
-                    continue
-                if c == '"':
-                    advance()
-                    break
-                out.append(c)
-                advance()
-            tokens.append(_Token("STR", "".join(out), start_line, start_col))
-            continue
-        if text.startswith("->", i):
-            advance(2)
-            tokens.append(_Token("ARROW", "->", start_line, start_col))
-            continue
-        if ch in _PUNCT:
-            advance()
-            tokens.append(_Token(_PUNCT[ch], ch, start_line, start_col))
-            continue
-        if ch.isdigit():
-            j = i
-            while i < n and text[i].isdigit():
-                advance()
-            tokens.append(_Token("NUM", text[j:i], start_line, start_col))
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while i < n and (text[i].isalnum() or text[i] == "_"):
-                advance()
-            tokens.append(_Token("ID", text[j:i], start_line, start_col))
-            continue
-        raise ParseError(f"unexpected character {ch!r}", start_line, start_col)
-    tokens.append(_Token("EOF", "", line, col))
+    line, line_start = 1, 0
+    for match in _token_regex(text).finditer(text):
+        kind, value, start = match.lastgroup, match.group(), match.start()
+        if kind == "ERROR":
+            raise _lex_error(text, start)
+        column = start - line_start + 1
+        if kind == "SECTION":
+            if value == ".":
+                raise ParseError("lone '.'", line, column)
+            tokens.append(_Token(kind, value[1:], line, column))
+        elif kind == "STR":
+            body = re.sub(r"\\(.)", r"\1", value[1:-1], flags=re.DOTALL)
+            tokens.append(_Token(kind, body, line, column))
+        elif kind == "PUNCT":
+            tokens.append(_Token(_PUNCT[value], value, line, column))
+        elif kind != "SKIP":
+            tokens.append(_Token(kind, value, line, column))
+        if "\n" in value:
+            line += value.count("\n")
+            line_start = start + value.rindex("\n") + 1
+    tokens.append(_Token("EOF", "", line, len(text) - line_start + 1))
     return tokens
 
 

@@ -7,7 +7,9 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cache, reduce
+from math import inf
+from operator import ge
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from .common import (
@@ -40,22 +42,6 @@ OMEGA = _Omega()
 Count = Union[int, _Omega]
 
 
-def _ge(a: Count, b: Count) -> bool:
-    if a is OMEGA:
-        return True
-    if b is OMEGA:
-        return False
-    return a >= b
-
-
-def _add(a: Count, n: int) -> Count:
-    return OMEGA if a is OMEGA else a + n
-
-
-def _sub(a: Count, n: int) -> Count:
-    return OMEGA if a is OMEGA else a - n
-
-
 class Marking:
     """Token counts per place, in the net's place order.
 
@@ -81,7 +67,7 @@ class Marking:
         return any(c is OMEGA for c in self.counts)
 
     def covers(self, other: "Marking") -> bool:
-        return all(_ge(a, b) for a, b in zip(self.counts, other.counts))
+        return all(map(ge, _counts(self), _counts(other)))
 
     def __le__(self, other: "Marking") -> bool:
         return other.covers(self)
@@ -248,9 +234,24 @@ class PetriNet:
         for (src, tgt), w in self._flow.items():
             post[src][tgt] = w
             pre[tgt][src] = w
+        index = {p: i for i, p in enumerate(self._places)}
+        self._table = {
+            t: (
+                label,
+                tuple((index[p], w) for p, w in pre[t].items()),
+                tuple((i, d) for p, i in index.items() if (d := post[t].get(p, 0) - pre[t].get(p, 0))),
+            )
+            for t, label in self._transitions.items()
+        }
         self._preset_cache = pre
         self._postset_cache = post
         self._cache_version = self._version
+
+    def _compiled(self) -> Dict[str, Tuple]:
+        """Transition -> (label, (place index, weight) of its preset in preset
+        order, nonzero (place index, effect) of its firing), in net order."""
+        self._refresh_caches()
+        return self._table
 
     def preset(self, node: str) -> Dict[str, int]:
         """Nodes with flow into `node`, mapped to the arc weight."""
@@ -273,31 +274,49 @@ class PetriNet:
 # ---------------------------------------------------------------------------
 
 
-def enabled(net: PetriNet, marking: Marking, transition: str) -> bool:
-    if transition not in net.transitions:
+def _counts(marking: Marking) -> Tuple:
+    """`marking` as searches hold it: counts in place order, with OMEGA as
+    math.inf, which absorbs every addition and exceeds every integer."""
+    return tuple(inf if c is OMEGA else c for c in marking.counts)
+
+
+def _marking(places: Tuple[str, ...], counts: Tuple) -> Marking:
+    if inf in counts:
+        counts = tuple(OMEGA if c == inf else c for c in counts)
+    return Marking(places, counts)
+
+
+def _successor(pre: Tuple, delta: Tuple, counts: Tuple) -> Optional[Tuple]:
+    """The firing rule: `counts` after firing, or None if disabled."""
+    for i, w in pre:
+        if counts[i] < w:
+            return None
+    out = list(counts)
+    for i, d in delta:
+        out[i] += d
+    return tuple(out)
+
+
+def _transition(net: PetriNet, transition: str) -> Tuple:
+    if transition not in net._compiled():
         raise AptError(f"unknown transition {transition!r}")
-    pre = net.preset(transition)
-    return all(_ge(marking.get(p), w) for p, w in pre.items())
+    return net._table[transition]
+
+
+def enabled(net: PetriNet, marking: Marking, transition: str) -> bool:
+    _, pre, delta = _transition(net, transition)
+    return _successor(pre, delta, _counts(marking)) is not None
 
 
 def fire(net: PetriNet, marking: Marking, transition: str) -> Marking:
     """Successor marking; firing a disabled transition names a deficient place."""
-    if transition not in net.transitions:
-        raise AptError(f"unknown transition {transition!r}")
-    pre = net.preset(transition)
-    for p, w in pre.items():
-        if not _ge(marking.get(p), w):
-            raise AptError(
-                f"{transition} is not enabled: place {p} holds {marking.get(p)} < {w}"
-            )
-    post = net.postset(transition)
-    counts = list(marking.counts)
-    index = {p: i for i, p in enumerate(marking.places)}
-    for p, w in pre.items():
-        counts[index[p]] = _sub(counts[index[p]], w)
-    for p, w in post.items():
-        counts[index[p]] = _add(counts[index[p]], w)
-    return Marking(marking.places, tuple(counts))
+    _, pre, delta = _transition(net, transition)
+    counts = _counts(marking)
+    nxt = _successor(pre, delta, counts)
+    if nxt is None:
+        p, c, w = next((marking.places[i], c, w) for i, w in pre if (c := counts[i]) < w)
+        raise AptError(f"{transition} is not enabled: place {p} holds {c} < {w}")
+    return _marking(marking.places, nxt)
 
 
 def fire_sequence(net: PetriNet, marking: Marking, sequence: Sequence[str]) -> Marking:
@@ -331,25 +350,34 @@ class StateGraph:
         return path
 
 
-def _accelerate(graph: StateGraph, state: str, marking: Marking) -> Marking:
-    """Karp-Miller acceleration of `marking`, a successor of `state`: while it
-    strictly covers a marking on the BFS-tree path to `state`, the strictly
-    increased places jump to OMEGA."""
+def _weight(counts: Tuple) -> Tuple[int, int]:
+    """(OMEGA count, finite token sum): a marking that strictly covers
+    another weighs more in the lexicographic order."""
+    omegas = counts.count(inf)
+    return omegas, sum(c for c in counts if c != inf) if omegas else sum(counts)
+
+
+def _accelerate(tree: List[Tuple], k: int, counts: Tuple) -> Tuple:
+    """Karp-Miller acceleration of `counts`, a successor of state k: while it
+    strictly covers a marking on the BFS-tree path to state k, the strictly
+    increased places jump to OMEGA.  tree[j] is (counts, weight, least weight
+    on the path from s0, parent, name) of state j; only a lighter ancestor
+    can be strictly covered, so no other one is tested."""
     changed = True
     while changed:
         changed = False
-        cursor: Optional[str] = state
-        while cursor is not None:
-            anc = graph.markings[cursor]
-            if marking.covers(anc) and marking != anc:
-                counts = list(marking.counts)
-                for i, (a, b) in enumerate(zip(marking.counts, anc.counts)):
-                    if a is not OMEGA and (b is OMEGA or a > b):
-                        counts[i] = OMEGA
-                        changed = True
-                marking = Marking(marking.places, tuple(counts))
-            cursor = graph.parent[cursor][0] if cursor in graph.parent else None
-    return marking
+        weight = _weight(counts)
+        cursor = k
+        while cursor >= 0:
+            anc, anc_weight, lightest, parent, _ = tree[cursor]
+            if lightest >= weight:
+                break
+            if anc_weight < weight and all(map(ge, counts, anc)):
+                jumped = tuple(inf if a > b else a for a, b in zip(counts, anc))
+                if jumped != counts:
+                    counts, weight, changed = jumped, _weight(jumped), True
+            cursor = parent
+    return counts
 
 
 def _explore(
@@ -366,24 +394,24 @@ def _explore(
     makes the search finite.  Raises StateLimitExceededError, naming the
     graph being built, before a state past `state_limit` is added.
     """
+    table = tuple(net._compiled().items())
     lts = Lts(name="", description="")
     for lab in net.labels:
         lts.add_label(lab)
     initial = net.initial_marking()
-    names: Dict[Marking, str] = {initial: "s0"}
+    names: Dict[Tuple, str] = {initial.counts: "s0"}
     lts.add_state("s0", initial=True)
     graph = StateGraph(lts, {"s0": initial})
     yield graph, "s0"
-    queue = deque(["s0"])
-    while queue:
-        state = queue.popleft()
-        marking = graph.markings[state]
-        for t in net.transitions:
-            if not enabled(net, marking, t):
+    weight = _weight(initial.counts)
+    tree = [(initial.counts, weight, weight, -1, "s0")]
+    for k, (counts, _, _, _, state) in enumerate(tree):  # grows behind k: breadth first
+        for t, (label, pre, delta) in table:
+            nxt = _successor(pre, delta, counts)
+            if nxt is None:
                 continue
-            nxt = fire(net, marking, t)
             if accelerate:
-                nxt = _accelerate(graph, state, nxt)
+                nxt = _accelerate(tree, k, nxt)
             name = names.get(nxt)
             fresh = name is None
             if fresh:
@@ -397,11 +425,12 @@ def _explore(
                 name = f"s{len(names)}"
                 names[nxt] = name
                 lts.add_state(name)
-                graph.markings[name] = nxt
+                graph.markings[name] = _marking(initial.places, nxt)
                 graph.parent[name] = (state, t)
-                queue.append(name)
+                weight = _weight(nxt)
+                tree.append((nxt, weight, min(weight, tree[k][2]), k, name))
             graph.fired_transitions.add(t)
-            lts.add_arc(state, net.label(t), name)
+            lts.add_arc(state, label, name)
             if fresh:
                 yield graph, name
 
@@ -666,10 +695,13 @@ def _conflict_scan(net: PetriNet, state_limit: int, binary: bool) -> Check:
     plain = is_plain(net)
     if not plain:
         return Check(False, plain.witness, "not plain")
+    table = net._compiled().items()
     graph = _bounded_graph(net, state_limit, "the check")
     for state in graph.lts.states:
         marking = graph.markings[state]
-        live = [t for t in net.transitions if enabled(net, marking, t)]
+        live = [
+            t for t, (_, pre, delta) in table if _successor(pre, delta, marking.counts) is not None
+        ]
         for i, t in enumerate(live):
             for u in live[i + 1 :]:
                 if binary:
@@ -716,29 +748,29 @@ def word_in_language(net: PetriNet, word: Sequence[str]) -> Check:
     unbounded nets too.  The witness of a negative answer is the longest
     firable prefix.
     """
-    alphabet = set(net.labels)
+    by_label: Dict[str, List[Tuple]] = {}
+    for label, pre, delta in net._compiled().values():
+        by_label.setdefault(label, []).append((pre, delta))
     for letter in word:
-        if letter not in alphabet:
+        if letter not in by_label:
             raise AptError(f"unknown label {letter!r}")
-    by_label: Dict[str, List[str]] = {}
-    for t in net.transitions:
-        by_label.setdefault(net.label(t), []).append(t)
 
     best_prefix = 0
-    seen: Set[Tuple[int, Marking]] = set()
-    stack: List[Tuple[Marking, int]] = [(net.initial_marking(), 0)]
+    seen: Set[Tuple[int, Tuple[int, ...]]] = set()
+    stack: List[Tuple[Tuple[int, ...], int]] = [(net.initial_marking().counts, 0)]
     while stack:
-        marking, position = stack.pop()
+        counts, position = stack.pop()
         best_prefix = max(best_prefix, position)
         if position == len(word):
             return Check(True)
-        key = (position, marking)
+        key = (position, counts)
         if key in seen:
             continue
         seen.add(key)
-        for t in reversed(by_label[word[position]]):
-            if enabled(net, marking, t):
-                stack.append((fire(net, marking, t), position + 1))
+        for pre, delta in reversed(by_label[word[position]]):
+            nxt = _successor(pre, delta, counts)
+            if nxt is not None:
+                stack.append((nxt, position + 1))
     prefix = list(word[:best_prefix])
     return Check(False, prefix, f"maximal enabled prefix has length {best_prefix}")
 
@@ -767,30 +799,29 @@ def separable(
     initial = net.initial_marking()
     if any(c % k != 0 for c in initial.counts):
         raise AptError(f"initial marking is not divisible by {k}")
-    base = Marking(initial.places, tuple(c // k for c in initial.counts))
+    base = tuple(c // k for c in initial.counts)
 
-    labels = list(net.transitions)
-
-    def parikh_key(counts: Dict[str, int]) -> Tuple[int, ...]:
-        return tuple(counts.get(t, 0) for t in labels)
+    compiled = net._compiled()
+    labels = list(compiled)
 
     # Parikh vectors of sequences firable from `base`, up to the bound.  The
     # marking after a sequence depends only on its Parikh vector, so vectors
     # are a faithful search state.
-    base_vectors: Set[Tuple[int, ...]] = set()
-    frontier: Dict[Tuple[int, ...], Marking] = {parikh_key({}): base}
-    base_vectors.add(parikh_key({}))
+    base_vectors: Set[Tuple[int, ...]] = {(0,) * len(labels)}
+    frontier: Dict[Tuple[int, ...], Tuple[int, ...]] = dict.fromkeys(base_vectors, base)
     for _ in range(length_bound):
-        nxt: Dict[Tuple[int, ...], Marking] = {}
+        nxt: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
         for vec, marking in frontier.items():
-            for i, t in enumerate(labels):
-                if enabled(net, marking, t):
+            for i, (_, pre, delta) in enumerate(compiled.values()):
+                fired = _successor(pre, delta, marking)
+                if fired is not None:
                     new_vec = tuple(v + (1 if j == i else 0) for j, v in enumerate(vec))
                     if new_vec not in base_vectors:
                         base_vectors.add(new_vec)
-                        nxt[new_vec] = fire(net, marking, t)
+                        nxt[new_vec] = fired
         frontier = nxt
 
+    @cache
     def weak_decomposes(target: Tuple[int, ...], parts: int) -> bool:
         if parts == 1:
             return target in base_vectors
@@ -805,45 +836,38 @@ def separable(
 
     def strong_accepts(sequence: Tuple[str, ...]) -> bool:
         # States: multisets of k component markings, advanced letter by letter.
-        states: Set[Tuple[Marking, ...]] = {tuple([base] * k)}
+        states: Set[Tuple[Tuple[int, ...], ...]] = {tuple([base] * k)}
         for t in sequence:
-            nxt_states: Set[Tuple[Marking, ...]] = set()
+            _, pre, delta = compiled[t]
+            nxt_states: Set[Tuple[Tuple[int, ...], ...]] = set()
             for combo in states:
                 for i in range(k):
                     if i > 0 and combo[i] == combo[i - 1]:
                         continue  # symmetric choice
-                    if enabled(net, combo[i], t):
-                        fired = fire(net, combo[i], t)
-                        new_combo = tuple(
-                            sorted(
-                                combo[:i] + (fired,) + combo[i + 1 :],
-                                key=lambda m: m.counts,
-                            )
-                        )
-                        nxt_states.add(new_combo)
+                    fired = _successor(pre, delta, combo[i])
+                    if fired is not None:
+                        nxt_states.add(tuple(sorted(combo[:i] + (fired,) + combo[i + 1 :])))
             if not nxt_states:
                 return False
             states = nxt_states
         return True
 
     # Depth-first over firing sequences from k.M, shortest first per prefix.
-    stack: List[Tuple[Marking, Tuple[str, ...]]] = [(initial, ())]
+    stack: List[Tuple[Tuple[int, ...], Tuple[str, ...]]] = [(initial.counts, ())]
     while stack:
         marking, sequence = stack.pop()
         if sequence:
             if mode == "weak":
-                counts: Dict[str, int] = {}
-                for t in sequence:
-                    counts[t] = counts.get(t, 0) + 1
-                ok = weak_decomposes(parikh_key(counts), k)
+                ok = weak_decomposes(tuple(sequence.count(t) for t in labels), k)
             else:
                 ok = strong_accepts(sequence)
             if not ok:
                 return SeparabilityVerdict("no", sequence)
         if len(sequence) < length_bound:
-            for t in reversed(labels):
-                if enabled(net, marking, t):
-                    stack.append((fire(net, marking, t), sequence + (t,)))
+            for t, (_, pre, delta) in reversed(compiled.items()):
+                fired = _successor(pre, delta, marking)
+                if fired is not None:
+                    stack.append((fired, sequence + (t,)))
     return SeparabilityVerdict("inconclusive")
 
 

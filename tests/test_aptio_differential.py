@@ -1,0 +1,123 @@
+"""The regex lexer of aptk.aptio against the character-by-character lexer it
+replaced (tests/reference_aptio.py): the same tokens, or the same
+ParseError message at the same line and column."""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import reference_aptio
+from aptk import (
+    Lts,
+    PetriNet,
+    PropertySet,
+    aptio,
+    coverability_graph,
+    reachability_graph,
+    synthesize,
+)
+from aptk.common import ParseError
+from aptk.generators import bitnet, cyclenet, philnet_bistate
+from aptk.synthesis import word_lts
+
+from conftest import N1_TEXT, make_example_lts, make_n1, make_n2, make_n3
+
+
+def lex(tokenize, text):
+    try:
+        return [(t.kind, t.value, t.line, t.column) for t in tokenize(text)]
+    except ParseError as err:
+        return ("error", str(err), err.line, err.column)
+
+
+def assert_same_tokens(text):
+    assert lex(aptio._tokenize, text) == lex(reference_aptio._tokenize, text), text
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "",
+        ".",
+        ".type LPN .",
+        "a\n  . b",
+        ".type\n/* open",
+        "x /* a */ y /*/",
+        "// only a comment",
+        "a // rest\nb",
+        '"open',
+        '.name "line\nbreak',
+        '"ends in \\',
+        'a\n"x\\\ny\\',
+        '"bad \\n escape"',
+        '"a\n\\t"',
+        '"quote \\" and \\\\ slash"',
+        "a - b",
+        "a -> b",
+        "a\t\r\n$",
+        "a\n\n  b",
+        "/* x\n y\n */ c",
+        '"a\nb\nc" d',
+        "a\x0bb",
+        "a   b",
+        "été _x1 x_",
+        # str.isdigit holds for '²' and '①', which \d misses
+        "1²",
+        "²",
+        "²x",
+        "a²",
+        ".s²",
+        "3① ①a",
+        # numerals that are not digits start no token, but continue one
+        "½",
+        "x½",
+        "Ⅻ",
+        "一二",
+        "{ 2 * p, 10 * q } -> { }",
+        "t[label=\"a\"] s0[initial]",
+        "007 12ab a12 _",
+    ],
+)
+def test_hand_cases_match_reference(text):
+    assert_same_tokens(text)
+
+
+# single characters, heavy in the ones that start or end a token, plus the
+# pairs that open or close a comment, an arrow or an escape
+PIECES = list('./*"\\->{}[],:= \n09az_$²½') + ["/*", "*/", "//", "->", '\\"', "\n\n", "s1"]
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.lists(st.sampled_from(PIECES), max_size=40).map("".join))
+def test_random_text_matches_reference(text):
+    assert_same_tokens(text)
+
+
+def rendered_documents():
+    """The kinds of document aptio.render writes across the suite."""
+    docs = [aptio.parse(N1_TEXT)]
+    for net in (make_n1(), make_n2(), make_n3(), bitnet(3), cyclenet(3, 2), philnet_bistate(2)):
+        docs.append(aptio.Document(kind="LPN", net=net))
+        graph = reachability_graph(net)
+        docs.append(aptio.Document(kind="LTS", lts=graph.lts, state_markings=graph.markings))
+    unbounded = PetriNet(name="unbounded")
+    unbounded.add_place("p")
+    unbounded.add_transition("t")
+    unbounded.add_flow("t", "p")
+    cover = coverability_graph(unbounded)
+    docs.append(aptio.Document(kind="LTS", lts=cover.lts, state_markings=cover.markings))
+    example = make_example_lts()
+    for props in ("none", "plain,pure", "2-bounded"):
+        net = synthesize(example, PropertySet.parse(props)).net
+        docs.append(aptio.Document(kind="LPN", net=net))
+    docs.append(aptio.Document(kind="LTS", lts=example))
+    docs.append(aptio.Document(kind="LTS", lts=make_example_lts({"a": "left", "b": 'q"\\'})))
+    docs.append(aptio.Document(kind="LTS", lts=Lts.from_data("s0", [])))
+    docs.append(aptio.Document(kind="LTS", lts=word_lts("aabab")))
+    escaped = PetriNet(name='quote " and \\ slash', description="d")
+    docs.append(aptio.Document(kind="LPN", net=escaped))
+    return [aptio.render(doc) for doc in docs]
+
+
+def test_rendered_documents_match_reference():
+    for text in rendered_documents():
+        assert_same_tokens(text)

@@ -1,0 +1,169 @@
+"""The compiled firing rule and marking searches of aptk.petri against the
+Marking-based ones they replaced (tests/reference_petri.py).
+
+Every comparison requires identical results: the same states, arcs,
+markings, BFS parents and fired transitions of each graph, the same
+Check of every analysis, and the same error type and message wherever
+the reference raises.
+"""
+
+import random
+
+import pytest
+
+import reference_petri as ref
+from aptk import AptError, PetriNet, petri
+from aptk.generators import bitnet, cyclenet
+
+LABELS = ("a", "b", "c")
+
+
+def random_net(rng: random.Random) -> PetriNet:
+    """1-5 places with 0-2 tokens, 1-4 transitions sharing labels, weights 1-3."""
+    net = PetriNet()
+    n_places = rng.randint(1, 5)
+    n_transitions = rng.randint(1, 4)
+    for i in range(n_places):
+        net.add_place(f"p{i}", tokens=rng.randint(0, 2))
+    for j in range(n_transitions):
+        net.add_transition(f"t{j}", label=rng.choice(LABELS))
+    for _ in range(rng.randint(1, 2 * n_places + 2)):
+        p = f"p{rng.randrange(n_places)}"
+        t = f"t{rng.randrange(n_transitions)}"
+        if rng.random() < 0.5:
+            net.add_flow(p, t, rng.randint(1, 3))
+        else:
+            net.add_flow(t, p, rng.randint(1, 3))
+    return net
+
+
+def random_nets(seed: int, count: int):
+    rng = random.Random(seed)
+    return [random_net(rng) for _ in range(count)]
+
+
+def graph_data(graph):
+    return (
+        graph.lts.initial,
+        list(graph.lts.states),
+        list(graph.lts.labels),
+        [(a.source, a.label, a.target) for a in graph.lts.arcs],
+        {s: (m.places, repr(m)) for s, m in graph.markings.items()},
+        dict(graph.parent),
+        graph.fired_transitions,
+    )
+
+
+def outcome(function, *args):
+    """The result of a call, or the type and message of its error."""
+    try:
+        result = function(*args)
+    except AptError as err:
+        return ("error", type(err), str(err))
+    if isinstance(result, petri.StateGraph):
+        return ("graph", graph_data(result))
+    if isinstance(result, petri.Marking):
+        return ("marking", result.places, repr(result))
+    return ("value", result)
+
+
+def same(name, *args):
+    new, old = getattr(petri, name), getattr(ref, name)
+    assert outcome(new, *args) == outcome(old, *args), (name, args)
+
+
+def up_down_up() -> PetriNet:
+    """s0 = (1,0,0) -a-> (0,2,0) -b-> (0,0,1) -c-> (2,0,0): the last marking
+    strictly covers s0 only, across the heavier (0,2,0)."""
+    net = PetriNet()
+    for p in "pqr":
+        net.add_place(p, tokens=int(p == "p"))
+    for t in "abc":
+        net.add_transition(t)
+    net.add_flow("p", "a")
+    net.add_flow("a", "q", 2)
+    net.add_flow("q", "b", 2)
+    net.add_flow("b", "r")
+    net.add_flow("r", "c")
+    net.add_flow("c", "p", 2)
+    return net
+
+
+def cases():
+    nets = random_nets(20260, 300)
+    return nets + [bitnet(3), cyclenet(3, 2), up_down_up()]
+
+
+def test_random_nets_cover_both_kinds():
+    kinds = {bool(ref.bounded(net)) for net in random_nets(20260, 300)}
+    assert kinds == {True, False}
+
+
+def test_graphs_match_reference():
+    for net in cases():
+        same("reachability_graph", net, 400)
+        same("reachability_graph", net, 4)
+        same("coverability_graph", net)
+
+
+def test_coverability_state_limit_matches_reference(monkeypatch):
+    monkeypatch.setattr(petri, "DEFAULT_STATE_LIMIT", 5)
+    monkeypatch.setattr(ref, "DEFAULT_STATE_LIMIT", 5)
+    raised = 0
+    for net in cases():
+        same("coverability_graph", net)
+        raised += outcome(ref.coverability_graph, net)[0] == "error"
+    assert raised > 10
+
+
+def test_bounded_matches_reference():
+    for net in cases():
+        for k in (None, 0, 1, 2, 3):
+            same("bounded", net, k)
+
+
+def test_conflict_freeness_matches_reference():
+    for net in cases():
+        for name in ("is_bcf", "is_bicf"):
+            same(name, net)
+            same(name, net, 3)
+        plain = PetriNet()
+        for p in net.places:
+            plain.add_place(p, tokens=net.initial_marking().get(p))
+        for t in net.transitions:
+            plain.add_transition(t, label=net.label(t))
+        for (src, tgt) in net.flows:
+            plain.add_flow(src, tgt)
+        for name in ("is_bcf", "is_bicf"):
+            same(name, plain)
+
+
+def test_word_in_language_matches_reference():
+    rng = random.Random(7)
+    for net in cases():
+        labels = list(net.labels)
+        for length in range(7):
+            same("word_in_language", net, [rng.choice(labels) for _ in range(length)])
+        same("word_in_language", net, [labels[0], "zz"])
+
+
+def test_enabled_and_fire_match_reference():
+    # on every coverability marking, OMEGA included, and on the initial one
+    for net in cases():
+        markings = list(ref.coverability_graph(net).markings.values())
+        for marking in markings:
+            for t in (*net.transitions, "nope"):
+                same("enabled", net, marking, t)
+                same("fire", net, marking, t)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_separable_matches_unmemoised_reference(k):
+    verdicts = set()
+    for net in random_nets(k, 120):
+        for p, c in net.initial_marking().items():
+            net.set_tokens(p, k * c)
+        for mode in ("weak", "strong"):
+            same("separable", net, k, 4, mode)
+            verdicts.add(ref.separable(net, k, 4, mode).verdict)
+    assert verdicts == {"no", "inconclusive"}
