@@ -242,6 +242,8 @@ class _Parser:
         while True:
             mult = 1
             if k < len(body) and body[k].kind == "NUM":
+                if not body[k].value.isdecimal():  # NUM also takes digits like '²'
+                    self.fail(f"bad multiplicity {body[k].value!r}", body[k])
                 mult = int(body[k].value)
                 if mult == 0:
                     self.fail("zero multiplicity", body[k])

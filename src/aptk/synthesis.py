@@ -19,6 +19,7 @@ from .common import (
     AptError,
     InternalError,
     PreconditionError,
+    StateLimitExceededError,
     UnsupportedInputError,
 )
 from .linalg import LinearSystem, integer_kernel_basis
@@ -508,6 +509,9 @@ class _Engine:
         raised until it is disabled exactly there.  Plainness caps the
         per-label effects at one; the coefficient box then comes from an
         exact pseudo-inverse bound, keeping branch and bound complete.
+        `_basis_effects` keeps one copy of rows with equal projections onto
+        the basis and, without `plain`, solves the unboxed system by row
+        generation: few of the rows are active in any LP.
         """
         pure, plain = self.props.pure, self.props.plain
         psi_s = self.psi[problem.state]
@@ -549,31 +553,52 @@ class _Engine:
 
     def _basis_effects(self, rows, plain: bool) -> Optional[Tuple[int, ...]]:
         """Effects of an integer x with every row's effect at most -1 and,
-        under `plain`, every effect in [-1, 1]; None when there is none."""
+        under `plain`, every effect in [-1, 1]; None when there is none.
+
+        Each row is projected onto the basis once; a repeated projection is
+        the same constraint, so only distinct ones are kept.  Under `plain`
+        all of them are active at once: one boxed system.  Otherwise rows
+        are generated (Dantzig-Fulkerson-Johnson): solve on an active subset,
+        seeded with the first d distinct rows (a vertex in d unknowns is
+        fixed by d tight rows; with d = 0 one row already decides), check
+        every row against the integer x and add the violated ones, until
+        none is.  An infeasible subset proves the whole system infeasible,
+        and the active set grows every round (the rows it holds are
+        satisfied), so the loop ends.
+        """
+        projected = list(dict.fromkeys(tuple(_dot(v, row) for v in self.basis) for row in rows))
+        boxes = _coefficient_boxes(self.basis) if plain else None
+        active = projected if plain else projected[: max(1, len(self.basis))]
+        while True:
+            x = self._coefficients(active, boxes)
+            if x is None:
+                return None
+            violated = [p for p in projected if _dot(p, x) > -1]
+            if not violated:
+                return _combine(self.basis, x, len(self.labels))
+            active = active + violated
+
+    def _coefficients(self, projected, boxes) -> Optional[List[int]]:
+        """Integer basis coefficients x with p . x <= -1 for every projected
+        row p; with boxes, |x[j]| <= boxes[j] and every effect in [-1, 1]."""
         system = LinearSystem()
-        boxes = _coefficient_boxes(self.basis) if plain else [None] * len(self.basis)
-        for j, box in enumerate(boxes):
-            if box is None:
-                system.add_variable(f"x{j}")
+        names = [f"x{j}" for j in range(len(self.basis))]
+        for j, name in enumerate(names):
+            if boxes is None:
+                system.add_variable(name)
             else:
-                system.add_variable(f"x{j}", lower=-box, upper=box)
-        for row in rows:
-            coeffs = {f"x{j}": _dot(v, row) for j, v in enumerate(self.basis)}
-            coeffs = {n: c for n, c in coeffs.items() if c}
-            system.add_constraint(coeffs, "<=", -1)
-        if plain:
+                system.add_variable(name, lower=-boxes[j], upper=boxes[j])
+        for p in projected:
+            system.add_constraint({n: c for n, c in zip(names, p) if c}, "<=", -1)
+        if boxes is not None:
             for i in range(len(self.labels)):
-                coeffs = {f"x{j}": v[i] for j, v in enumerate(self.basis) if v[i]}
+                coeffs = {n: v[i] for n, v in zip(names, self.basis) if v[i]}
                 if not coeffs:
                     continue
                 system.add_constraint(coeffs, "<=", 1)
                 system.add_constraint(coeffs, ">=", -1)
         solution = system.solve()
-        if solution is None:
-            return None
-        return _combine(
-            self.basis, [solution[f"x{j}"] for j in range(len(self.basis))], len(self.labels)
-        )
+        return None if solution is None else [solution[n] for n in names]
 
     def _checked(self, region: Region, problem: SeparationProblem) -> Region:
         check_region(self.lts, region)
@@ -808,8 +833,12 @@ def _unfold_to_tree(lts: Lts) -> Lts:
 
     Reconvergent states would otherwise force both paths onto one token
     count, a constraint language-only synthesis must not impose.  Inputs
-    that already are trees come back unchanged.
+    that already are trees come back unchanged.  The tree can be
+    exponentially larger than the input (a chain of k diamonds has 2^k
+    paths), so past DEFAULT_STATE_LIMIT states it raises
+    StateLimitExceededError.
     """
+    limit = _petri.DEFAULT_STATE_LIMIT
     incoming: Dict[str, int] = {s: 0 for s in lts.states}
     for arc in lts.arcs:
         incoming[arc.target] += 1
@@ -826,6 +855,10 @@ def _unfold_to_tree(lts: Lts) -> Lts:
     while queue:
         node, original = queue.popleft()
         for arc in lts.arcs_from(original):
+            if count >= limit:
+                raise StateLimitExceededError(
+                    f"the tree unfolding has more than {limit} states"
+                )
             fresh = f"u{count}"
             count += 1
             tree.add_state(fresh)

@@ -124,6 +124,8 @@ def test_name_description_escaping():
         (".type LPN\n.type LTS\n", "multiple .type"),
         (".places p\n", "missing .type"),
         (".type LPN\n.places p\n.transitions t\n.flows\nt: { 0 * p } -> { }", "zero multiplicity"),
+        # a digit to the lexer, but no decimal number
+        (".type LPN\n.places p\n.transitions t\n.flows\nt: { ² * p } -> { }", "bad multiplicity '²'"),
         (".type LPN\n.places p\n.transitions t\n.flows\nt: { q } -> { }", "unknown place"),
         (".type LTS\n.states s0\n.labels a\n.arcs", "initial"),
         (".type LTS\n.states s0[initial] s1[initial]\n.labels a\n.arcs", "second [initial]"),

@@ -9,6 +9,7 @@ from aptk import (
     PreconditionError,
     PropertySet,
     Region,
+    StateLimitExceededError,
     UnsupportedInputError,
     bisimilar,
     bounded,
@@ -31,6 +32,7 @@ from aptk import (
     word_lts,
     word_synthesize,
 )
+from aptk import linalg, petri
 from aptk import synthesis as synthesis_module
 from aptk.synthesis import SeparationProblem, _Engine, check_region
 from aptk.generators import bitnet, cyclenet
@@ -292,6 +294,61 @@ def test_plain_pure_effect_bound():
             solvable = True
     restricted = engine.solve_basis(problem)
     assert (restricted is not None) == solvable
+
+
+# -- basis solver: row generation ---------------------------------------------------
+
+
+def _record_lp_rows(monkeypatch):
+    """The row count of every LP that linalg.solve_lp receives from now on."""
+    seen = []
+    original = linalg.solve_lp
+
+    def recording(num_vars, rows, objective=None):
+        seen.append(len(rows))
+        return original(num_vars, rows, objective)
+
+    monkeypatch.setattr(linalg, "solve_lp", recording)
+    return seen
+
+
+def test_row_generation_adds_violated_rows_until_none_is(example_lts, monkeypatch):
+    # the seed of d = 3 rows admits a point that violates later rows
+    engine = _Engine(example_lts, PropertySet(pure=True))
+    problem = SeparationProblem("essp", "s0", label="c")
+    seen = _record_lp_rows(monkeypatch)
+    region = engine.solve_basis(problem)
+    assert len(seen) > 1 and seen[0] == len(engine.basis) == 3
+    assert seen == sorted(set(seen))  # the active set grows every round
+    check_region(example_lts, region)
+    assert region.is_pure() and engine.solves(region, problem)
+
+
+def test_row_generation_stops_at_an_infeasible_seed(monkeypatch):
+    # the self-loops force a's effect to 0, so no pure region disables a;
+    # with d = 1 the first distinct row alone is infeasible, and the other
+    # two never enter an LP
+    lts = Lts.from_data(
+        "s0", [("s0", "b", "s1"), ("s1", "a", "s1"), ("s1", "b", "s2"), ("s2", "a", "s2")]
+    )
+    engine = _Engine(lts, PropertySet(pure=True))
+    assert len(engine.basis) == 1
+    seen = _record_lp_rows(monkeypatch)
+    assert engine.solve_basis(SeparationProblem("essp", "s0", label="a")) is None
+    assert seen == [1]
+
+
+def test_row_generation_sends_fewer_rows_than_enabled_states(monkeypatch):
+    # without row generation every event/state LP took one row per state
+    # enabling the label
+    lts = reachability_graph(bitnet(5)).lts
+    engine = _Engine(lts, PropertySet())
+    problems = [p for p in enumerate_separation_problems(lts) if p.kind == "essp"]
+    full = sum(len(engine.enabled_states[p.label]) for p in problems)
+    seen = _record_lp_rows(monkeypatch)
+    for problem in problems:
+        assert engine.solve_basis(problem) is not None
+    assert sum(seen) < full
 
 
 def test_all_zero_region_never_solves_essp(example_lts):
@@ -592,6 +649,25 @@ def test_language_only_reconvergent_dag():
     assert outcome.success
     graph = reachability_graph(outcome.net)
     assert language_equivalent(graph.lts, lts)
+
+
+def _diamond_chain(k):
+    """k diamonds in a row: 3k + 1 states, 2^k paths to the last state."""
+    arcs = []
+    for i in range(k):
+        arcs += [(f"d{i}", "a", f"l{i}"), (f"d{i}", "b", f"r{i}"),
+                 (f"l{i}", "b", f"d{i + 1}"), (f"r{i}", "a", f"d{i + 1}")]
+    return Lts.from_data("d0", arcs)
+
+
+def test_language_only_unfolding_stops_at_the_state_limit(monkeypatch):
+    # the tree unfolding of 4 diamonds has 1 + 2 * (2 + 4 + 8 + 16) = 61 states
+    lts = _diamond_chain(4)
+    monkeypatch.setattr(petri, "DEFAULT_STATE_LIMIT", 60)
+    with pytest.raises(StateLimitExceededError, match="more than 60 states"):
+        synthesize_language_only(lts)
+    monkeypatch.setattr(petri, "DEFAULT_STATE_LIMIT", 61)
+    assert synthesize_language_only(lts).success
 
 
 # -- report rendering -----------------------------------------------------------

@@ -1,8 +1,12 @@
 """Differential tests: aptk.synthesis._Engine.solve_basis against the two
 basis-space solvers it replaced, kept in reference_synthesis.py.
 
-Both build the same exact integer system over basis coefficients, so they
-must agree exactly: the same Region, or None, for every separation problem.
+Under `pure,plain` both solve the same boxed integer system, so they must
+agree exactly: the same Region, or None, for every separation problem.
+Under `none` and `pure` solve_basis generates rows, so its LP may stop at
+another vertex than the reference's full LP.  There both must agree on
+solvability, and every region solve_basis returns must be valid, solve its
+problem and, under `pure`, be pure.
 """
 
 from functools import partial
@@ -11,15 +15,17 @@ import pytest
 
 from aptk import PropertySet, enumerate_separation_problems, reachability_graph, word_lts
 from aptk.generators import bitnet, cyclenet
-from aptk.synthesis import _Engine
+from aptk.synthesis import _Engine, check_region
 from conftest import make_example_lts
 from reference_synthesis import solve_fast_none, solve_fast_pure
 from test_synthesis import _canonical_instances
 
-MODES = {
+EXACT = {
+    "pure,plain": (PropertySet(pure=True, plain=True), partial(solve_fast_pure, plain=True)),
+}
+VERDICT = {
     "none": (PropertySet(), solve_fast_none),
     "pure": (PropertySet(pure=True), partial(solve_fast_pure, plain=False)),
-    "pure,plain": (PropertySet(pure=True, plain=True), partial(solve_fast_pure, plain=True)),
 }
 
 
@@ -32,9 +38,9 @@ def _inputs():
     )
 
 
-@pytest.mark.parametrize("mode", sorted(MODES))
+@pytest.mark.parametrize("mode", sorted(EXACT))
 def test_solve_basis_matches_reference(mode):
-    props, reference = MODES[mode]
+    props, reference = EXACT[mode]
     for lts in _inputs():
         engine = _Engine(lts, props)
         for problem in enumerate_separation_problems(lts):
@@ -42,3 +48,21 @@ def test_solve_basis_matches_reference(mode):
                 sorted(map(str, lts.arcs)),
                 str(problem),
             )
+
+
+@pytest.mark.parametrize("mode", sorted(VERDICT))
+def test_solve_basis_verdict_matches_reference(mode):
+    props, reference = VERDICT[mode]
+    count = 0
+    for lts in _inputs():
+        engine = _Engine(lts, props)
+        for problem in enumerate_separation_problems(lts):
+            count += 1
+            where = (sorted(map(str, lts.arcs)), str(problem))
+            region = engine.solve_basis(problem)
+            assert (region is None) == (reference(engine, problem) is None), where
+            if region is not None:
+                check_region(lts, region)
+                assert engine.solves(region, problem), where
+                assert region.is_pure() or not props.pure, where
+    assert count == 3545
