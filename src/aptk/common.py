@@ -44,10 +44,11 @@ class UnsupportedInputError(PreconditionError):
 
 
 class BoundExceededError(AptError):
-    """An integer search was requested over variables without finite bounds.
+    """An integer search would be unbounded or passed its budget.
 
-    Distinct from infeasibility: the system might have solutions, but the
-    solver cannot enumerate an unbounded box.
+    Raised for branch and bound over a variable without a finite box, and
+    when a search passes linalg.DEFAULT_NODE_LIMIT or DEFAULT_FRONTIER_LIMIT.
+    Distinct from infeasibility: the system might still have solutions.
     """
 
 

@@ -5,8 +5,10 @@ enters any computation.  The simplex tableau is fraction-free: each row is
 an integer vector that stands for a rational row up to a positive factor,
 reduced by its gcd after every elimination (integer-preserving elimination
 in the manner of Bareiss).  Rational values appear only at the boundary, as
-fractions.Fraction inputs and solution points.  Pivoting and branching rules
-are fixed (smallest index first) so results are identical run to run.
+fractions.Fraction inputs and solution points; branch-and-bound nodes do
+integer work only.  Pivoting and branching rules are fixed (smallest index
+first) so results are identical run to run.  Exponential searches stop at
+a budget with BoundExceededError.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .common import BoundExceededError, InternalError
 
@@ -105,7 +107,7 @@ def _run_simplex(tableau, basis, cost, num_cols) -> Tuple[str, int]:
 def _integer_row(values) -> Tuple[List[int], int]:
     """(the values, ints or Fractions, times the lcm L of their
     denominators, L)."""
-    scale = math.lcm(*(v.denominator for v in values))
+    scale = math.lcm(*[v.denominator for v in values])
     return [v.numerator * (scale // v.denominator) for v in values], scale
 
 
@@ -198,11 +200,27 @@ def solve_lp(
 # ---------------------------------------------------------------------------
 
 
+# Most node LPs branch and bound may solve for one system; read at call time.
+DEFAULT_NODE_LIMIT = 10_000
+
+
 @dataclass
 class _Var:
     name: str
     lower: Optional[int]
     upper: Optional[int]
+
+
+def _exact(value):
+    """value as an int when it is integral, else as a Fraction."""
+    if type(value) is int:
+        return value
+    value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
+
+
+def _dot(a, b):
+    return sum(x * y for x, y in zip(a, b))
 
 
 class LinearSystem:
@@ -213,12 +231,18 @@ class LinearSystem:
     uses a scaling argument when the system is a zero-anchored cone (every
     right-hand side is 0 or at most -1 and no variable has an upper bound),
     and exact-LP branch and bound over the variable boxes otherwise.
+
+    Each solve compiles the rows once into integer coefficient lists over
+    the variables their box does not fix (a Fraction stays only where the
+    input is not integral); a node shifts the right-hand sides by its lower
+    bounds and reuses unit rows for its box.
     """
 
     def __init__(self):
         self._vars: List[_Var] = []
         self._index: Dict[str, int] = {}
-        self._rows: List[Tuple[Coeffs, str, Fraction]] = []
+        # (coefficients, "<=" or "=", rhs); a >= row is stored negated
+        self._rows: List[Tuple[Dict[str, Any], str, Any]] = []
         self._objective: Optional[Coeffs] = None
 
     def add_variable(
@@ -231,20 +255,25 @@ class LinearSystem:
         self._index[name] = len(self._vars)
         self._vars.append(_Var(name, lower, upper))
 
-    def add_constraint(self, coeffs: Coeffs, rel: str, rhs) -> None:
-        if rel not in ("<=", ">=", "="):
-            raise InternalError(f"bad relation {rel!r}")
+    def _check_names(self, coeffs: Coeffs) -> None:
         for name in coeffs:
             if name not in self._index:
                 raise InternalError(f"unknown variable {name!r}")
-        if rel == ">=":
-            coeffs = {n: -c for n, c in coeffs.items()}
-            rhs = -Fraction(rhs)
-            rel = "<="
-        self._rows.append((dict(coeffs), rel, Fraction(rhs)))
+
+    def add_constraint(self, coeffs: Coeffs, rel: str, rhs) -> None:
+        if rel not in ("<=", ">=", "="):
+            raise InternalError(f"bad relation {rel!r}")
+        self._check_names(coeffs)
+        sign = -1 if rel == ">=" else 1
+        self._rows.append((
+            {n: sign * _exact(c) for n, c in coeffs.items()},
+            "=" if rel == "=" else "<=",
+            sign * _exact(rhs),
+        ))
 
     def set_objective(self, coeffs: Coeffs) -> None:
-        self._objective = dict(coeffs)
+        self._check_names(coeffs)
+        self._objective = {n: _exact(c) for n, c in coeffs.items()}
 
     def minimize_all_variables(self) -> None:
         self.set_objective({v.name: 1 for v in self._vars})
@@ -255,182 +284,133 @@ class LinearSystem:
         """Feasible integer assignment, or None when provably infeasible.
 
         Raises BoundExceededError when branch and bound would be needed but
-        some variable has no finite box.
+        some variable has no finite box, or when it passes
+        DEFAULT_NODE_LIMIT nodes.
         """
-        fixed = {
-            v.name: v.lower
-            for v in self._vars
-            if v.lower is not None and v.lower == v.upper
-        }
-        free_vars = [v for v in self._vars if v.name not in fixed]
-        rows: List[Tuple[Dict[str, Fraction], str, Fraction]] = []
-        for coeffs, rel, rhs in self._rows:
-            adjusted = {n: Fraction(c) for n, c in coeffs.items() if n not in fixed}
-            shift = sum(Fraction(c) * fixed[n] for n, c in coeffs.items() if n in fixed)
-            rows.append((adjusted, rel, rhs - shift))
-
-        solution = self._solve_reduced(free_vars, rows)
+        free = [v for v in self._vars if v.lower is None or v.lower != v.upper]
+        rows, objective = self._compile(free)
+        if not free:
+            feasible = all(rhs == 0 if rel == "=" else rhs >= 0 for _, rel, rhs in rows)
+            solution = {} if feasible else None
+        elif self._is_cone(free, rows):
+            solution = self._solve_scaling(free, rows, objective)
+        else:
+            for v in free:
+                if v.lower is None or v.upper is None:
+                    raise BoundExceededError(
+                        f"variable {v.name!r} has no finite box; cannot branch and bound"
+                    )
+            solution = self._branch_and_bound(free, rows, objective)
         if solution is None:
             return None
-        solution.update(fixed)
+        solution.update((v.name, v.lower) for v in self._vars if v.name not in solution)
         self._verify(solution)
         return solution
 
-    def _solve_reduced(self, variables, rows) -> Optional[Dict[str, int]]:
-        if not variables:
-            for coeffs, rel, rhs in rows:
-                if rel == "=" and rhs != 0:
-                    return None
-                if rel == "<=" and rhs < 0:
-                    return None
-            return {}
-        if self._tier1_applicable(variables, rows):
-            return self._solve_scaling(variables, rows)
-        for v in variables:
-            if v.lower is None or v.upper is None:
-                raise BoundExceededError(
-                    f"variable {v.name!r} has no finite box; cannot branch and bound"
-                )
-        return self._branch_and_bound(variables, rows)
+    def _compile(self, free):
+        """Rows (coefficients over free in order, rel, rhs) with the fixed
+        variables moved to the right, and the objective over free."""
+        column = {v.name: j for j, v in enumerate(free)}
+        rows = []
+        for coeffs, rel, rhs in self._rows:
+            line = [0] * len(free)
+            for name, c in coeffs.items():
+                j = column.get(name)
+                if j is None:
+                    rhs -= c * self._vars[self._index[name]].lower
+                else:
+                    line[j] = c
+            rows.append((line, rel, rhs))
+        objective = None
+        if self._objective is not None:
+            objective = [0] * len(free)
+            for name, c in self._objective.items():
+                j = column.get(name)
+                if j is not None:
+                    objective[j] = c
+        return rows, objective
 
     @staticmethod
-    def _tier1_applicable(variables, rows) -> bool:
-        for v in variables:
-            if v.upper is not None or v.lower not in (None, 0):
-                return False
-        for _, rel, rhs in rows:
-            if rhs == 0:
-                continue
-            if rel == "<=" and rhs <= -1:
-                continue
-            return False
-        return True
+    def _is_cone(free, rows) -> bool:
+        return all(v.upper is None and v.lower in (None, 0) for v in free) and all(
+            rhs == 0 or (rel == "<=" and rhs <= -1) for _, rel, rhs in rows
+        )
 
-    def _lp_columns(self, variables):
-        """Map each variable to LP columns: x>=0 keeps one, free ones split."""
-        columns: Dict[str, Tuple[int, Optional[int]]] = {}
-        count = 0
-        for v in variables:
-            if v.lower == 0:
-                columns[v.name] = (count, None)
-                count += 1
-            else:
-                columns[v.name] = (count, count + 1)
-                count += 2
-        return columns, count
-
-    def _solve_scaling(self, variables, rows) -> Optional[Dict[str, int]]:
+    @staticmethod
+    def _solve_scaling(free, rows, objective) -> Optional[Dict[str, int]]:
         """Cone systems: a rational point scaled by the lcm of denominators
         stays feasible, since every constraint is invariant under scaling by
         factors >= 1; rational infeasibility settles integer infeasibility.
+        A free variable is split into x+ - x- over two LP columns.
         """
-        columns, num_cols = self._lp_columns(variables)
-        lp_rows = []
-        for coeffs, rel, rhs in rows:
-            line = [Fraction(0)] * num_cols
-            for name, c in coeffs.items():
-                pos, neg = columns[name]
-                line[pos] += Fraction(c)
-                if neg is not None:
-                    line[neg] -= Fraction(c)
-            lp_rows.append((line, rel, rhs))
-        objective = None
-        if self._objective is not None:
-            objective = [Fraction(0)] * num_cols
-            for name, c in self._objective.items():
-                if name not in columns:
-                    continue
-                pos, neg = columns[name]
-                objective[pos] += Fraction(c)
-                if neg is not None:
-                    objective[neg] -= Fraction(c)
-        status, point = solve_lp(num_cols, lp_rows, objective)
+        split = [v.lower is None for v in free]
+
+        def columns(line):
+            out = []
+            for c, two in zip(line, split):
+                out.append(c)
+                if two:
+                    out.append(-c)
+            return out
+
+        lp_rows = [(columns(line), rel, rhs) for line, rel, rhs in rows]
+        objective = None if objective is None else columns(objective)
+        status, point = solve_lp(len(free) + sum(split), lp_rows, objective)
         if status == "infeasible":
             return None
-        values: Dict[str, Fraction] = {}
-        for v in variables:
-            pos, neg = columns[v.name]
-            values[v.name] = point[pos] - (point[neg] if neg is not None else 0)
-        scale = math.lcm(*(f.denominator for f in values.values())) if values else 1
-        return {name: int(f * scale) for name, f in values.items()}
+        values = []
+        position = iter(point)
+        for two in split:
+            x = next(position)
+            values.append(x - next(position) if two else x)
+        scale = math.lcm(*[x.denominator for x in values])
+        return {v.name: x.numerator * (scale // x.denominator) for v, x in zip(free, values)}
 
-    def _branch_and_bound(self, variables, rows) -> Optional[Dict[str, int]]:
+    @staticmethod
+    def _branch_and_bound(free, rows, objective) -> Optional[Dict[str, int]]:
         """DFS branch and bound over the finite boxes.
 
-        Branches on the lowest-index fractional variable, floor side first;
-        with an objective the first incumbent attaining the best bound wins.
+        Each node solves the LP over y = x - lower >= 0 with y <= upper -
+        lower.  Branches on the lowest-index fractional variable, floor side
+        first; with an objective the first incumbent attaining the best
+        bound wins.
         """
-        names = [v.name for v in variables]
-        base_lower = {v.name: v.lower for v in variables}
-        base_upper = {v.name: v.upper for v in variables}
-        objective = self._objective
-
-        best_value: Optional[Fraction] = None
+        limit = DEFAULT_NODE_LIMIT
+        n = len(free)
+        units = [[int(i == j) for i in range(n)] for j in range(n)]
+        best_value = None
         best_point: Optional[Dict[str, int]] = None
-
-        stack = [(dict(base_lower), dict(base_upper))]
+        nodes = 0
+        stack = [([v.lower for v in free], [v.upper for v in free])]
         while stack:
             lower, upper = stack.pop()
-            if any(lower[n] > upper[n] for n in names):
+            if nodes == limit:
+                raise BoundExceededError(f"branch and bound passed its limit of {limit} nodes")
+            nodes += 1
+            lp_rows = [(line, rel, rhs - _dot(line, lower)) for line, rel, rhs in rows]
+            lp_rows += [(unit, "<=", hi - lo) for unit, lo, hi in zip(units, lower, upper)]
+            status, point = solve_lp(n, lp_rows, objective)
+            if status == "infeasible":
                 continue
-            relax = self._lp_relaxation(names, lower, upper, rows, objective)
-            if relax is None:
-                continue
-            value, point = relax
-            if objective is not None and best_value is not None and value >= best_value:
-                continue
-            frac_name = None
-            for n in names:
-                if point[n].denominator != 1:
-                    frac_name = n
-                    break
-            if frac_name is None:
-                candidate = {n: int(point[n]) for n in names}
+            if objective is not None:
+                value = _dot(objective, point) + _dot(objective, lower)
+                if best_value is not None and value >= best_value:
+                    continue
+            j = next((j for j, y in enumerate(point) if y.denominator != 1), None)
+            if j is None:
+                candidate = {v.name: y.numerator + lo for v, y, lo in zip(free, point, lower)}
                 if objective is None:
                     return candidate
-                if best_value is None or value < best_value:
-                    best_value = value
-                    best_point = candidate
+                best_value, best_point = value, candidate
                 continue
-            v = point[frac_name]
-            floor_branch = (dict(lower), dict(upper))
-            floor_branch[1][frac_name] = math.floor(v)
-            ceil_branch = (dict(lower), dict(upper))
-            ceil_branch[0][frac_name] = math.ceil(v)
-            stack.append(ceil_branch)
-            stack.append(floor_branch)  # explored first
+            floor = point[j].numerator // point[j].denominator + lower[j]
+            floor_upper = upper[:]
+            floor_upper[j] = floor
+            ceil_lower = lower[:]
+            ceil_lower[j] = floor + 1
+            stack.append((ceil_lower, upper))
+            stack.append((lower, floor_upper))  # explored first
         return best_point
-
-    def _lp_relaxation(self, names, lower, upper, rows, objective):
-        """Solve the relaxation with shifted variables y = x - lower >= 0."""
-        index = {n: i for i, n in enumerate(names)}
-        lp_rows = []
-        for coeffs, rel, rhs in rows:
-            line = [Fraction(0)] * len(names)
-            shift = Fraction(0)
-            for name, c in coeffs.items():
-                line[index[name]] += Fraction(c)
-                shift += Fraction(c) * lower[name]
-            lp_rows.append((line, rel, rhs - shift))
-        for n in names:
-            width = upper[n] - lower[n]
-            line = [Fraction(0)] * len(names)
-            line[index[n]] = Fraction(1)
-            lp_rows.append((line, "<=", Fraction(width)))
-        lp_objective = None
-        if objective is not None:
-            lp_objective = [Fraction(0)] * len(names)
-            for name, c in objective.items():
-                if name in index:
-                    lp_objective[index[name]] = Fraction(c)
-        status, point = solve_lp(len(names), lp_rows, lp_objective)
-        if status == "infeasible":
-            return None
-        values = {n: point[index[n]] + lower[n] for n in names}
-        value = Fraction(0)
-        if objective is not None:
-            value = sum(Fraction(c) * values[n] for n, c in objective.items() if n in values)
-        return value, values
 
     def _verify(self, solution: Dict[str, int]) -> None:
         for v in self._vars:
@@ -440,7 +420,7 @@ class LinearSystem:
             if v.upper is not None and x > v.upper:
                 raise InternalError(f"solution violates upper bound of {v.name}")
         for coeffs, rel, rhs in self._rows:
-            left = sum(Fraction(c) * solution[n] for n, c in coeffs.items())
+            left = sum(c * solution[n] for n, c in coeffs.items())
             ok = left == rhs if rel == "=" else left <= rhs
             if not ok:
                 raise InternalError("solution fails a constraint; solver bug")
@@ -508,6 +488,9 @@ def integer_kernel_basis(rows: Sequence[Sequence[int]], dim: Optional[int] = Non
 # Minimal semipositive solutions (Contejean-Devie completion).
 # ---------------------------------------------------------------------------
 
+# Most partial vectors one level of the completion may hold; read at call time.
+DEFAULT_FRONTIER_LIMIT = 100_000
+
 
 def minimal_semipositive_solutions(
     matrix: Sequence[Sequence[int]], side: str = "right", dim: Optional[int] = None
@@ -520,6 +503,8 @@ def minimal_semipositive_solutions(
     complete for this problem.  Minimal solutions are automatically
     primitive.  Output is sorted lexicographically.  `dim` (the solution
     dimension) is only needed when it cannot be read off the matrix shape.
+    Raises BoundExceededError once a level of the completion holds more
+    than DEFAULT_FRONTIER_LIMIT vectors.
     """
     if side not in ("right", "left"):
         raise InternalError("side must be 'right' or 'left'")
@@ -538,6 +523,7 @@ def minimal_semipositive_solutions(
         return []
     columns = [tuple(mat[r][c] for r in range(nrows)) for c in range(n)]
 
+    limit = DEFAULT_FRONTIER_LIMIT
     minimal: List[Tuple[int, ...]] = []
 
     def dominated(x: Tuple[int, ...]) -> bool:
@@ -560,6 +546,10 @@ def minimal_semipositive_solutions(
                 if sum(a * b for a, b in zip(v, columns[j])) < 0:
                     y = tuple(xi + (1 if i == j else 0) for i, xi in enumerate(x))
                     if y not in next_frontier and not dominated(y):
+                        if len(next_frontier) == limit:
+                            raise BoundExceededError(
+                                f"minimal solutions: frontier passed its limit of {limit} vectors"
+                            )
                         next_frontier[y] = tuple(a + b for a, b in zip(v, columns[j]))
         frontier = next_frontier
 

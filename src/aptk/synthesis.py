@@ -22,7 +22,7 @@ from .common import (
     StateLimitExceededError,
     UnsupportedInputError,
 )
-from .linalg import LinearSystem, integer_kernel_basis
+from .linalg import LinearSystem, _dot, integer_kernel_basis
 from .lts import (
     Lts,
     SpanningTree,
@@ -624,10 +624,6 @@ class _Engine:
         ):
             return self.solve_general(problem)
         return self.solve_basis(problem)
-
-
-def _dot(a: Sequence[int], b: Sequence[int]) -> int:
-    return sum(x * y for x, y in zip(a, b))
 
 
 def _combine(basis, coefficients, dim: int) -> Tuple[int, ...]:

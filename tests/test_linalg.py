@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from aptk import LinearSystem, integer_kernel_basis, minimal_semipositive_solutions
+from aptk import LinearSystem, integer_kernel_basis, linalg, minimal_semipositive_solutions
 from aptk.common import BoundExceededError, InternalError
 
 
@@ -195,6 +195,48 @@ def test_duplicate_variable_rejected():
         system.add_variable("x")
 
 
+def test_objective_with_unknown_variable_rejected():
+    system = LinearSystem()
+    system.add_variable("x", lower=0, upper=3)
+    system.add_variable("y", lower=0, upper=3)
+    system.add_constraint({"x": 1, "y": 1}, ">=", 2)
+    with pytest.raises(InternalError, match="'yy'"):
+        system.set_objective({"x": 1, "yy": 5})
+
+
+def test_objective_may_name_a_fixed_variable():
+    system = LinearSystem()
+    system.add_variable("x", lower=0, upper=3)
+    system.add_variable("z", lower=2, upper=2)
+    system.add_constraint({"x": 1, "z": 1}, ">=", 3)
+    system.set_objective({"x": 1, "z": 4})
+    assert system.solve() == {"x": 1, "z": 2}
+
+
+def _parity_system():
+    # 2x + 2y = 3 has no integer point, but its relaxation stays feasible
+    # through several branchings
+    system = LinearSystem()
+    system.add_variable("x", lower=0, upper=3)
+    system.add_variable("y", lower=0, upper=3)
+    system.add_constraint({"x": 2, "y": 2}, "=", 3)
+    return system
+
+
+def test_branch_and_bound_stops_at_node_limit(monkeypatch):
+    nodes = []
+    solve_lp = linalg.solve_lp
+    monkeypatch.setattr(linalg, "solve_lp", lambda *args: nodes.append(1) or solve_lp(*args))
+    assert _parity_system().solve() is None
+    needed = len(nodes)
+    assert needed > 3
+    monkeypatch.setattr(linalg, "DEFAULT_NODE_LIMIT", needed)
+    assert _parity_system().solve() is None
+    monkeypatch.setattr(linalg, "DEFAULT_NODE_LIMIT", needed - 1)
+    with pytest.raises(BoundExceededError, match=f"limit of {needed - 1} nodes"):
+        _parity_system().solve()
+
+
 def _random_cone_system(rng):
     n_vars = rng.randint(1, 4)
     names = [f"v{i}" for i in range(n_vars)]
@@ -357,3 +399,13 @@ def test_minimal_solutions_antichain_and_complete():
                     assert not all(a <= b for a, b in zip(s1, s2))
         for point in brute_force_minimal(matrix, box=3):
             assert point in solutions
+
+
+def test_minimal_solutions_stop_at_frontier_limit(monkeypatch):
+    # the completion for this row holds 8 partial vectors in one level
+    matrix = [[3, -2, -5, 1]]
+    monkeypatch.setattr(linalg, "DEFAULT_FRONTIER_LIMIT", 8)
+    assert minimal_semipositive_solutions(matrix) == brute_force_minimal(matrix, box=5)
+    monkeypatch.setattr(linalg, "DEFAULT_FRONTIER_LIMIT", 7)
+    with pytest.raises(BoundExceededError, match="limit of 7 vectors"):
+        minimal_semipositive_solutions(matrix)
