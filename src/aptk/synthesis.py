@@ -13,6 +13,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from operator import sub
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .common import (
@@ -184,6 +185,9 @@ class SynthesisOutcome:
     failed_essp: Dict[str, List[str]] = field(default_factory=dict)
     separation_failure_points: Optional[str] = None
     lts: Optional[Lts] = None
+    # language-only synthesis: the tree unfolding that was solved, and the
+    # input state each of its states copies
+    unfolding: Optional[Tuple[Lts, Dict[str, str]]] = None
 
 
 # ---------------------------------------------------------------------------
@@ -294,25 +298,30 @@ class _Engine:
                     seen_pairs.add((s, arc.label))
                     self.enabled_states[arc.label].append(s)
                     self.arc_pairs.append((s, arc.label))
-        self._values_cache: Dict[Region, Dict[str, int]] = {}
+        self.index = {s: i for i, s in enumerate(self.states)}
+        self._values_cache: Dict[Region, List[int]] = {}
+        self._projected: Optional[Dict[str, Tuple[int, ...]]] = None
 
     # -- generic helpers ---------------------------------------------------
 
-    def region_values(self, region: Region) -> Dict[str, int]:
+    def value_array(self, region: Region) -> List[int]:
+        """The region's token count at every state, in `states` order."""
         cached = self._values_cache.get(region)
         if cached is None:
             effects = region.effects()
-            cached = {
-                s: region.initial + _dot(effects, self.psi[s]) for s in self.states
-            }
+            cached = [region.initial + _dot(effects, self.psi[s]) for s in self.states]
             self._values_cache[region] = cached
         return cached
 
+    def region_values(self, region: Region) -> Dict[str, int]:
+        return dict(zip(self.states, self.value_array(region)))
+
     def solves(self, region: Region, problem: SeparationProblem) -> bool:
-        values = self.region_values(region)
+        values = self.value_array(region)
+        value = values[self.index[problem.state]]
         if problem.kind == "essp":
-            return values[problem.state] < region.b(problem.label)
-        return values[problem.state] != values[problem.other]
+            return value < region.b(problem.label)
+        return value != values[self.index[problem.other]]
 
     def minimal_initial(self, backward: Sequence[int], effects: Sequence[int]) -> int:
         """Smallest initial value making the weights a valid region."""
@@ -505,34 +514,33 @@ class _Engine:
         states, else (plain only) one boxed solve.  Event/state: every row
         must have a negative effect.  The rows are the path difference to
         each state enabling the label; with `pure`, to every state, plus
-        the label itself.  Without `pure` both weights of the label are then
-        raised until it is disabled exactly there.  Plainness caps the
-        per-label effects at one; the coefficient box then comes from an
-        exact pseudo-inverse bound, keeping branch and bound complete.
-        `_basis_effects` keeps one copy of rows with equal projections onto
-        the basis and, without `plain`, solves the unboxed system by row
-        generation: few of the rows are active in any LP.
+        the label itself; each is taken as a difference of the states'
+        projections onto the basis.  Without `pure` both weights of the
+        label are then raised until it is disabled exactly there.
+        Plainness caps the per-label effects at one; the coefficient box
+        then comes from an exact pseudo-inverse bound, keeping branch and
+        bound complete.  `_basis_effects` keeps one copy of equal rows and,
+        without `plain`, solves the unboxed system by row generation: few
+        of the rows are active in any LP.
         """
         pure, plain = self.props.pure, self.props.plain
-        psi_s = self.psi[problem.state]
+        projection = self._projection()
+        at = projection[problem.state]
         if problem.kind == "ssp":
-            diff = tuple(a - b for a, b in zip(psi_s, self.psi[problem.other]))
-            dots = [_dot(vector, diff) for vector in self.basis]
+            dots = tuple(map(sub, at, projection[problem.other]))
             for vector, dot in zip(self.basis, dots):
                 if dot and not (plain and any(abs(e) > 1 for e in vector)):
                     return self._checked(self.region_from_effects(vector), problem)
             if not (plain and any(dots)):
                 return None
-            rows = [diff]
+            rows = [dots]
         elif pure:
-            unit = tuple(int(u == problem.label) for u in self.labels)
-            rows = [
-                tuple(a - b + u for a, b, u in zip(psi_s, self.psi[other], unit))
-                for other in self.states
-            ]
+            k = self.lab_index[problem.label]
+            at = tuple([a + v[k] for a, v in zip(at, self.basis)])
+            rows = [tuple(map(sub, at, projection[other])) for other in self.states]
         else:
             rows = [
-                tuple(a - b for a, b in zip(psi_s, self.psi[enabled_state]))
+                tuple(map(sub, at, projection[enabled_state]))
                 for enabled_state in self.enabled_states[problem.label]
             ]
         effects = self._basis_effects(rows, plain)
@@ -541,8 +549,8 @@ class _Engine:
         region = self.region_from_effects(effects)
         if problem.kind == "essp" and not pure:
             index = self.lab_index[problem.label]
-            values = self.region_values(region)
-            raise_by = max(0, values[problem.state] - region.backward[index] + 1)
+            value = self.value_array(region)[self.index[problem.state]]
+            raise_by = max(0, value - region.backward[index] + 1)
             if raise_by:
                 backward = list(region.backward)
                 forward = list(region.forward)
@@ -551,12 +559,23 @@ class _Engine:
                 region = Region(self.labels, region.initial, tuple(backward), tuple(forward))
         return self._checked(region, problem)
 
+    def _projection(self) -> Dict[str, Tuple[int, ...]]:
+        """psi(s) projected onto the basis, per state, computed on first use.
+        Projection is linear: a path difference psi(s) - psi(e) projects to
+        the difference of the two projections."""
+        if self._projected is None:
+            self._projected = {
+                s: tuple([_dot(v, self.psi[s]) for v in self.basis]) for s in self.states
+            }
+        return self._projected
+
     def _basis_effects(self, rows, plain: bool) -> Optional[Tuple[int, ...]]:
         """Effects of an integer x with every row's effect at most -1 and,
         under `plain`, every effect in [-1, 1]; None when there is none.
 
-        Each row is projected onto the basis once; a repeated projection is
-        the same constraint, so only distinct ones are kept.  Under `plain`
+        The rows come projected onto the basis (row p stands for the effect
+        constraint p . x <= -1); a repeated row is the same constraint, so
+        only distinct ones are kept.  Under `plain`
         all of them are active at once: one boxed system.  Otherwise rows
         are generated (Dantzig-Fulkerson-Johnson): solve on an active subset,
         seeded with the first d distinct rows (a vertex in d unknowns is
@@ -566,7 +585,7 @@ class _Engine:
         and the active set grows every round (the rows it holds are
         satisfied), so the loop ends.
         """
-        projected = list(dict.fromkeys(tuple(_dot(v, row) for v in self.basis) for row in rows))
+        projected = list(dict.fromkeys(rows))
         boxes = _coefficient_boxes(self.basis) if plain else None
         active = projected if plain else projected[: max(1, len(self.basis))]
         while True:
@@ -684,28 +703,42 @@ def minimize_regions(
 ) -> List[Region]:
     """Heuristic place reduction: a region uniquely solving some problem is
     required; problems covered by required regions are discarded; remaining
-    problems greedily take the first region that solves them."""
-    keep: List[int] = []
-    covered: Set[int] = set()
-    for i in range(len(problems)):
-        solvers = [j for j, (_, s) in enumerate(solved) if i in s]
-        if len(solvers) == 1 and solvers[0] not in keep:
-            keep.append(solvers[0])
+    problems, in order, greedily take the lowest-indexed region that solves
+    them.  The kept regions come back in their order in `solved`.
+
+    Each solved set becomes an int bitmask over problem indices.  `ones`
+    collects the bits set in at least one mask, `twos` those set in at
+    least two; a region is required when its mask has a bit outside `twos`,
+    a problem that no other region solves.
+    """
+    masks = [_mask(problem_set, len(problems)) for _, problem_set in solved]
+    ones = twos = 0
+    for mask in masks:
+        twos |= ones & mask
+        ones |= mask
+    keep = [j for j, mask in enumerate(masks) if mask & ~twos]
+    uncovered = (1 << len(problems)) - 1
     for j in keep:
-        covered |= solved[j][1]
-    for i in range(len(problems)):
-        if i in covered:
-            continue
-        for j, (_, problem_set) in enumerate(solved):
-            if i in problem_set:
-                if j not in keep:
-                    keep.append(j)
-                covered |= problem_set
-                break
-        else:
+        uncovered &= ~masks[j]
+    while uncovered:
+        i = (uncovered & -uncovered).bit_length() - 1
+        j = next((j for j, mask in enumerate(masks) if mask >> i & 1), None)
+        if j is None:
             raise InternalError(f"problem {problems[i]} solved by no region")
+        keep.append(j)
+        uncovered &= ~masks[j]
     keep.sort()
     return [solved[j][0] for j in keep]
+
+
+def _mask(indices: Set[int], size: int) -> int:
+    """The int with bit i set for every i in indices (all below size), read
+    from a string of binary digits: setting one bit per index on the int
+    would copy all of it every time."""
+    bits = bytearray(b"0" * size)
+    for i in indices:
+        bits[i] = 49  # ord("1")
+    return int(bits[::-1] or b"0", 2)
 
 
 def _build_net(lts: Lts, regions: Sequence[Region], name: str = "") -> PetriNet:
@@ -751,12 +784,28 @@ def _verify_success(lts: Lts, net: PetriNet, props: PropertySet) -> None:
         raise InternalError(f"requested {props.k}-bounded, bound exceeded")
 
 
-def _run_engine(engine: _Engine, problems: List[SeparationProblem]) -> SynthesisOutcome:
-    """One separation pass: solve the problems in order, skipping those that
-    a region found earlier solves.  Each region's solved-problem set is
-    computed once, when the region is found; a found region solves its own
-    problem, which no earlier region solves, so it is always a new one."""
-    lts, props = engine.lts, engine.props
+def _separation_pass(
+    engine: _Engine, problems: List[SeparationProblem]
+) -> Tuple[List[Tuple[Region, Set[int]]], List[SeparationProblem]]:
+    """Solve the problems in order, skipping those that a region found
+    earlier solves; returns each found region with the indices of the
+    problems it solves, and the unsolvable problems.
+
+    The problems are indexed once over state indices: (problem, state) per
+    label, (problem, state, state) per pair.  Each found region is evaluated
+    once, as a value array, and solves the problems of each label with
+    backward weight b > 0 at states valued below b, and the pairs whose
+    values differ.  It solves its own problem, which no earlier region
+    solves, so it is always a new one."""
+    index = engine.index
+    by_label: Dict[str, List[Tuple[int, int]]] = {t: [] for t in engine.labels}
+    pairs: List[Tuple[int, int, int]] = []
+    for p, problem in enumerate(problems):
+        if problem.kind == "essp":
+            by_label[problem.label].append((p, index[problem.state]))
+        else:
+            pairs.append((p, index[problem.state], index[problem.other]))
+    essp = [(k, by_label[t]) for k, t in enumerate(engine.labels) if by_label[t]]
     solved: List[Tuple[Region, Set[int]]] = []
     covered: Set[int] = set()
     failed: List[SeparationProblem] = []
@@ -767,10 +816,20 @@ def _run_engine(engine: _Engine, problems: List[SeparationProblem]) -> Synthesis
         if region is None:
             failed.append(problem)
             continue
-        problem_set = {j for j, other in enumerate(problems) if engine.solves(region, other)}
+        values, b = engine.value_array(region), region.backward
+        problem_set = {p for k, group in essp if b[k] for p, s in group if values[s] < b[k]}
+        problem_set.update([p for p, s, o in pairs if values[s] != values[o]])
         solved.append((region, problem_set))
         covered |= problem_set
+    return solved, failed
 
+
+def _run_engine(engine: _Engine, problems: List[SeparationProblem]) -> SynthesisOutcome:
+    """Run the separation pass.  On failure, report the unsolvable problems
+    with every region found; on success, keep the regions that
+    `minimize_regions` picks, build their net and verify it."""
+    lts, props = engine.lts, engine.props
+    solved, failed = _separation_pass(engine, problems)
     outcome = SynthesisOutcome(success=not failed, properties=props, lts=lts)
     if failed:
         outcome.regions = [region for region, _ in solved]
@@ -824,8 +883,9 @@ def _is_acyclic(lts: Lts) -> bool:
     return seen == len(reach)
 
 
-def _unfold_to_tree(lts: Lts) -> Lts:
-    """Tree unfolding of an acyclic system: one fresh state per path.
+def _unfold_to_tree(lts: Lts) -> Tuple[Lts, Dict[str, str]]:
+    """Tree unfolding of an acyclic system: one fresh state per path, and
+    the input state each tree state copies.
 
     Reconvergent states would otherwise force both paths onto one token
     count, a constraint language-only synthesis must not impose.  Inputs
@@ -841,12 +901,13 @@ def _unfold_to_tree(lts: Lts) -> Lts:
     if incoming[lts.initial] == 0 and all(
         n <= 1 for s, n in incoming.items() if s != lts.initial
     ):
-        return lts
+        return lts, {s: s for s in lts.states}
     tree = Lts(name=lts.name, description=lts.description)
     tree.add_state("u0", initial=True)
     for t in lts.labels:
         tree.add_label(t, location=lts.location(t))
     queue = deque([("u0", lts.initial)])
+    origin = {"u0": lts.initial}
     count = 1
     while queue:
         node, original = queue.popleft()
@@ -859,14 +920,23 @@ def _unfold_to_tree(lts: Lts) -> Lts:
             count += 1
             tree.add_state(fresh)
             tree.add_arc(node, arc.label, fresh)
+            origin[fresh] = arc.target
             queue.append((fresh, arc.target))
-    return tree
+    return tree, origin
+
+
+def _input_states(lts: Lts, origin: Dict[str, str], states: Sequence[str]) -> List[str]:
+    """The input states that the given tree states copy, once each, in the
+    input's breadth-first order (the order synthesis reports states in)."""
+    hit = {origin[s] for s in states}
+    return [s for s in reachable_states(lts) if s in hit]
 
 
 def synthesize_language_only(lts: Lts, props: Optional[PropertySet] = None) -> SynthesisOutcome:
     """Synthesis up to prefix-language equivalence; only acyclic inputs are
     supported (cyclic ones would need an unfolding construction that is out
-    of scope here).  State separation is not enforced."""
+    of scope here).  State separation is not enforced.  The problems are
+    solved on the tree unfolding; failures name the input states."""
     props = replace(props) if props is not None else PropertySet()
     props.language = True
     _check_synthesis_input(lts)
@@ -874,9 +944,13 @@ def synthesize_language_only(lts: Lts, props: Optional[PropertySet] = None) -> S
         raise UnsupportedInputError(
             "language-only synthesis supports acyclic inputs only"
         )
-    tree = _unfold_to_tree(lts)
+    tree, origin = _unfold_to_tree(lts)
     problems = [p for p in enumerate_separation_problems(tree) if p.kind == "essp"]
-    return _run_engine(_Engine(tree, props), problems)
+    outcome = _run_engine(_Engine(tree, props), problems)
+    outcome.lts, outcome.unfolding = lts, (tree, origin)
+    for label, states in outcome.failed_essp.items():
+        outcome.failed_essp[label] = _input_states(lts, origin, states)
+    return outcome
 
 
 def word_lts(word: Sequence[str]) -> Lts:
@@ -928,12 +1002,15 @@ def format_report(outcome: SynthesisOutcome) -> List[str]:
     lines = [f"success: {'Yes' if outcome.success else 'No'}"]
     if outcome.properties.verbose and outcome.regions and outcome.lts is not None:
         lines.append("solvedEventStateSeparationProblems:")
-        engine = _Engine(outcome.lts, outcome.properties)
+        tree, origin = outcome.unfolding or (outcome.lts, None)
+        engine = _Engine(tree, outcome.properties)
         for region in outcome.regions:
             lines.append(f"{region}:")
-            values = engine.region_values(region)
-            for label in engine.labels:
-                disabled = [s for s in engine.states if values[s] < region.b(label)]
+            values = engine.value_array(region)
+            for label, b in zip(engine.labels, region.backward):
+                disabled = [s for s, value in zip(engine.states, values) if value < b]
+                if origin is not None:
+                    disabled = _input_states(outcome.lts, origin, disabled)
                 if disabled:
                     lines.append(
                         f"\tseparates event {label} at states [{', '.join(disabled)}]"

@@ -6,11 +6,17 @@ kept verbatim as the reference for its differential tests.
 `_Engine`; here each takes the engine as `self`, and the one method call
 between them became a function call.  `solve_basis` must return the same
 `Region`, or None, for every separation problem.
+
+`separation_pass` is the loop that `aptk.synthesis._run_engine` ran before
+`_separation_pass` replaced it: it asks `solves` (the old `_Engine.solves`,
+here a function of the engine) once per (found region, problem) pair.
+`minimize_regions` is the set-based version of the function of that name.
+Both must give the same solved sets, failures and kept regions.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional, Sequence, Set, Tuple
 
 from aptk.common import InternalError
 from aptk.linalg import LinearSystem
@@ -148,3 +154,59 @@ def _fast_pure_solve(self, rows, separation, plain: bool) -> Optional[Region]:
     if not region.is_pure():
         raise InternalError("pure fast path produced an impure region")
     return region
+
+
+def solves(self, region: Region, problem: SeparationProblem) -> bool:
+    values = self.region_values(region)
+    if problem.kind == "essp":
+        return values[problem.state] < region.b(problem.label)
+    return values[problem.state] != values[problem.other]
+
+
+def separation_pass(engine, problems: List[SeparationProblem]):
+    """(found region, indices of the problems it solves) pairs, and the
+    unsolvable problems."""
+    solved: List[Tuple[Region, Set[int]]] = []
+    covered: Set[int] = set()
+    failed: List[SeparationProblem] = []
+    for i, problem in enumerate(problems):
+        if i in covered:
+            continue
+        region = engine.solve(problem)
+        if region is None:
+            failed.append(problem)
+            continue
+        problem_set = {j for j, other in enumerate(problems) if solves(engine, region, other)}
+        solved.append((region, problem_set))
+        covered |= problem_set
+    return solved, failed
+
+
+def minimize_regions(
+    problems: Sequence[SeparationProblem],
+    solved: Sequence[Tuple[Region, Set[int]]],
+) -> List[Region]:
+    """Heuristic place reduction: a region uniquely solving some problem is
+    required; problems covered by required regions are discarded; remaining
+    problems greedily take the first region that solves them."""
+    keep: List[int] = []
+    covered: Set[int] = set()
+    for i in range(len(problems)):
+        solvers = [j for j, (_, s) in enumerate(solved) if i in s]
+        if len(solvers) == 1 and solvers[0] not in keep:
+            keep.append(solvers[0])
+    for j in keep:
+        covered |= solved[j][1]
+    for i in range(len(problems)):
+        if i in covered:
+            continue
+        for j, (_, problem_set) in enumerate(solved):
+            if i in problem_set:
+                if j not in keep:
+                    keep.append(j)
+                covered |= problem_set
+                break
+        else:
+            raise InternalError(f"problem {problems[i]} solved by no region")
+    keep.sort()
+    return [solved[j][0] for j in keep]

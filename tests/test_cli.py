@@ -142,6 +142,21 @@ def test_synthesize_locations_honoured(tmp_path):
     assert output.splitlines()[0] == "success: Yes"
 
 
+def test_synthesize_language_reports_input_states(tmp_path):
+    path = tmp_path / "reconverge.apt"
+    path.write_text(
+        ".type LTS\n.states\ns0[initial] s1 s2 s3\n.labels\na b c\n"
+        ".arcs\ns0 a s1  s0 c s3  s1 a s2  s1 b s2\n"
+    )
+    status, output = dispatch(["synthesize", "plain,language", str(path)])
+    assert status == 0
+    assert output.splitlines() == [
+        "success: No",
+        "failedStateSeparationProblems: []",
+        "failedEventStateSeparationProblems: {c=[s1]}",
+    ]
+
+
 def test_word_synthesize_failure_report(capsys):
     status, output = dispatch(["word_synthesize", "none", "a,b,b,a,a,c"])
     assert status == 0

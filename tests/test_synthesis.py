@@ -548,15 +548,22 @@ def test_minimize_preserves_feasibility_example(example_lts):
 
 
 def test_separation_pass_evaluates_each_region_once(example_lts, monkeypatch):
-    # outside the solvers, the pass asks once per (distinct region, problem)
-    calls = {"pass": 0}
+    # outside the solvers, the pass evaluates each found region once, as a
+    # value array, and asks no per-(region, problem) `solves` question
+    calls = {"values": 0, "solves": 0}
     inside = []
     found = []
-    solves, solve, minimize = _Engine.solves, _Engine.solve, synthesis_module.minimize_regions
+    value_array, solves = _Engine.value_array, _Engine.solves
+    solve, minimize = _Engine.solve, synthesis_module.minimize_regions
+
+    def counting_values(self, region):
+        if not inside:
+            calls["values"] += 1
+        return value_array(self, region)
 
     def counting_solves(self, region, problem):
         if not inside:
-            calls["pass"] += 1
+            calls["solves"] += 1
         return solves(self, region, problem)
 
     def marked_solve(self, problem):
@@ -567,16 +574,23 @@ def test_separation_pass_evaluates_each_region_once(example_lts, monkeypatch):
             inside.pop()
 
     def recording_minimize(problems, solved):
-        found.extend(region for region, _ in solved)
+        found.extend(solved)
         return minimize(problems, solved)
 
+    monkeypatch.setattr(_Engine, "value_array", counting_values)
     monkeypatch.setattr(_Engine, "solves", counting_solves)
     monkeypatch.setattr(_Engine, "solve", marked_solve)
     monkeypatch.setattr(synthesis_module, "minimize_regions", recording_minimize)
     assert synthesize(example_lts).success
+    regions = [region for region, _ in found]
+    assert len(set(regions)) == len(regions) > 0
+    assert calls == {"values": len(regions), "solves": 0}
+    # the one evaluation gives each region exactly the problems it solves
+    monkeypatch.undo()
+    engine = _Engine(example_lts, PropertySet())
     problems = enumerate_separation_problems(example_lts)
-    assert len(set(found)) == len(found) > 0
-    assert calls["pass"] == len(found) * len(problems)
+    for region, problem_set in found:
+        assert problem_set == {j for j, p in enumerate(problems) if engine.solves(region, p)}
 
 
 # -- word synthesis ----------------------------------------------------------------
@@ -649,6 +663,24 @@ def test_language_only_reconvergent_dag():
     assert outcome.success
     graph = reachability_graph(outcome.net)
     assert language_equivalent(graph.lts, lts)
+
+
+def test_language_only_failures_name_input_states():
+    # both tree copies of s1 (reached by a, b or c) fail to disable c; the
+    # report names s1 once, and the verbose lists name input states only
+    lts = Lts.from_data(
+        "s0",
+        [("s0", "a", "s1"), ("s0", "b", "s1"), ("s0", "c", "s1"),
+         ("s1", "a", "s2"), ("s1", "b", "s3")],
+    )
+    outcome = synthesize(lts, PropertySet(plain=True, language=True, verbose=True))
+    assert not outcome.success
+    assert outcome.failed_essp == {"c": ["s1"]}
+    lines = format_report(outcome)
+    assert "failedEventStateSeparationProblems: {c=[s1]}" in lines
+    listed = [line.split("[", 1)[1].rstrip("]").split(", ") for line in lines if "separates" in line]
+    assert listed and all(len(set(states)) == len(states) for states in listed)
+    assert {s for states in listed for s in states} <= set(lts.states)
 
 
 def _diamond_chain(k):

@@ -7,16 +7,32 @@ Under `none` and `pure` solve_basis generates rows, so its LP may stop at
 another vertex than the reference's full LP.  There both must agree on
 solvability, and every region solve_basis returns must be valid, solve its
 problem and, under `pure`, be pure.
+
+The separation pass and `minimize_regions` are checked against the
+per-(region, problem) loop and the set-based minimisation they replaced:
+the same solved set for every found region, the same failures and the
+same kept regions.
 """
 
 from functools import partial
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from aptk import PropertySet, enumerate_separation_problems, reachability_graph, word_lts
+from aptk.common import InternalError
 from aptk.generators import bitnet, cyclenet
-from aptk.synthesis import _Engine, check_region
+from aptk.synthesis import (
+    Region,
+    SeparationProblem,
+    _Engine,
+    _separation_pass,
+    check_region,
+    minimize_regions,
+)
 from conftest import make_example_lts
+from reference_synthesis import minimize_regions as reference_minimize
+from reference_synthesis import separation_pass as reference_pass
 from reference_synthesis import solve_fast_none, solve_fast_pure
 from test_synthesis import _canonical_instances
 
@@ -66,3 +82,57 @@ def test_solve_basis_verdict_matches_reference(mode):
                 assert engine.solves(region, problem), where
                 assert region.is_pure() or not props.pure, where
     assert count == 3545
+
+
+def _pass_inputs():
+    return (
+        _canonical_instances(3, 2)
+        + [reachability_graph(net).lts for net in (bitnet(3), cyclenet(3, 2), cyclenet(8, 1))]
+        + [word_lts("aabab")]
+    )
+
+
+@pytest.mark.parametrize("mode", ["none", "pure", "plain,pure", "safe", "conflict-free"])
+def test_separation_pass_matches_reference(mode):
+    props = PropertySet.parse(mode)
+    outcomes = set()
+    for lts in _pass_inputs():
+        problems = enumerate_separation_problems(lts)
+        solved, failed = _separation_pass(_Engine(lts, props), problems)
+        expected_solved, expected_failed = reference_pass(_Engine(lts, props), problems)
+        where = sorted(map(str, lts.arcs))
+        assert solved == expected_solved, where
+        assert failed == expected_failed, where
+        if not failed:
+            assert minimize_regions(problems, solved) == reference_minimize(problems, solved), where
+        outcomes.add(bool(failed))
+    assert outcomes == {True, False}  # both branches of the pass are exercised
+
+
+@st.composite
+def covering_families(draw):
+    """Problem count and solved sets in which every problem is solved."""
+    size = draw(st.integers(1, 40))
+    sets = draw(st.lists(st.sets(st.integers(0, size - 1)), min_size=1, max_size=8))
+    for i in range(size):
+        if not any(i in s for s in sets):
+            sets[draw(st.integers(0, len(sets) - 1))].add(i)
+    return size, sets
+
+
+@seed(20150601)
+@settings(max_examples=300, deadline=None)
+@given(covering_families(), st.data())
+def test_minimize_regions_matches_reference(family, data):
+    size, sets = family
+    problems = [SeparationProblem("essp", f"s{i}", label="a") for i in range(size)]
+    solved = [(Region(("a",), j, (0,), (0,)), s) for j, s in enumerate(sets)]
+    assert minimize_regions(problems, solved) == reference_minimize(problems, solved)
+    # with one problem solved by no region, both raise the same error
+    hole = data.draw(st.integers(0, size - 1))
+    solved = [(region, s - {hole}) for region, s in solved]
+    with pytest.raises(InternalError) as expected:
+        reference_minimize(problems, solved)
+    with pytest.raises(InternalError) as raised:
+        minimize_regions(problems, solved)
+    assert str(raised.value) == str(expected.value) == f"problem {problems[hole]} solved by no region"
