@@ -66,8 +66,11 @@ def _load_lts(path: str) -> ltsmod.Lts:
 def _write_or_print(text: str, path: Optional[str]) -> List[str]:
     if path is None:
         return [text.rstrip("\n")]
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text)
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as err:
+        raise UsageError(f"cannot write {path}: {err}") from None
     return [f"output_written_to: {path}"]
 
 

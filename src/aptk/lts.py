@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .common import AptError, Check, CycleCapExceededError, PreconditionError
 
@@ -69,8 +69,7 @@ class ParikhVector:
         return f"ParikhVector({{{inner}}})"
 
 
-@dataclass(frozen=True)
-class Arc:
+class Arc(NamedTuple):
     source: str
     label: str
     target: str
@@ -199,7 +198,7 @@ class Lts:
         return tuple(self._in[state])
 
     def successors(self, state: str, label: str) -> Tuple[str, ...]:
-        return tuple(a.target for a in self._out[state] if a.label == label)
+        return tuple([a.target for a in self._out[state] if a.label == label])
 
     def enabled_labels(self, state: str) -> Tuple[str, ...]:
         present = {a.label for a in self._out[state]}
@@ -386,30 +385,28 @@ def weakly_connected_components(lts: Lts) -> List[List[str]]:
 
 
 def spanning_tree(lts: Lts) -> SpanningTree:
-    """BFS spanning tree from the initial state; arcs explored in insertion order."""
-    reachable = set(reachable_states(lts))
-    unreachable = [s for s in lts.states if s not in reachable]
-    if unreachable:
-        raise PreconditionError(f"state {unreachable[0]} is unreachable; no spanning tree")
+    """BFS spanning tree from the initial state; arcs explored in insertion order.
+
+    One walk: `order` grows while it is iterated, so it ends as the BFS
+    discovery order.  A state the walk missed raises PreconditionError,
+    naming the first one in declaration order.  The chords are every arc
+    that is no state's parent arc, in insertion order (each arc is one
+    object, so identity tells them apart).
+    """
     tree = SpanningTree()
-    tree.path_parikh[lts.initial] = ParikhVector()
-    tree.order.append(lts.initial)
-    queue = deque([lts.initial])
-    visited = {lts.initial}
-    tree_arcs = set()
-    while queue:
-        state = queue.popleft()
+    parent, parikh, order = tree.parent_arc, tree.path_parikh, tree.order
+    parikh[lts.initial] = ParikhVector()
+    order.append(lts.initial)
+    for state in order:
         for arc in lts.arcs_from(state):
-            if arc.target not in visited:
-                visited.add(arc.target)
-                tree.parent_arc[arc.target] = arc
-                tree.path_parikh[arc.target] = tree.path_parikh[state].added(arc.label)
-                tree.order.append(arc.target)
-                tree_arcs.add(arc)
-                queue.append(arc.target)
-    for arc in lts.arcs:
-        if arc not in tree_arcs and arc.source in visited:
-            tree.chords.append(arc)
+            if arc.target not in parikh:
+                parent[arc.target] = arc
+                parikh[arc.target] = parikh[state].added(arc.label)
+                order.append(arc.target)
+    if len(order) < len(lts.states):
+        unreachable = next(s for s in lts.states if s not in parikh)
+        raise PreconditionError(f"state {unreachable} is unreachable; no spanning tree")
+    tree.chords = [arc for arc in lts.arcs if parent.get(arc.target) is not arc]
     return tree
 
 

@@ -26,13 +26,13 @@ from .common import (
 from .linalg import LinearSystem, _dot, integer_kernel_basis
 from .lts import (
     Lts,
-    SpanningTree,
     is_deterministic,
     is_totally_reachable,
     isomorphic,
     language_equivalent,
     reachable_states,
     spanning_tree,
+    strongly_connected_components,
 )
 from .petri import PetriNet, bounded, reachability_graph
 from . import petri as _petri
@@ -144,7 +144,7 @@ class PropertySet:
                 props.language = True
             elif token == "verbose":
                 props.verbose = True
-            elif token.endswith("-bounded") and token[: -len("-bounded")].isdigit():
+            elif token.endswith("-bounded") and token[: -len("-bounded")].isdecimal():
                 k = int(token[: -len("-bounded")])
                 if props.k is not None and props.k != k:
                     raise AptError("conflicting boundedness requests")
@@ -199,23 +199,7 @@ def region_basis(lts: Lts) -> List[Tuple[int, ...]]:
     """Lattice basis of label-effect vectors with zero effect around every
     cycle, from the fundamental-cycle rows of a fixed spanning tree.  Every
     valid region's effect vector is an integer combination of it."""
-    _check_synthesis_input(lts)
-    rows = _cycle_rows(spanning_tree(lts), lts.labels)
-    return integer_kernel_basis(rows, dim=len(lts.labels))
-
-
-def _cycle_rows(tree: SpanningTree, labels: Sequence[str]) -> List[Tuple[int, ...]]:
-    """Distinct nonzero Parikh vectors of the fundamental cycles that the
-    chords of a spanning tree close; a region's effects are zero on each."""
-    rows: List[Tuple[int, ...]] = []
-    for arc in tree.chords:
-        row = (
-            tree.path_parikh[arc.source].added(arc.label)
-            - tree.path_parikh[arc.target]
-        ).as_tuple(labels)
-        if any(row) and row not in rows:
-            rows.append(row)
-    return rows
+    return _Engine(lts, PropertySet()).basis
 
 
 def enumerate_separation_problems(lts: Lts) -> List[SeparationProblem]:
@@ -244,8 +228,10 @@ def _check_synthesis_input(lts: Lts) -> None:
         raise PreconditionError(f"synthesis needs a totally reachable input: {tot.detail}")
 
 
-def check_region(lts: Lts, region: Region) -> None:
-    """Replay the region over every reachable arc; raises on any violation.
+def check_region(lts: Lts, region: Region) -> Dict[str, int]:
+    """Replay the region over every reachable arc; raises on any violation,
+    else returns the region's token count at each reachable state, in
+    breadth-first order.
 
     This is the definitional validity check and is independent of how the
     region was computed.
@@ -253,7 +239,7 @@ def check_region(lts: Lts, region: Region) -> None:
     values = {lts.initial: region.initial}
     if region.initial < 0:
         raise InternalError("region has negative initial value")
-    order = reachable_states(lts)
+    order = [lts.initial]
     for state in order:
         value = values[state]
         for arc in lts.arcs_from(state):
@@ -267,8 +253,10 @@ def check_region(lts: Lts, region: Region) -> None:
             known = values.get(arc.target)
             if known is None:
                 values[arc.target] = nxt
+                order.append(arc.target)
             elif known != nxt:
                 raise InternalError(f"region value at {arc.target} is path-dependent")
+    return values
 
 
 class _Engine:
@@ -283,21 +271,26 @@ class _Engine:
         self.lab_index = {t: i for i, t in enumerate(self.labels)}
         self.tree = spanning_tree(lts)
         self.states = list(self.tree.order)
-        self.psi = {
+        psi = self.psi = {
             s: self.tree.path_parikh[s].as_tuple(self.labels) for s in self.states
         }
-        self.cycle_rows = _cycle_rows(self.tree, self.labels)
+        # each chord closes a cycle with Parikh vector psi(source) + label -
+        # psi(target); a region's effects are zero on each distinct nonzero one
+        rows = []
+        for arc in self.tree.chords:
+            row = list(map(sub, psi[arc.source], psi[arc.target]))
+            row[self.lab_index[arc.label]] += 1
+            rows.append(tuple(row))
+        self.cycle_rows = [row for row in dict.fromkeys(rows) if any(row)]
         self.basis = integer_kernel_basis(self.cycle_rows, dim=len(self.labels))
-        # states enabling each label, and the (state, label) pairs of all arcs
+        # states enabling each label, and the (state, label) pairs of all
+        # arcs: the input is deterministic, so each pair has one arc
         self.enabled_states: Dict[str, List[str]] = {t: [] for t in self.labels}
         self.arc_pairs: List[Tuple[str, str]] = []
-        seen_pairs = set()
         for s in self.states:
             for arc in lts.arcs_from(s):
-                if (s, arc.label) not in seen_pairs:
-                    seen_pairs.add((s, arc.label))
-                    self.enabled_states[arc.label].append(s)
-                    self.arc_pairs.append((s, arc.label))
+                self.enabled_states[arc.label].append(s)
+                self.arc_pairs.append((s, arc.label))
         self.index = {s: i for i, s in enumerate(self.states)}
         self._values_cache: Dict[Region, List[int]] = {}
         self._projected: Optional[Dict[str, Tuple[int, ...]]] = None
@@ -323,21 +316,22 @@ class _Engine:
             return value < region.b(problem.label)
         return value != values[self.index[problem.other]]
 
-    def minimal_initial(self, backward: Sequence[int], effects: Sequence[int]) -> int:
-        """Smallest initial value making the weights a valid region."""
+    def region(self, backward: Tuple[int, ...], forward: Tuple[int, ...]) -> Region:
+        """The region with these weights and the smallest initial value that
+        keeps every state's count nonnegative and every arc enabled."""
+        effects = tuple(map(sub, forward, backward))
         need = 0
         for s in self.states:
             drift = _dot(effects, self.psi[s])
             need = max(need, -drift)
             for arc in self.lts.arcs_from(s):
                 need = max(need, backward[self.lab_index[arc.label]] - drift)
-        return need
+        return Region(self.labels, need, backward, forward)
 
     def region_from_effects(self, effects: Sequence[int]) -> Region:
-        backward = tuple(max(0, -e) for e in effects)
-        forward = tuple(max(0, e) for e in effects)
-        initial = self.minimal_initial(backward, effects)
-        return Region(self.labels, initial, backward, forward)
+        return self.region(
+            tuple(max(0, -e) for e in effects), tuple(max(0, e) for e in effects)
+        )
 
     # -- location scopes ---------------------------------------------------
 
@@ -478,16 +472,10 @@ class _Engine:
             backward = tuple(solution[f"b_{t}"] for t in self.labels)
             forward = tuple(solution[f"f_{t}"] for t in self.labels)
             if props.pure:
-                effects = tuple(f - b for f, b in zip(forward, backward))
-                backward = tuple(max(0, -e) for e in effects)
-                forward = tuple(max(0, e) for e in effects)
-            effects = tuple(f - b for f, b in zip(forward, backward))
-            initial = self.minimal_initial(backward, effects)
-            region = Region(self.labels, initial, backward, forward)
-            check_region(self.lts, region)
-            if not self.solves(region, problem):
-                raise InternalError(f"solver produced a non-separating region for {problem}")
-            return region
+                region = self.region_from_effects(tuple(map(sub, forward, backward)))
+            else:
+                region = self.region(backward, forward)
+            return self._checked(region, problem)
         return None
 
     def _initial_upper_bound(self, problem, weight_ub: Optional[int]) -> Optional[int]:
@@ -620,11 +608,13 @@ class _Engine:
         return None if solution is None else [solution[n] for n in names]
 
     def _checked(self, region: Region, problem: SeparationProblem) -> Region:
+        """Every solver's exit: the region must be valid, pure under `pure`,
+        and solve its problem."""
         check_region(self.lts, region)
         if self.props.pure and not region.is_pure():
-            raise InternalError("basis solver produced an impure region")
+            raise InternalError("solver produced an impure region")
         if not self.solves(region, problem):
-            raise InternalError(f"basis solver failed to separate {problem}")
+            raise InternalError(f"solver failed to separate {problem}")
         return region
 
     # -- dispatch ------------------------------------------------------------
@@ -864,23 +854,11 @@ def synthesize(lts: Lts, props: Optional[PropertySet] = None) -> SynthesisOutcom
 
 
 def _is_acyclic(lts: Lts) -> bool:
-    reach = reachable_states(lts)
-    indegree = {s: 0 for s in reach}
-    reach_set = set(reach)
-    for s in reach:
-        for arc in lts.arcs_from(s):
-            if arc.target in reach_set:
-                indegree[arc.target] += 1
-    queue = [s for s in reach if indegree[s] == 0]
-    seen = 0
-    while queue:
-        state = queue.pop()
-        seen += 1
-        for arc in lts.arcs_from(state):
-            indegree[arc.target] -= 1
-            if indegree[arc.target] == 0:
-                queue.append(arc.target)
-    return seen == len(reach)
+    """Whether a totally reachable input has no cycle: no self-loop, and no
+    strongly connected component of more than one state."""
+    return all(arc.source != arc.target for arc in lts.arcs) and all(
+        len(component) == 1 for component in strongly_connected_components(lts)
+    )
 
 
 def _unfold_to_tree(lts: Lts) -> Tuple[Lts, Dict[str, str]]:
@@ -1003,12 +981,11 @@ def format_report(outcome: SynthesisOutcome) -> List[str]:
     if outcome.properties.verbose and outcome.regions and outcome.lts is not None:
         lines.append("solvedEventStateSeparationProblems:")
         tree, origin = outcome.unfolding or (outcome.lts, None)
-        engine = _Engine(tree, outcome.properties)
         for region in outcome.regions:
             lines.append(f"{region}:")
-            values = engine.value_array(region)
-            for label, b in zip(engine.labels, region.backward):
-                disabled = [s for s, value in zip(engine.states, values) if value < b]
+            values = check_region(tree, region)
+            for label, b in zip(region.labels, region.backward):
+                disabled = [s for s, value in values.items() if value < b]
                 if origin is not None:
                     disabled = _input_states(outcome.lts, origin, disabled)
                 if disabled:

@@ -12,14 +12,22 @@ between them became a function call.  `solve_basis` must return the same
 here a function of the engine) once per (found region, problem) pair.
 `minimize_regions` is the set-based version of the function of that name.
 Both must give the same solved sets, failures and kept regions.
+
+`spanning_tree` (from aptk.lts) walked the input twice, once through
+`reachable_states`; `_cycle_rows` built the engine's cycle rows from the
+tree's Parikh vectors; `_is_acyclic` was a Kahn loop over the reachable
+states.  The engine's set-up must give the same tree, rows and basis, and
+`aptk.synthesis._is_acyclic` the same verdict.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from typing import List, Optional, Sequence, Set, Tuple
 
-from aptk.common import InternalError
+from aptk.common import InternalError, PreconditionError
 from aptk.linalg import LinearSystem
+from aptk.lts import Lts, ParikhVector, SpanningTree, reachable_states
 from aptk.synthesis import (
     Region,
     SeparationProblem,
@@ -210,3 +218,65 @@ def minimize_regions(
             raise InternalError(f"problem {problems[i]} solved by no region")
     keep.sort()
     return [solved[j][0] for j in keep]
+
+
+def spanning_tree(lts: Lts) -> SpanningTree:
+    """BFS spanning tree from the initial state; arcs explored in insertion order."""
+    reachable = set(reachable_states(lts))
+    unreachable = [s for s in lts.states if s not in reachable]
+    if unreachable:
+        raise PreconditionError(f"state {unreachable[0]} is unreachable; no spanning tree")
+    tree = SpanningTree()
+    tree.path_parikh[lts.initial] = ParikhVector()
+    tree.order.append(lts.initial)
+    queue = deque([lts.initial])
+    visited = {lts.initial}
+    tree_arcs = set()
+    while queue:
+        state = queue.popleft()
+        for arc in lts.arcs_from(state):
+            if arc.target not in visited:
+                visited.add(arc.target)
+                tree.parent_arc[arc.target] = arc
+                tree.path_parikh[arc.target] = tree.path_parikh[state].added(arc.label)
+                tree.order.append(arc.target)
+                tree_arcs.add(arc)
+                queue.append(arc.target)
+    for arc in lts.arcs:
+        if arc not in tree_arcs and arc.source in visited:
+            tree.chords.append(arc)
+    return tree
+
+
+def _cycle_rows(tree: SpanningTree, labels: Sequence[str]) -> List[Tuple[int, ...]]:
+    """Distinct nonzero Parikh vectors of the fundamental cycles that the
+    chords of a spanning tree close; a region's effects are zero on each."""
+    rows: List[Tuple[int, ...]] = []
+    for arc in tree.chords:
+        row = (
+            tree.path_parikh[arc.source].added(arc.label)
+            - tree.path_parikh[arc.target]
+        ).as_tuple(labels)
+        if any(row) and row not in rows:
+            rows.append(row)
+    return rows
+
+
+def _is_acyclic(lts: Lts) -> bool:
+    reach = reachable_states(lts)
+    indegree = {s: 0 for s in reach}
+    reach_set = set(reach)
+    for s in reach:
+        for arc in lts.arcs_from(s):
+            if arc.target in reach_set:
+                indegree[arc.target] += 1
+    queue = [s for s in reach if indegree[s] == 0]
+    seen = 0
+    while queue:
+        state = queue.pop()
+        seen += 1
+        for arc in lts.arcs_from(state):
+            indegree[arc.target] -= 1
+            if indegree[arc.target] == 0:
+                queue.append(arc.target)
+    return seen == len(reach)

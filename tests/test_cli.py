@@ -274,6 +274,21 @@ def test_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_non_decimal_bound_is_an_unknown_property(lts_file, capsys):
+    assert main(["synthesize", "²-bounded", lts_file]) == main(["synthesize", "shiny", lts_file]) == 2
+    assert "unknown property '²-bounded'" in capsys.readouterr().err
+
+
+def test_output_in_missing_directory_is_a_usage_error(lts_file, tmp_path, capsys):
+    out = tmp_path / "missing" / "out.apt"
+    for argv in (["synthesize", "none", lts_file, str(out)], ["bitnet_generator", "2", str(out)]):
+        with pytest.raises(UsageError, match="cannot write"):
+            dispatch(argv)
+        assert main(argv) == 1
+        assert f"cannot write {out}" in capsys.readouterr().err
+    assert not out.parent.exists()
+
+
 def test_nonnet_file_for_pn_parameter(tmp_path, lts_file):
     with pytest.raises(UsageError, match="not an LPN"):
         dispatch(["bounded", lts_file])

@@ -721,6 +721,25 @@ def test_report_verbose_region_lines(example_lts):
     assert "separates event" in text
 
 
+def test_verbose_report_builds_no_engine(monkeypatch, example_lts):
+    # the report replays each region through check_region on the solved
+    # system (the tree unfolding for language-only), not on a second engine
+    outcomes = [
+        synthesize(example_lts, PropertySet(k=1, verbose=True)),
+        synthesize(example_lts, PropertySet(pure=True, verbose=True)),
+        word_synthesize(PropertySet(verbose=True), "abbaac"),
+        synthesize(_diamond_chain(2), PropertySet(language=True, verbose=True)),
+    ]
+    expected = [format_report(outcome) for outcome in outcomes]
+
+    def refuse(*args):
+        raise AssertionError("format_report built an engine")
+
+    monkeypatch.setattr(synthesis_module, "_Engine", refuse)
+    assert [format_report(outcome) for outcome in outcomes] == expected
+    assert all(any("separates event" in line for line in lines) for lines in expected)
+
+
 def test_region_string_format():
     region = Region(("a", "b", "c", "d"), 1, (0, 0, 1, 0), (0, 0, 0, 1))
     assert str(region) == "Region { init=1, 0:a:0, 0:b:0, 1:c:0, 0:d:1 }"
@@ -748,6 +767,12 @@ def test_property_parsing_rejects_unknown():
     with pytest.raises(AptError):
         PropertySet.parse("2-bounded,safe")
     assert PropertySet.parse("safe,1-bounded").k == 1
+
+
+def test_property_parsing_rejects_non_decimal_bound():
+    # '²' is a digit to str.isdigit, but int() reads no such numeral
+    with pytest.raises(AptError, match="unknown property '²-bounded'"):
+        PropertySet.parse("²-bounded")
 
 
 def test_synthesize_is_deterministic(example_lts):

@@ -12,6 +12,10 @@ The separation pass and `minimize_regions` are checked against the
 per-(region, problem) loop and the set-based minimisation they replaced:
 the same solved set for every found region, the same failures and the
 same kept regions.
+
+The engine's set-up is checked against the two-walk `spanning_tree`, the
+Parikh-vector `_cycle_rows` and the Kahn-loop `_is_acyclic` it replaced:
+the same tree or error, the same cycle rows and basis, the same verdict.
 """
 
 from functools import partial
@@ -19,18 +23,34 @@ from functools import partial
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from aptk import PropertySet, enumerate_separation_problems, reachability_graph, word_lts
-from aptk.common import InternalError
+from aptk import (
+    Lts,
+    PropertySet,
+    enumerate_separation_problems,
+    is_deterministic,
+    is_totally_reachable,
+    reachability_graph,
+    region_basis,
+    spanning_tree,
+    word_lts,
+)
+from aptk import lts as lts_module
+from aptk.common import InternalError, PreconditionError
 from aptk.generators import bitnet, cyclenet
+from aptk.linalg import integer_kernel_basis
 from aptk.synthesis import (
     Region,
     SeparationProblem,
     _Engine,
+    _is_acyclic,
     _separation_pass,
     check_region,
     minimize_regions,
 )
 from conftest import make_example_lts
+from reference_synthesis import _cycle_rows as reference_cycle_rows
+from reference_synthesis import _is_acyclic as reference_is_acyclic
+from reference_synthesis import spanning_tree as reference_spanning_tree
 from reference_synthesis import minimize_regions as reference_minimize
 from reference_synthesis import separation_pass as reference_pass
 from reference_synthesis import solve_fast_none, solve_fast_pure
@@ -52,6 +72,70 @@ def _inputs():
         + [reachability_graph(net).lts for net in (bitnet(3), cyclenet(3, 2))]
         + [word_lts("aabab")]
     )
+
+
+def _hand_inputs():
+    """Self-loops, parallel arcs with different labels, a re-added arc,
+    unreachable states, a nondeterministic state and a diamond."""
+    return [
+        Lts.from_data("s0", [("s0", "a", "s0"), ("s0", "b", "s1"), ("s1", "b", "s1")]),
+        Lts.from_data("s0", [("s0", "a", "s0"), ("s0", "b", "s0")]),
+        Lts.from_data("s0", [("s0", "a", "s1"), ("s0", "b", "s1"), ("s1", "c", "s0")]),
+        Lts.from_data("s0", [("s0", "a", "s1"), ("s0", "b", "s1"), ("s1", "c", "s2")]),
+        Lts.from_data("s0", [("s0", "a", "s1"), ("s1", "b", "s0"), ("s0", "a", "s1")]),
+        Lts.from_data("s0", [("s0", "a", "s1"), ("s2", "b", "s0")]),
+        Lts.from_data("s0", [("s0", "a", "s1"), ("s2", "b", "s3"), ("s3", "b", "s2")]),
+        Lts.from_data("s0", [("s0", "a", "s1"), ("s0", "a", "s2"), ("s2", "b", "s0")]),
+        Lts.from_data(
+            "s0", [("s0", "a", "s1"), ("s0", "b", "s2"), ("s1", "b", "s3"), ("s2", "a", "s3")]
+        ),
+    ]
+
+
+def _tree_or_error(build, lts):
+    try:
+        return build(lts)
+    except PreconditionError as err:
+        return f"PreconditionError: {err}"
+
+
+def test_engine_setup_matches_reference():
+    verdicts = set()
+    for lts in _inputs() + _hand_inputs():
+        where = sorted(map(str, lts.arcs))
+        expected = _tree_or_error(reference_spanning_tree, lts)
+        tree = _tree_or_error(spanning_tree, lts)
+        assert tree == expected, where
+        if isinstance(expected, str):
+            verdicts.add("no tree")
+            continue
+        if not (is_deterministic(lts) and is_totally_reachable(lts)):
+            with pytest.raises(PreconditionError):
+                _Engine(lts, PropertySet())
+            verdicts.add("rejected")
+            continue
+        engine = _Engine(lts, PropertySet())
+        rows = reference_cycle_rows(expected, lts.labels)
+        assert engine.cycle_rows == rows, where
+        assert engine.basis == region_basis(lts) == integer_kernel_basis(rows, dim=len(lts.labels))
+        # _is_acyclic runs on inputs that passed the synthesis input check
+        acyclic = _is_acyclic(lts)
+        assert acyclic == reference_is_acyclic(lts), where
+        verdicts.add(acyclic)
+    assert verdicts == {"no tree", "rejected", True, False}
+
+
+def test_spanning_tree_walks_once(monkeypatch):
+    lts = make_example_lts()
+    expected = reference_spanning_tree(lts)
+
+    def refuse(lts):
+        raise AssertionError("spanning_tree walked the input twice")
+
+    monkeypatch.setattr(lts_module, "reachable_states", refuse)
+    assert spanning_tree(lts) == expected
+    with pytest.raises(PreconditionError, match="state s2 is unreachable"):
+        spanning_tree(Lts.from_data("s0", [("s0", "a", "s1"), ("s2", "b", "s0")]))
 
 
 @pytest.mark.parametrize("mode", sorted(EXACT))
