@@ -410,13 +410,16 @@ def spanning_tree(lts: Lts) -> SpanningTree:
     return tree
 
 
-def _elementary_cycles(lts: Lts, cap: int):
+def _elementary_cycles(lts: Lts):
     """Yield Parikh vectors of all simple cycles in the reachable part.
 
     Cycles are enumerated per anchor state using only states that come later
     in discovery order, so each cycle is produced exactly once (up to
     rotation).  Parallel arcs with different labels give distinct cycles.
+    Past DEFAULT_CYCLE_CAP cycles, read at call time, it raises
+    CycleCapExceededError.
     """
+    cap = DEFAULT_CYCLE_CAP
     reach = reachable_states(lts)
     pos = {s: i for i, s in enumerate(reach)}
     produced = 0
@@ -454,7 +457,7 @@ def _elementary_cycles(lts: Lts, cap: int):
                 on_path.discard(state)
 
 
-def small_cycle_parikh_vectors(lts: Lts, cycle_cap: int = DEFAULT_CYCLE_CAP) -> List[ParikhVector]:
+def small_cycle_parikh_vectors(lts: Lts) -> List[ParikhVector]:
     """Parikh vectors of small cycles: the minimal elements, under the strict
     componentwise order, among Parikh vectors of all simple cycles reachable
     from the initial state.
@@ -463,7 +466,7 @@ def small_cycle_parikh_vectors(lts: Lts, cycle_cap: int = DEFAULT_CYCLE_CAP) -> 
     minimal vectors are attained on simple cycles.
     """
     vectors: List[ParikhVector] = []
-    for pv in _elementary_cycles(lts, cycle_cap):
+    for pv in _elementary_cycles(lts):
         if pv not in vectors:
             vectors.append(pv)
     minimal = [
@@ -474,14 +477,14 @@ def small_cycle_parikh_vectors(lts: Lts, cycle_cap: int = DEFAULT_CYCLE_CAP) -> 
     return minimal
 
 
-def cycles_same_pv(lts: Lts, cycle_cap: int = DEFAULT_CYCLE_CAP) -> bool:
+def cycles_same_pv(lts: Lts) -> bool:
     """Strong small cycle property: all small cycles share one Parikh vector."""
-    return len(small_cycle_parikh_vectors(lts, cycle_cap)) <= 1
+    return len(small_cycle_parikh_vectors(lts)) <= 1
 
 
-def weak_small_cycle_property(lts: Lts, cycle_cap: int = DEFAULT_CYCLE_CAP) -> bool:
+def weak_small_cycle_property(lts: Lts) -> bool:
     """Distinct small-cycle Parikh vectors must have pairwise disjoint supports."""
-    vectors = small_cycle_parikh_vectors(lts, cycle_cap)
+    vectors = small_cycle_parikh_vectors(lts)
     for i, pv in enumerate(vectors):
         for other in vectors[i + 1 :]:
             if pv.support() & other.support():
@@ -514,6 +517,7 @@ def isomorphic(l1: Lts, l2: Lts) -> Check:
         and is_totally_reachable(l2)
     ):
         mapping = {l1.initial: l2.initial}
+        used = {l2.initial}
         queue = deque([l1.initial])
         while queue:
             s1 = queue.popleft()
@@ -524,8 +528,9 @@ def isomorphic(l1: Lts, l2: Lts) -> Check:
                 t2 = l2.successors(s2, arc.label)[0]
                 known = mapping.get(arc.target)
                 if known is None:
-                    if t2 in mapping.values():
+                    if t2 in used:
                         return Check(False, None, "walk is not injective")
+                    used.add(t2)
                     mapping[arc.target] = t2
                     queue.append(arc.target)
                 elif known != t2:
@@ -622,12 +627,10 @@ def bisimilar(l1: Lts, l2: Lts) -> Check:
             break
         block = new_block
 
-    relation = [
-        (s1, s2)
-        for s1 in l1.states
-        for s2 in l2.states
-        if block[(0, s1)] == block[(1, s2)]
-    ]
+    members: Dict[int, List[str]] = {}
+    for s2 in l2.states:
+        members.setdefault(block[(1, s2)], []).append(s2)
+    relation = [(s1, s2) for s1 in l1.states for s2 in members.get(block[(0, s1)], ())]
     ok = block[(0, l1.initial)] == block[(1, l2.initial)]
     detail = "" if ok else "initial states are not bisimilar"
     return Check(ok, relation if ok else None, detail)

@@ -442,15 +442,17 @@ def _graph(net: PetriNet, state_limit: int, accelerate: bool) -> StateGraph:
     return graph
 
 
-def reachability_graph(net: PetriNet, state_limit: int = DEFAULT_STATE_LIMIT) -> StateGraph:
+def reachability_graph(net: PetriNet, state_limit: Optional[int] = None) -> StateGraph:
     """All reachable markings, found by the shared breadth-first explorer:
     states are named s0, s1, ... in discovery order and arcs carry the
     transition's label.
 
-    Raises StateLimitExceededError past `state_limit` states, which suggests
-    an unbounded net; the coverability graph of an unbounded net is finite.
+    Raises StateLimitExceededError past `state_limit` states (by default
+    DEFAULT_STATE_LIMIT, read at call time), which suggests an unbounded
+    net; the coverability graph of an unbounded net is finite.
     """
-    return _graph(net, state_limit, accelerate=False)
+    limit = DEFAULT_STATE_LIMIT if state_limit is None else state_limit
+    return _graph(net, limit, accelerate=False)
 
 
 def coverability_graph(net: PetriNet) -> StateGraph:
@@ -466,10 +468,10 @@ def coverability_graph(net: PetriNet) -> StateGraph:
     return _graph(net, DEFAULT_STATE_LIMIT, accelerate=True)
 
 
-def _bounded_graph(net: PetriNet, state_limit: int, check: str) -> StateGraph:
+def _bounded_graph(net: PetriNet, check: str) -> StateGraph:
     """The reachability graph of a bounded net, which is its coverability
     graph; raises UnboundedNetError if that graph holds an OMEGA."""
-    graph = _graph(net, state_limit, accelerate=True)
+    graph = _graph(net, DEFAULT_STATE_LIMIT, accelerate=True)
     if any(m.has_omega() for m in graph.markings.values()):
         raise UnboundedNetError(f"{check} requires a bounded net")
     return graph
@@ -532,13 +534,13 @@ def weakly_live(net: PetriNet) -> Check:
 
 def persistent(net: PetriNet) -> Check:
     """Persistence of the reachability graph; requires a bounded net."""
-    graph = _bounded_graph(net, DEFAULT_STATE_LIMIT, "persistence check")
+    graph = _bounded_graph(net, "persistence check")
     return lts_is_persistent(graph.lts)
 
 
 def reversible(net: PetriNet) -> Check:
     """Reversibility of the reachability graph; requires a bounded net."""
-    graph = _bounded_graph(net, DEFAULT_STATE_LIMIT, "reversibility check")
+    graph = _bounded_graph(net, "reversibility check")
     return lts_is_reversible(graph.lts)
 
 
@@ -691,12 +693,12 @@ def is_strongly_connected(net: PetriNet) -> Check:
 # ---------------------------------------------------------------------------
 
 
-def _conflict_scan(net: PetriNet, state_limit: int, binary: bool) -> Check:
+def _conflict_scan(net: PetriNet, binary: bool) -> Check:
     plain = is_plain(net)
     if not plain:
         return Check(False, plain.witness, "not plain")
     table = net._compiled().items()
-    graph = _bounded_graph(net, state_limit, "the check")
+    graph = _bounded_graph(net, "the check")
     for state in graph.lts.states:
         marking = graph.markings[state]
         live = [
@@ -724,17 +726,17 @@ def _conflict_scan(net: PetriNet, state_limit: int, binary: bool) -> Check:
     return Check(True)
 
 
-def is_bcf(net: PetriNet, state_limit: int = DEFAULT_STATE_LIMIT) -> Check:
+def is_bcf(net: PetriNet) -> Check:
     """Behaviourally conflict-free: concurrently enabled transitions never
     share a pre-place.  Requires plain (else a negative answer) and bounded
     (else an error)."""
-    return _conflict_scan(net, state_limit, binary=False)
+    return _conflict_scan(net, binary=False)
 
 
-def is_bicf(net: PetriNet, state_limit: int = DEFAULT_STATE_LIMIT) -> Check:
+def is_bicf(net: PetriNet) -> Check:
     """Binary conflict-free: markings cover the joint demand of every pair of
     concurrently enabled transitions."""
-    return _conflict_scan(net, state_limit, binary=True)
+    return _conflict_scan(net, binary=True)
 
 
 # ---------------------------------------------------------------------------

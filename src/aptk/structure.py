@@ -65,18 +65,20 @@ def covered_by_invariants(net: PetriNet, kind: str) -> Check:
     return Check(True)
 
 
-def _minimal_closed_sets(net: PetriNet, as_trap: bool, place_cap: int) -> List[Tuple[str, ...]]:
+def _minimal_closed_sets(net: PetriNet, as_trap: bool) -> List[Tuple[str, ...]]:
     """Shared engine for minimal siphons and traps.
 
     A siphon S needs: every transition producing into S also consumes from S.
     A trap is the same with the roles of producing/consuming swapped.  The
     search branches on the least place contained in the set and propagates
     each unsatisfied demand by case-splitting over its candidate suppliers.
+    Above DEFAULT_PLACE_CAP places, read at call time, it raises
+    PreconditionError.
     """
     places = net.places
-    if len(places) > place_cap:
+    if len(places) > DEFAULT_PLACE_CAP:
         raise PreconditionError(
-            f"net has {len(places)} places, above the cap of {place_cap}"
+            f"net has {len(places)} places, above the cap of {DEFAULT_PLACE_CAP}"
         )
     transitions = net.transitions
 
@@ -129,17 +131,17 @@ def _minimal_closed_sets(net: PetriNet, as_trap: bool, place_cap: int) -> List[T
     return minimal
 
 
-def minimal_siphons(net: PetriNet, place_cap: int = DEFAULT_PLACE_CAP) -> List[Tuple[str, ...]]:
+def minimal_siphons(net: PetriNet) -> List[Tuple[str, ...]]:
     """All inclusion-minimal nonempty place sets S with pre(S) contained in
     post(S): every transition feeding S also takes from S.  Arc weights are
     ignored, only flow presence matters."""
-    return _minimal_closed_sets(net, as_trap=False, place_cap=place_cap)
+    return _minimal_closed_sets(net, as_trap=False)
 
 
-def minimal_traps(net: PetriNet, place_cap: int = DEFAULT_PLACE_CAP) -> List[Tuple[str, ...]]:
+def minimal_traps(net: PetriNet) -> List[Tuple[str, ...]]:
     """All inclusion-minimal nonempty place sets S with post(S) contained in
     pre(S): every transition taking from S also feeds S."""
-    return _minimal_closed_sets(net, as_trap=True, place_cap=place_cap)
+    return _minimal_closed_sets(net, as_trap=True)
 
 
 def is_siphon(net: PetriNet, place_set) -> bool:

@@ -207,15 +207,21 @@ def enumerate_separation_problems(lts: Lts) -> List[SeparationProblem]:
     then all unordered pairs of distinct reachable states; both in the
     deterministic state/label order."""
     reach = reachable_states(lts)
+    problems = _event_state_problems(lts, reach)
+    for i, state in enumerate(reach):
+        for other in reach[i + 1 :]:
+            problems.append(SeparationProblem("ssp", state, other=other))
+    return problems
+
+
+def _event_state_problems(lts: Lts, states: Sequence[str]) -> List[SeparationProblem]:
+    """An event/state problem per given state and label it does not enable."""
     problems: List[SeparationProblem] = []
-    for state in reach:
+    for state in states:
         enabled = set(lts.enabled_labels(state))
         for label in lts.labels:
             if label not in enabled:
                 problems.append(SeparationProblem("essp", state, label=label))
-    for i, state in enumerate(reach):
-        for other in reach[i + 1 :]:
-            problems.append(SeparationProblem("ssp", state, other=other))
     return problems
 
 
@@ -264,13 +270,29 @@ class _Engine:
     and the solvers for individual separation problems."""
 
     def __init__(self, lts: Lts, props: PropertySet):
-        _check_synthesis_input(lts)
         self.lts = lts
         self.props = props
         self.labels = lts.labels
         self.lab_index = {t: i for i, t in enumerate(self.labels)}
-        self.tree = spanning_tree(lts)
+        try:  # the one walk; on a defect, the input check names the first
+            self.tree = spanning_tree(lts)
+        except PreconditionError:
+            _check_synthesis_input(lts)
+            raise
         self.states = list(self.tree.order)
+        # states enabling each label, and the (state, label) pairs of all
+        # arcs; a repeated pair (equal arcs are one arc) is a nondeterministic
+        # state, and a label no state enables is unused
+        self.enabled_states: Dict[str, List[str]] = {t: [] for t in self.labels}
+        self.arc_pairs: List[Tuple[str, str]] = []
+        for s in self.states:
+            for arc in lts.arcs_from(s):
+                self.enabled_states[arc.label].append(s)
+                self.arc_pairs.append((s, arc.label))
+        if len(set(self.arc_pairs)) < len(self.arc_pairs) or not all(
+            self.enabled_states.values()
+        ):
+            _check_synthesis_input(lts)
         psi = self.psi = {
             s: self.tree.path_parikh[s].as_tuple(self.labels) for s in self.states
         }
@@ -283,14 +305,6 @@ class _Engine:
             rows.append(tuple(row))
         self.cycle_rows = [row for row in dict.fromkeys(rows) if any(row)]
         self.basis = integer_kernel_basis(self.cycle_rows, dim=len(self.labels))
-        # states enabling each label, and the (state, label) pairs of all
-        # arcs: the input is deterministic, so each pair has one arc
-        self.enabled_states: Dict[str, List[str]] = {t: [] for t in self.labels}
-        self.arc_pairs: List[Tuple[str, str]] = []
-        for s in self.states:
-            for arc in lts.arcs_from(s):
-                self.enabled_states[arc.label].append(s)
-                self.arc_pairs.append((s, arc.label))
         self.index = {s: i for i, s in enumerate(self.states)}
         self._values_cache: Dict[Region, List[int]] = {}
         self._projected: Optional[Dict[str, Tuple[int, ...]]] = None
@@ -298,11 +312,11 @@ class _Engine:
     # -- generic helpers ---------------------------------------------------
 
     def value_array(self, region: Region) -> List[int]:
-        """The region's token count at every state, in `states` order."""
+        """The region's token count at every state, in `states` order, as
+        `check_region` returns it; `_checked` keeps it for found regions."""
         cached = self._values_cache.get(region)
         if cached is None:
-            effects = region.effects()
-            cached = [region.initial + _dot(effects, self.psi[s]) for s in self.states]
+            cached = list(check_region(self.lts, region).values())
             self._values_cache[region] = cached
         return cached
 
@@ -346,15 +360,11 @@ class _Engine:
         if not locations:
             return [None]
         unlocated = {t for t in self.labels if t not in locations}
-        ordered = list(dict.fromkeys(locations[t] for t in self.labels if t in locations))
-        scopes: List[Optional[Set[str]]] = [
-            unlocated | {t for t in self.labels if locations.get(t) == loc}
-            for loc in ordered
-        ]
         if problem.kind == "essp" and problem.label in locations:
-            home = locations[problem.label]
-            return [unlocated | {u for u in self.labels if locations.get(u) == home}]
-        return scopes
+            homes = [locations[problem.label]]
+        else:
+            homes = list(dict.fromkeys(locations[t] for t in self.labels if t in locations))
+        return [unlocated | {t for t in self.labels if locations.get(t) == loc} for loc in homes]
 
     def _on_scopes(self, problem: SeparationProblem) -> List[Set[str]]:
         """Unique synthetic location per label: at most one consumer."""
@@ -365,24 +375,28 @@ class _Engine:
     # -- general solver ----------------------------------------------------
 
     def solve_general(self, problem: SeparationProblem) -> Optional[Region]:
-        attempts: List[Tuple[Optional[Set[str]], bool]] = []
         if self.props.cf:
             # output-nonbranching region first, then nonnegative effects
-            for scope in self._on_scopes(problem):
-                attempts.append((scope, False))
-            for scope in self._location_scopes(problem):
-                attempts.append((scope, True))
+            attempts = [(scope, False) for scope in self._on_scopes(problem)]
+            attempts += [(scope, True) for scope in self._location_scopes(problem)]
         elif self.props.on:
-            for scope in self._on_scopes(problem):
-                attempts.append((scope, False))
+            attempts = [(scope, False) for scope in self._on_scopes(problem)]
         else:
-            for scope in self._location_scopes(problem):
-                attempts.append((scope, False))
+            attempts = [(scope, False) for scope in self._location_scopes(problem)]
         for scope, nonneg in attempts:
             region = self._solve_with(problem, scope, nonneg)
             if region is not None:
                 return region
         return None
+
+    def _effect_coeffs(self, vector: Sequence[int], extra: Optional[Dict[str, int]] = None):
+        """`extra` (no weight variables), then the effect along `vector`."""
+        coeffs: Dict[str, int] = dict(extra or {})
+        for t, c in zip(self.labels, vector):
+            if c:
+                coeffs[f"f_{t}"] = c
+                coeffs[f"b_{t}"] = -c
+        return coeffs
 
     def _solve_with(
         self,
@@ -390,81 +404,55 @@ class _Engine:
         scope: Optional[Set[str]],
         nonneg_effects: bool,
     ) -> Optional[Region]:
-        """One exact integer solve.  Variables are the initial value and the
+        """One exact integer solve per orientation (two for a state pair; the
+        first feasible one wins).  Variables are the initial value and the
         backward/forward weights; with `pure` the event/state inequality is
         the effect form and the solution is afterwards decomposed into its
-        canonical side-condition-free weights."""
+        canonical side-condition-free weights.  Only the separating row
+        depends on the orientation; all other rows are built once."""
         props = self.props
-        weight_ub: Optional[int] = None
-        if props.plain:
-            weight_ub = 1
-        if props.k is not None:
-            weight_ub = props.k if weight_ub is None else min(weight_ub, props.k)
+        weight_ub = 1 if props.plain else props.k
+        include_r0 = problem.kind == "essp" or props.k is not None
 
-        orientations = [(problem.state, problem.other), (problem.other, problem.state)] if (
-            problem.kind == "ssp"
-        ) else [(problem.state, None)]
+        r0_ub = self._initial_upper_bound(problem, weight_ub)
+        rows = [(self._effect_coeffs(row), "=", 0) for row in self.cycle_rows]
+        if include_r0:
+            at = {s: self._effect_coeffs(self.psi[s], {"r0": 1}) for s in self.states}
+            rows += [(at[s], ">=", 0) for s in self.states]
+            for s, t in self.arc_pairs:
+                coeffs = dict(at[s])
+                coeffs[f"b_{t}"] = coeffs.get(f"b_{t}", 0) - 1
+                rows.append((coeffs, ">=", 0))
+            if props.k is not None:
+                rows += [(at[s], "<=", props.k) for s in self.states]
+        if props.tnet:
+            rows.append(({f"f_{t}": 1 for t in self.labels}, "<=", 1))
+            rows.append(({f"b_{t}": 1 for t in self.labels}, "<=", 1))
+        if nonneg_effects:
+            rows += [({f"f_{t}": 1, f"b_{t}": -1}, ">=", 0) for t in self.labels]
 
-        for low_state, high_state in orientations:
-            include_r0 = problem.kind == "essp" or props.k is not None
+        if problem.kind == "essp":
+            t = problem.label
+            coeffs = dict(at[problem.state])
+            if props.pure:
+                coeffs[f"f_{t}"] = coeffs.get(f"f_{t}", 0) + 1
+            coeffs[f"b_{t}"] = coeffs.get(f"b_{t}", 0) - 1
+            separating = [coeffs]
+        else:  # the state's count below the other's, then above it
+            low = self._effect_coeffs(map(sub, self.psi[problem.state], self.psi[problem.other]))
+            separating = [low, {name: -c for name, c in low.items()}]
+
+        for separation in separating:
             system = LinearSystem()
             if include_r0:
-                r0_ub = self._initial_upper_bound(problem, weight_ub)
                 system.add_variable("r0", lower=0, upper=r0_ub)
             for t in self.labels:
-                b_ub = weight_ub
-                if scope is not None and t not in scope:
-                    b_ub = 0
+                b_ub = 0 if scope is not None and t not in scope else weight_ub
                 system.add_variable(f"b_{t}", lower=0, upper=b_ub)
                 system.add_variable(f"f_{t}", lower=0, upper=weight_ub)
-
-            def effect_coeffs(vector: Sequence[int], extra: Optional[Dict[str, int]] = None):
-                coeffs: Dict[str, int] = dict(extra or {})
-                for t, c in zip(self.labels, vector):
-                    if c:
-                        coeffs[f"f_{t}"] = coeffs.get(f"f_{t}", 0) + c
-                        coeffs[f"b_{t}"] = coeffs.get(f"b_{t}", 0) - c
-                return coeffs
-
-            for row in self.cycle_rows:
-                system.add_constraint(effect_coeffs(row), "=", 0)
-            if include_r0:
-                for s in self.states:
-                    system.add_constraint(
-                        effect_coeffs(self.psi[s], {"r0": 1}), ">=", 0
-                    )
-                for s, t in self.arc_pairs:
-                    coeffs = effect_coeffs(self.psi[s], {"r0": 1})
-                    coeffs[f"b_{t}"] = coeffs.get(f"b_{t}", 0) - 1
-                    system.add_constraint(coeffs, ">=", 0)
-                if props.k is not None:
-                    for s in self.states:
-                        system.add_constraint(
-                            effect_coeffs(self.psi[s], {"r0": 1}), "<=", props.k
-                        )
-            if props.tnet:
-                system.add_constraint({f"f_{t}": 1 for t in self.labels}, "<=", 1)
-                system.add_constraint({f"b_{t}": 1 for t in self.labels}, "<=", 1)
-            if nonneg_effects:
-                for t in self.labels:
-                    system.add_constraint({f"f_{t}": 1, f"b_{t}": -1}, ">=", 0)
-
-            if problem.kind == "essp":
-                t = problem.label
-                if props.pure:
-                    coeffs = effect_coeffs(self.psi[problem.state], {"r0": 1})
-                    coeffs[f"f_{t}"] = coeffs.get(f"f_{t}", 0) + 1
-                    coeffs[f"b_{t}"] = coeffs.get(f"b_{t}", 0) - 1
-                else:
-                    coeffs = effect_coeffs(self.psi[problem.state], {"r0": 1})
-                    coeffs[f"b_{t}"] = coeffs.get(f"b_{t}", 0) - 1
-                system.add_constraint(coeffs, "<=", -1)
-            else:
-                diff = tuple(
-                    a - b for a, b in zip(self.psi[low_state], self.psi[high_state])
-                )
-                system.add_constraint(effect_coeffs(diff), "<=", -1)
-
+            for coeffs, rel, rhs in rows:
+                system.add_constraint(coeffs, rel, rhs)
+            system.add_constraint(separation, "<=", -1)
             system.minimize_all_variables()
             solution = system.solve()
             if solution is None:
@@ -484,13 +472,11 @@ class _Engine:
         Any solution satisfies r0 <= B(t) - 1 - E(psisep) <= wub - 1 + wub*|psi|,
         so clamping there keeps at least one solution whenever any exists.
         """
-        bounds: List[int] = []
-        if self.props.k is not None:
-            bounds.append(self.props.k)
-        if weight_ub is not None and problem.kind == "essp":
-            psi = self.psi[problem.state]
-            bounds.append(weight_ub - 1 + weight_ub * sum(psi))
-        return min(bounds) if bounds else None
+        k = self.props.k
+        if weight_ub is None or problem.kind != "essp":
+            return k
+        bound = weight_ub - 1 + weight_ub * sum(self.psi[problem.state])
+        return bound if k is None else min(bound, k)
 
     # -- basis solver --------------------------------------------------------
 
@@ -537,7 +523,7 @@ class _Engine:
         region = self.region_from_effects(effects)
         if problem.kind == "essp" and not pure:
             index = self.lab_index[problem.label]
-            value = self.value_array(region)[self.index[problem.state]]
+            value = region.initial + _dot(effects, self.psi[problem.state])
             raise_by = max(0, value - region.backward[index] + 1)
             if raise_by:
                 backward = list(region.backward)
@@ -609,8 +595,9 @@ class _Engine:
 
     def _checked(self, region: Region, problem: SeparationProblem) -> Region:
         """Every solver's exit: the region must be valid, pure under `pure`,
-        and solve its problem."""
-        check_region(self.lts, region)
+        and solve its problem.  `check_region` replays it in `states` order,
+        so its values are the region's value array."""
+        self._values_cache[region] = list(check_region(self.lts, region).values())
         if self.props.pure and not region.is_pure():
             raise InternalError("solver produced an impure region")
         if not self.solves(region, problem):
@@ -903,18 +890,20 @@ def _unfold_to_tree(lts: Lts) -> Tuple[Lts, Dict[str, str]]:
     return tree, origin
 
 
-def _input_states(lts: Lts, origin: Dict[str, str], states: Sequence[str]) -> List[str]:
-    """The input states that the given tree states copy, once each, in the
-    input's breadth-first order (the order synthesis reports states in)."""
+def _input_states(order: Sequence[str], origin: Dict[str, str], states: Sequence[str]) -> List[str]:
+    """The input states that the given tree states copy, once each, in
+    `order`, the input's breadth-first order (the order synthesis reports
+    states in, which the tree's order of first copies need not follow)."""
     hit = {origin[s] for s in states}
-    return [s for s in reachable_states(lts) if s in hit]
+    return [s for s in order if s in hit]
 
 
 def synthesize_language_only(lts: Lts, props: Optional[PropertySet] = None) -> SynthesisOutcome:
     """Synthesis up to prefix-language equivalence; only acyclic inputs are
     supported (cyclic ones would need an unfolding construction that is out
-    of scope here).  State separation is not enforced.  The problems are
-    solved on the tree unfolding; failures name the input states."""
+    of scope here).  State separation is not enforced, so only event/state
+    problems are built.  The problems are solved on the tree unfolding;
+    failures name the input states."""
     props = replace(props) if props is not None else PropertySet()
     props.language = True
     _check_synthesis_input(lts)
@@ -923,11 +912,13 @@ def synthesize_language_only(lts: Lts, props: Optional[PropertySet] = None) -> S
             "language-only synthesis supports acyclic inputs only"
         )
     tree, origin = _unfold_to_tree(lts)
-    problems = [p for p in enumerate_separation_problems(tree) if p.kind == "essp"]
-    outcome = _run_engine(_Engine(tree, props), problems)
+    engine = _Engine(tree, props)
+    outcome = _run_engine(engine, _event_state_problems(tree, engine.states))
     outcome.lts, outcome.unfolding = lts, (tree, origin)
-    for label, states in outcome.failed_essp.items():
-        outcome.failed_essp[label] = _input_states(lts, origin, states)
+    if outcome.failed_essp:
+        order = reachable_states(lts)
+        for label, states in outcome.failed_essp.items():
+            outcome.failed_essp[label] = _input_states(order, origin, states)
     return outcome
 
 
@@ -981,13 +972,14 @@ def format_report(outcome: SynthesisOutcome) -> List[str]:
     if outcome.properties.verbose and outcome.regions and outcome.lts is not None:
         lines.append("solvedEventStateSeparationProblems:")
         tree, origin = outcome.unfolding or (outcome.lts, None)
+        order = None if origin is None else reachable_states(outcome.lts)
         for region in outcome.regions:
             lines.append(f"{region}:")
             values = check_region(tree, region)
             for label, b in zip(region.labels, region.backward):
                 disabled = [s for s, value in values.items() if value < b]
                 if origin is not None:
-                    disabled = _input_states(outcome.lts, origin, disabled)
+                    disabled = _input_states(order, origin, disabled)
                 if disabled:
                     lines.append(
                         f"\tseparates event {label} at states [{', '.join(disabled)}]"

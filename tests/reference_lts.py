@@ -1,0 +1,154 @@
+"""The `isomorphic` and `bisimilar` of aptk.lts before their quadratic
+scans went, kept verbatim as the reference for their differential tests.
+
+`isomorphic`'s walk tested each newly mapped target against
+`mapping.values()`; `bisimilar` built its witness relation by testing
+every pair of states of the two systems.  The current functions must give
+the same verdict, witness and detail on every pair.
+"""
+
+from __future__ import annotations
+
+from collections import deque
+from typing import Dict, List, Tuple
+
+from aptk.common import Check
+from aptk.lts import Lts, _signature, is_deterministic, is_totally_reachable, reachable_states
+
+
+def isomorphic(l1: Lts, l2: Lts) -> Check:
+    """State bijection fixing the initial states and preserving labelled arcs.
+
+    Labels are matched by identity.  Deterministic totally reachable inputs
+    are compared by a simultaneous walk; otherwise a signature-pruned
+    backtracking search runs over the full state sets.
+    """
+    if set(l1.labels) != set(l2.labels):
+        return Check(False, None, "label sets differ")
+    if len(l1.states) != len(l2.states):
+        return Check(False, None, "state counts differ")
+
+    if (
+        is_deterministic(l1)
+        and is_deterministic(l2)
+        and is_totally_reachable(l1)
+        and is_totally_reachable(l2)
+    ):
+        mapping = {l1.initial: l2.initial}
+        queue = deque([l1.initial])
+        while queue:
+            s1 = queue.popleft()
+            s2 = mapping[s1]
+            if set(l1.enabled_labels(s1)) != set(l2.enabled_labels(s2)):
+                return Check(False, None, f"enabled labels differ at {s1}/{s2}")
+            for arc in l1.arcs_from(s1):
+                t2 = l2.successors(s2, arc.label)[0]
+                known = mapping.get(arc.target)
+                if known is None:
+                    if t2 in mapping.values():
+                        return Check(False, None, "walk is not injective")
+                    mapping[arc.target] = t2
+                    queue.append(arc.target)
+                elif known != t2:
+                    return Check(False, None, f"targets disagree at {s1}[{arc.label}>")
+        if len(mapping) != len(l1.states):
+            return Check(False, None, "walk did not cover all states")
+        return Check(True, mapping)
+
+    # Backtracking over states in BFS-then-declaration order.
+    order = reachable_states(l1)
+    seen = set(order)
+    order += [s for s in l1.states if s not in seen]
+    sig1 = {s: _signature(l1, s) for s in l1.states}
+    sig2 = {s: _signature(l2, s) for s in l2.states}
+
+    arcs1 = set((a.source, a.label, a.target) for a in l1.arcs)
+    arcs2 = set((a.source, a.label, a.target) for a in l2.arcs)
+    if len(arcs1) != len(arcs2):
+        return Check(False, None, "arc counts differ")
+
+    def consistent(mapping: Dict[str, str], s1: str, s2: str) -> bool:
+        for arc in l1.arcs_from(s1):
+            other = mapping.get(arc.target)
+            if other is not None and (s2, arc.label, other) not in arcs2:
+                return False
+        for arc in l1.arcs_to(s1):
+            other = mapping.get(arc.source)
+            if other is not None and (other, arc.label, s2) not in arcs2:
+                return False
+        # mirror direction: mapped arcs of l2 touching s2 must exist in l1
+        inverse = {v: k for k, v in mapping.items()}
+        for arc in l2.arcs_from(s2):
+            other = inverse.get(arc.target)
+            if other is not None and (s1, arc.label, other) not in arcs1:
+                return False
+        for arc in l2.arcs_to(s2):
+            other = inverse.get(arc.source)
+            if other is not None and (other, arc.label, s1) not in arcs1:
+                return False
+        return True
+
+    used: set = set()
+    mapping: Dict[str, str] = {}
+
+    def backtrack(i: int) -> bool:
+        if i == len(order):
+            return True
+        s1 = order[i]
+        if s1 == l1.initial:
+            candidates = [l2.initial]
+        else:
+            candidates = [s for s in l2.states if s != l2.initial]
+        for s2 in candidates:
+            if s2 in used or sig1[s1] != sig2[s2]:
+                continue
+            if not consistent(mapping, s1, s2):
+                continue
+            mapping[s1] = s2
+            used.add(s2)
+            if backtrack(i + 1):
+                return True
+            del mapping[s1]
+            used.remove(s2)
+        return False
+
+    if backtrack(0):
+        return Check(True, dict(mapping))
+    return Check(False, None, "no arc-preserving bijection exists")
+
+
+def bisimilar(l1: Lts, l2: Lts) -> Check:
+    """Coarsest strong bisimulation over the disjoint union, by partition
+    refinement; the systems are bisimilar iff the initial states share a block.
+    """
+    states = [(0, s) for s in l1.states] + [(1, s) for s in l2.states]
+    succ: Dict[Tuple[int, str], List[Tuple[str, Tuple[int, str]]]] = {}
+    for side, lts in ((0, l1), (1, l2)):
+        for s in lts.states:
+            succ[(side, s)] = [(a.label, (side, a.target)) for a in lts.arcs_from(s)]
+
+    block: Dict[Tuple[int, str], int] = {s: 0 for s in states}
+    while True:
+        signatures: Dict[Tuple[int, str], frozenset] = {
+            s: frozenset((label, block[t]) for label, t in succ[s]) for s in states
+        }
+        remap: Dict[Tuple[int, frozenset], int] = {}
+        new_block: Dict[Tuple[int, str], int] = {}
+        for s in states:
+            key = (block[s], signatures[s])
+            if key not in remap:
+                remap[key] = len(remap)
+            new_block[s] = remap[key]
+        if new_block == block:
+            break
+        block = new_block
+
+    relation = [
+        (s1, s2)
+        for s1 in l1.states
+        for s2 in l2.states
+        if block[(0, s1)] == block[(1, s2)]
+    ]
+    ok = block[(0, l1.initial)] == block[(1, l2.initial)]
+    detail = "" if ok else "initial states are not bisimilar"
+    return Check(ok, relation if ok else None, detail)

@@ -18,16 +18,32 @@ Both must give the same solved sets, failures and kept regions.
 tree's Parikh vectors; `_is_acyclic` was a Kahn loop over the reachable
 states.  The engine's set-up must give the same tree, rows and basis, and
 `aptk.synthesis._is_acyclic` the same verdict.
+
+`_check_synthesis_input` walked the input twice before the engine's own
+walk; the engine must still raise its messages, and in its order.
+`value_array` valued a region by dot products with the states' Parikh
+vectors; the values `check_region` returns must equal it.  `_solve_with`
+built every row of its system again for each orientation, through a local
+`effect_coeffs`, and called `_initial_upper_bound` (here a function of the
+engine); the systems handed to `LinearSystem.solve` must be the same.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import List, Optional, Sequence, Set, Tuple
+from operator import sub
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from aptk.common import InternalError, PreconditionError
 from aptk.linalg import LinearSystem
-from aptk.lts import Lts, ParikhVector, SpanningTree, reachable_states
+from aptk.lts import (
+    Lts,
+    ParikhVector,
+    SpanningTree,
+    is_deterministic,
+    is_totally_reachable,
+    reachable_states,
+)
 from aptk.synthesis import (
     Region,
     SeparationProblem,
@@ -280,3 +296,132 @@ def _is_acyclic(lts: Lts) -> bool:
             if indegree[arc.target] == 0:
                 queue.append(arc.target)
     return seen == len(reach)
+
+
+def _check_synthesis_input(lts: Lts) -> None:
+    det = is_deterministic(lts)
+    if not det:
+        raise PreconditionError(f"synthesis needs a deterministic input: {det.detail}")
+    tot = is_totally_reachable(lts)
+    if not tot:
+        raise PreconditionError(f"synthesis needs a totally reachable input: {tot.detail}")
+
+
+def value_array(self, region: Region) -> List[int]:
+    """The region's token count at every state, in `states` order."""
+    cached = self._values_cache.get(region)
+    if cached is None:
+        effects = region.effects()
+        cached = [region.initial + _dot(effects, self.psi[s]) for s in self.states]
+        self._values_cache[region] = cached
+    return cached
+
+
+def _solve_with(
+    self,
+    problem: SeparationProblem,
+    scope: Optional[Set[str]],
+    nonneg_effects: bool,
+) -> Optional[Region]:
+    """One exact integer solve.  Variables are the initial value and the
+    backward/forward weights; with `pure` the event/state inequality is
+    the effect form and the solution is afterwards decomposed into its
+    canonical side-condition-free weights."""
+    props = self.props
+    weight_ub: Optional[int] = None
+    if props.plain:
+        weight_ub = 1
+    if props.k is not None:
+        weight_ub = props.k if weight_ub is None else min(weight_ub, props.k)
+
+    orientations = [(problem.state, problem.other), (problem.other, problem.state)] if (
+        problem.kind == "ssp"
+    ) else [(problem.state, None)]
+
+    for low_state, high_state in orientations:
+        include_r0 = problem.kind == "essp" or props.k is not None
+        system = LinearSystem()
+        if include_r0:
+            r0_ub = _initial_upper_bound(self, problem, weight_ub)
+            system.add_variable("r0", lower=0, upper=r0_ub)
+        for t in self.labels:
+            b_ub = weight_ub
+            if scope is not None and t not in scope:
+                b_ub = 0
+            system.add_variable(f"b_{t}", lower=0, upper=b_ub)
+            system.add_variable(f"f_{t}", lower=0, upper=weight_ub)
+
+        def effect_coeffs(vector: Sequence[int], extra: Optional[Dict[str, int]] = None):
+            coeffs: Dict[str, int] = dict(extra or {})
+            for t, c in zip(self.labels, vector):
+                if c:
+                    coeffs[f"f_{t}"] = coeffs.get(f"f_{t}", 0) + c
+                    coeffs[f"b_{t}"] = coeffs.get(f"b_{t}", 0) - c
+            return coeffs
+
+        for row in self.cycle_rows:
+            system.add_constraint(effect_coeffs(row), "=", 0)
+        if include_r0:
+            for s in self.states:
+                system.add_constraint(
+                    effect_coeffs(self.psi[s], {"r0": 1}), ">=", 0
+                )
+            for s, t in self.arc_pairs:
+                coeffs = effect_coeffs(self.psi[s], {"r0": 1})
+                coeffs[f"b_{t}"] = coeffs.get(f"b_{t}", 0) - 1
+                system.add_constraint(coeffs, ">=", 0)
+            if props.k is not None:
+                for s in self.states:
+                    system.add_constraint(
+                        effect_coeffs(self.psi[s], {"r0": 1}), "<=", props.k
+                    )
+        if props.tnet:
+            system.add_constraint({f"f_{t}": 1 for t in self.labels}, "<=", 1)
+            system.add_constraint({f"b_{t}": 1 for t in self.labels}, "<=", 1)
+        if nonneg_effects:
+            for t in self.labels:
+                system.add_constraint({f"f_{t}": 1, f"b_{t}": -1}, ">=", 0)
+
+        if problem.kind == "essp":
+            t = problem.label
+            if props.pure:
+                coeffs = effect_coeffs(self.psi[problem.state], {"r0": 1})
+                coeffs[f"f_{t}"] = coeffs.get(f"f_{t}", 0) + 1
+                coeffs[f"b_{t}"] = coeffs.get(f"b_{t}", 0) - 1
+            else:
+                coeffs = effect_coeffs(self.psi[problem.state], {"r0": 1})
+                coeffs[f"b_{t}"] = coeffs.get(f"b_{t}", 0) - 1
+            system.add_constraint(coeffs, "<=", -1)
+        else:
+            diff = tuple(
+                a - b for a, b in zip(self.psi[low_state], self.psi[high_state])
+            )
+            system.add_constraint(effect_coeffs(diff), "<=", -1)
+
+        system.minimize_all_variables()
+        solution = system.solve()
+        if solution is None:
+            continue
+        backward = tuple(solution[f"b_{t}"] for t in self.labels)
+        forward = tuple(solution[f"f_{t}"] for t in self.labels)
+        if props.pure:
+            region = self.region_from_effects(tuple(map(sub, forward, backward)))
+        else:
+            region = self.region(backward, forward)
+        return self._checked(region, problem)
+    return None
+
+
+def _initial_upper_bound(self, problem, weight_ub: Optional[int]) -> Optional[int]:
+    """Finite box for the initial value whenever the weights are boxed.
+
+    Any solution satisfies r0 <= B(t) - 1 - E(psisep) <= wub - 1 + wub*|psi|,
+    so clamping there keeps at least one solution whenever any exists.
+    """
+    bounds: List[int] = []
+    if self.props.k is not None:
+        bounds.append(self.props.k)
+    if weight_ub is not None and problem.kind == "essp":
+        psi = self.psi[problem.state]
+        bounds.append(weight_ub - 1 + weight_ub * sum(psi))
+    return min(bounds) if bounds else None

@@ -24,6 +24,7 @@ from aptk import (
     weak_small_cycle_property,
     weakly_connected_components,
 )
+from aptk import lts as lts_module
 
 from conftest import EXAMPLE_ARCS
 
@@ -227,10 +228,15 @@ def test_weak_but_not_strong_overlap():
     assert not weak_small_cycle_property(lts)
 
 
-def test_cycle_cap():
+def test_cycle_cap(monkeypatch):
+    # two elementary cycles; the cap is the module's, read at call time
     lts = Lts.from_data("s0", [("s0", "a", "s1"), ("s1", "b", "s0"), ("s0", "c", "s0")])
-    with pytest.raises(CycleCapExceededError):
-        small_cycle_parikh_vectors(lts, cycle_cap=1)
+    monkeypatch.setattr(lts_module, "DEFAULT_CYCLE_CAP", 1)
+    for check in (small_cycle_parikh_vectors, cycles_same_pv, weak_small_cycle_property):
+        with pytest.raises(CycleCapExceededError, match="more than 1 elementary cycles"):
+            check(lts)
+    monkeypatch.setattr(lts_module, "DEFAULT_CYCLE_CAP", 2)
+    assert len(small_cycle_parikh_vectors(lts)) == 2
 
 
 def test_isomorphic_identity(example_lts):

@@ -311,6 +311,13 @@ def test_state_limit_names_the_construction(monkeypatch):
         bounded(bitnet(4), 1)
     with pytest.raises(StateLimitExceededError, match="coverability graph has more"):
         bounded(bitnet(4))
+    with pytest.raises(StateLimitExceededError, match="reachability graph has more"):
+        reachability_graph(bitnet(4))
+    for check in (is_bcf, is_bicf):
+        with pytest.raises(StateLimitExceededError, match="coverability graph has more"):
+            check(bitnet(4))
+    # an explicit limit still wins over the module's
+    assert len(reachability_graph(bitnet(4), state_limit=16).lts.states) == 16
 
 
 # -- liveness, persistence, reversibility ----------------------------------------

@@ -12,6 +12,7 @@ from aptk import (
     minimal_traps,
     reachability_graph,
 )
+from aptk import structure
 from aptk.structure import is_siphon, is_trap
 from aptk.generators import bitnet, cyclenet
 
@@ -124,6 +125,9 @@ def test_every_reported_set_satisfies_definition(n2, n3):
             assert is_trap(net, trap)
 
 
-def test_place_cap_enforced(n1):
-    with pytest.raises(PreconditionError):
-        minimal_siphons(n1, place_cap=2)
+def test_place_cap_enforced(n1, monkeypatch):
+    # the cap is the module's, read at call time
+    monkeypatch.setattr(structure, "DEFAULT_PLACE_CAP", 2)
+    for search in (minimal_siphons, minimal_traps):
+        with pytest.raises(PreconditionError, match="above the cap of 2"):
+            search(n1)

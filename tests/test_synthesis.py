@@ -683,6 +683,52 @@ def test_language_only_failures_name_input_states():
     assert {s for states in listed for s in states} <= set(lts.states)
 
 
+def test_language_only_builds_no_state_pair_problems(monkeypatch):
+    # state separation is not enforced, so no state pair is ever built
+    kinds = []
+    build = synthesis_module.SeparationProblem
+
+    def recording(kind, *args, **kwargs):
+        kinds.append(kind)
+        return build(kind, *args, **kwargs)
+
+    monkeypatch.setattr(synthesis_module, "SeparationProblem", recording)
+    assert word_synthesize(None, "abcabcabcabc").success
+    assert not word_synthesize(None, "abbaac").success
+    assert not synthesize_language_only(_diamond_chain(2), PropertySet(k=1)).success
+    assert kinds and set(kinds) == {"essp"}
+
+
+def test_language_only_state_lists_walk_the_input_once(monkeypatch):
+    # failures and each verbose report name input states in the input's
+    # breadth-first order, taken from one walk of the input each; the
+    # tree's order of first copies would name [s2, s1] here
+    reconverging = Lts.from_data("s0", [("s0", "a", "s1"), ("s0", "b", "s2"), ("s2", "b", "s1")])
+    walks = []
+    walk = synthesis_module.reachable_states
+
+    def counting(lts):
+        walks.append(lts)
+        return walk(lts)
+
+    monkeypatch.setattr(synthesis_module, "reachable_states", counting)
+    cases = [
+        (PropertySet(verbose=True), word_lts("abcabcabcabc")),
+        (PropertySet(verbose=True), word_lts("abbaac")),
+        (PropertySet(verbose=True), _diamond_chain(2)),
+        (PropertySet(k=1, verbose=True), reconverging),
+    ]
+    for props, lts in cases:
+        walks.clear()
+        outcome = synthesize_language_only(lts, props)
+        assert len(walks) <= 1
+        walks.clear()
+        lines = format_report(outcome)
+        assert len(walks) <= 1 and any("separates event" in line for line in lines)
+    assert outcome.failed_essp == {"a": ["s1", "s2"], "b": ["s1"]}
+    assert "\tseparates event a at states [s1]" in lines
+
+
 def _diamond_chain(k):
     """k diamonds in a row: 3k + 1 states, 2^k paths to the last state."""
     arcs = []

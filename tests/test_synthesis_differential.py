@@ -16,6 +16,12 @@ same kept regions.
 The engine's set-up is checked against the two-walk `spanning_tree`, the
 Parikh-vector `_cycle_rows` and the Kahn-loop `_is_acyclic` it replaced:
 the same tree or error, the same cycle rows and basis, the same verdict.
+
+The engine's input check, its value arrays and its general solver are
+checked against the two-walk `_check_synthesis_input`, the Parikh-vector
+`value_array` and the per-orientation `_solve_with` they replaced: the
+same error message, the same values, and the same variables, rows and
+objective handed to `LinearSystem.solve`.
 """
 
 from functools import partial
@@ -27,6 +33,7 @@ from aptk import (
     Lts,
     PropertySet,
     enumerate_separation_problems,
+    format_report,
     is_deterministic,
     is_totally_reachable,
     reachability_graph,
@@ -35,19 +42,26 @@ from aptk import (
     word_lts,
 )
 from aptk import lts as lts_module
+from aptk import synthesis as synthesis_module
 from aptk.common import InternalError, PreconditionError
 from aptk.generators import bitnet, cyclenet
-from aptk.linalg import integer_kernel_basis
+from aptk.linalg import LinearSystem, integer_kernel_basis
 from aptk.synthesis import (
     Region,
     SeparationProblem,
     _Engine,
+    _event_state_problems,
     _is_acyclic,
     _separation_pass,
+    _unfold_to_tree,
     check_region,
     minimize_regions,
+    synthesize,
 )
 from conftest import make_example_lts
+from reference_synthesis import _check_synthesis_input as reference_check_input
+from reference_synthesis import _solve_with as reference_solve_with
+from reference_synthesis import value_array as reference_value_array
 from reference_synthesis import _cycle_rows as reference_cycle_rows
 from reference_synthesis import _is_acyclic as reference_is_acyclic
 from reference_synthesis import spanning_tree as reference_spanning_tree
@@ -220,3 +234,144 @@ def test_minimize_regions_matches_reference(family, data):
     with pytest.raises(InternalError) as raised:
         minimize_regions(problems, solved)
     assert str(raised.value) == str(expected.value) == f"problem {problems[hole]} solved by no region"
+
+
+DEFECTS = {
+    "nondeterministic": (
+        Lts.from_data("s0", [("s0", "a", "s1"), ("s0", "a", "s2"), ("s1", "b", "s0")]),
+        "synthesis needs a deterministic input: state s0 has a-arcs to both s1 and s2",
+    ),
+    "unreachable state": (
+        Lts.from_data("s0", [("s0", "a", "s1"), ("s1", "a", "s0")], states=["s2"]),
+        "synthesis needs a totally reachable input: state s2 is unreachable",
+    ),
+    "unused label": (
+        Lts.from_data("s0", [("s0", "a", "s1")], labels=["b"]),
+        "synthesis needs a totally reachable input: label b occurs on no arc",
+    ),
+    "label used only where unreachable": (
+        Lts.from_data("s0", [("s0", "a", "s1"), ("s2", "b", "s0")]),
+        "synthesis needs a totally reachable input: state s2 is unreachable",
+    ),
+    "nondeterministic and unreachable": (
+        Lts.from_data("s0", [("s0", "a", "s1"), ("s1", "b", "s0"), ("s1", "b", "s1")], states=["s2"]),
+        "synthesis needs a deterministic input: state s1 has b-arcs to both s0 and s1",
+    ),
+    "nondeterministic where unreachable": (
+        Lts.from_data("s0", [("s0", "a", "s1"), ("s2", "b", "s0"), ("s2", "b", "s1")]),
+        "synthesis needs a totally reachable input: state s2 is unreachable",
+    ),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(DEFECTS))
+def test_defective_input_raises_the_reference_message(defect):
+    lts, message = DEFECTS[defect]
+    with pytest.raises(PreconditionError) as expected:
+        reference_check_input(lts)
+    assert str(expected.value) == message
+    for mode in ("none", "pure", "safe", "plain", "conflict-free"):
+        with pytest.raises(PreconditionError) as raised:
+            _Engine(lts, PropertySet.parse(mode))
+        assert str(raised.value) == message
+        with pytest.raises(PreconditionError) as raised:
+            synthesize(lts, PropertySet.parse(mode))
+        assert str(raised.value) == message
+
+
+def _walk_cases():
+    return [
+        (make_example_lts(), PropertySet()),
+        (make_example_lts(), PropertySet(pure=True, verbose=True)),
+        (make_example_lts(), PropertySet(k=1)),
+        (reachability_graph(bitnet(3)).lts, PropertySet(plain=True, pure=True)),
+        (word_lts("aabab"), PropertySet(k=2)),
+    ]
+
+
+def test_synthesis_checks_its_input_on_the_engine_walk(monkeypatch):
+    # a valid input is checked on the engine's own walk, with no call to
+    # the two walking checks
+    def refuse(lts):
+        raise AssertionError("synthesis walked its input for the input check")
+
+    expected = [format_report(synthesize(lts, props)) for lts, props in _walk_cases()]
+    monkeypatch.setattr(synthesis_module, "is_deterministic", refuse)
+    monkeypatch.setattr(synthesis_module, "is_totally_reachable", refuse)
+    assert [format_report(synthesize(lts, props)) for lts, props in _walk_cases()] == expected
+    assert any(lines[0] == "success: Yes" for lines in expected)
+    assert any(lines[0] == "success: No" for lines in expected)
+
+
+def _unfoldings():
+    """Tree unfoldings of the acyclic inputs, as language-only solves them."""
+    return [
+        _unfold_to_tree(lts)[0]
+        for lts in _inputs() + [_hand_inputs()[-1]]
+        if is_deterministic(lts) and is_totally_reachable(lts) and _is_acyclic(lts)
+    ]
+
+
+@pytest.mark.parametrize("mode", ["none", "pure", "safe", "plain"])
+def test_value_arrays_are_the_check_region_values(mode):
+    props = PropertySet.parse(mode)
+    trees = _unfoldings()
+    counts = {"input": 0, "tree": 0}
+    for lts in _inputs() + trees:
+        engine = _Engine(lts, props)
+        problems = enumerate_separation_problems(lts)
+        if lts in trees:
+            problems = _event_state_problems(lts, engine.states)
+        solved, _ = _separation_pass(engine, problems)
+        for region, _ in solved:
+            counts["tree" if lts in trees else "input"] += 1
+            values = check_region(lts, region)
+            assert list(values) == engine.states
+            expected = reference_value_array(_Engine(lts, props), region)
+            assert engine.value_array(region) == list(values.values()) == expected
+            assert _Engine(lts, props).value_array(region) == expected
+    assert counts["input"] and counts["tree"]
+    # the diamond among them unfolds into more states than it has
+    diamond = _hand_inputs()[-1]
+    assert len(_unfold_to_tree(diamond)[0].states) > len(diamond.states)
+
+
+def _located_inputs():
+    return [
+        Lts.from_data(lts.initial, [tuple(arc) for arc in lts.arcs], locations=locations)
+        for lts in _canonical_instances(2, 2)
+        for locations in ({"a": "x", "b": "y"}, {"a": "x"})
+        if len(lts.labels) == 2
+    ]
+
+
+GENERAL = ["safe", "2-bounded", "plain", "t-net", "output-nonbranching", "conflict-free"]
+
+
+@pytest.mark.parametrize("mode", GENERAL + ["located"])
+def test_general_solver_systems_match_reference(mode, monkeypatch):
+    systems = []
+
+    def record(self):
+        rows = [(list(coeffs.items()), rel, rhs) for coeffs, rel, rhs in self._rows]
+        systems.append((list(self._vars), rows, self._objective))
+        return None  # infeasible: every orientation gets its system
+
+    monkeypatch.setattr(LinearSystem, "solve", record)
+    props = PropertySet.parse("none" if mode == "located" else mode)
+    inputs = _located_inputs() if mode == "located" else _canonical_instances(3, 2)
+    count = 0
+    for lts in inputs:
+        engine = _Engine(lts, props)
+        for problem in enumerate_separation_problems(lts):
+            scopes = engine._location_scopes(problem) + engine._on_scopes(problem)
+            for scope in scopes:
+                for nonneg in (False, True) if props.cf else (False,):
+                    del systems[:]
+                    assert reference_solve_with(engine, problem, scope, nonneg) is None
+                    expected = list(systems)
+                    del systems[:]
+                    assert engine._solve_with(problem, scope, nonneg) is None
+                    assert systems == expected, (sorted(map(str, lts.arcs)), str(problem))
+                    count += len(expected)
+    assert count > 0
