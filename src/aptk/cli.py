@@ -17,13 +17,13 @@ from typing import Callable, List, Optional, Sequence, Tuple
 from . import aptio, generators, structure, synthesis
 from . import lts as ltsmod
 from . import petri
-from .common import AptError, ParseError, PreconditionError, UsageError
+from .common import AptError, ParseError, UsageError
 
 
 @dataclass
 class Parameter:
     name: str
-    kind: str  # pn | lts | file | outfile | int | word | properties | string | mode
+    kind: str  # pn | lts | file | outfile | int | word | properties | mode
     description: str
     optional: bool = False
 
@@ -232,14 +232,6 @@ def _run_draw(path: str) -> List[str]:
     return [aptio.to_dot(_load(path)).rstrip("\n")]
 
 
-def _run_examine_lts(lts, which: str) -> List[str]:
-    if which == "deterministic":
-        return _simple_check("deterministic", ltsmod.is_deterministic(lts))
-    if which == "totally_reachable":
-        return _simple_check("totally_reachable", ltsmod.is_totally_reachable(lts))
-    raise UsageError(f"unknown examination {which}")
-
-
 def _run_persistent(path: str) -> List[str]:
     doc = _load(path)
     check = (
@@ -373,13 +365,13 @@ def _registry() -> List[ModuleDescriptor]:
             "deterministic",
             "Check determinism of a transition system.",
             [lts_param()],
-            lambda lts: _run_examine_lts(lts, "deterministic"),
+            lambda lts: _simple_check("deterministic", ltsmod.is_deterministic(lts)),
         ),
         ModuleDescriptor(
             "totally_reachable",
             "Check total reachability of a transition system.",
             [lts_param()],
-            lambda lts: _run_examine_lts(lts, "totally_reachable"),
+            lambda lts: _simple_check("totally_reachable", ltsmod.is_totally_reachable(lts)),
         ),
         ModuleDescriptor(
             "compute_pvs",
@@ -567,7 +559,7 @@ def _convert(parameter: Parameter, raw: str):
         return _load_net(raw)
     if parameter.kind == "lts":
         return _load_lts(raw)
-    if parameter.kind in ("file", "outfile", "string"):
+    if parameter.kind in ("file", "outfile"):
         return raw
     if parameter.kind == "int":
         try:
@@ -640,10 +632,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (UsageError, ParseError) as err:
         print(str(err), file=sys.stderr)
         return 1
-    except PreconditionError as err:
-        print(str(err), file=sys.stderr)
-        return 2
-    except AptError as err:
+    except AptError as err:  # violated preconditions and every other analysis error
         print(str(err), file=sys.stderr)
         return 2
     if output:

@@ -211,6 +211,14 @@ class Lts:
         )
 
 
+def state_name(i: int, labels) -> str:
+    """Generated name of state i: s<i>, with an s in front while it is a label."""
+    name = f"s{i}"
+    while name in labels:
+        name = "s" + name
+    return name
+
+
 @dataclass
 class SpanningTree:
     """BFS tree of the reachable part rooted at the initial state."""

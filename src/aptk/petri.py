@@ -19,6 +19,7 @@ from .common import (
     UnboundedNetError,
 )
 from .lts import Lts, is_persistent as lts_is_persistent, is_reversible as lts_is_reversible
+from .lts import state_name
 
 DEFAULT_STATE_LIMIT = 1_000_000
 
@@ -388,23 +389,25 @@ def _explore(
 
     Yields (graph, state) for each state as it is discovered, so a caller
     can stop early; the graph then holds what was found so far.  States are
-    named s0, s1, ... in discovery order, and each arc, labelled with its
-    transition's label, is added as soon as it is found.  With `accelerate`,
-    every successor marking goes through Karp-Miller acceleration, which
-    makes the search finite.  Raises StateLimitExceededError, naming the
+    named s0, s1, ... in discovery order by `lts.state_name`, and each arc,
+    labelled with its transition's label, is added as soon as it is found.
+    With `accelerate`, every successor marking goes through Karp-Miller
+    acceleration, which makes the search finite.  Raises StateLimitExceededError, naming the
     graph being built, before a state past `state_limit` is added.
     """
     table = tuple(net._compiled().items())
     lts = Lts(name="", description="")
     for lab in net.labels:
         lts.add_label(lab)
+    labels = set(net.labels)
     initial = net.initial_marking()
-    names: Dict[Tuple, str] = {initial.counts: "s0"}
-    lts.add_state("s0", initial=True)
-    graph = StateGraph(lts, {"s0": initial})
-    yield graph, "s0"
+    first = state_name(0, labels)
+    names: Dict[Tuple, str] = {initial.counts: first}
+    lts.add_state(first, initial=True)
+    graph = StateGraph(lts, {first: initial})
+    yield graph, first
     weight = _weight(initial.counts)
-    tree = [(initial.counts, weight, weight, -1, "s0")]
+    tree = [(initial.counts, weight, weight, -1, first)]
     for k, (counts, _, _, _, state) in enumerate(tree):  # grows behind k: breadth first
         for t, (label, pre, delta) in table:
             nxt = _successor(pre, delta, counts)
@@ -422,7 +425,7 @@ def _explore(
                         else f"the reachability graph has more than {state_limit} "
                         "states; the net is possibly unbounded, try the coverability graph"
                     )
-                name = f"s{len(names)}"
+                name = state_name(len(names), labels)
                 names[nxt] = name
                 lts.add_state(name)
                 graph.markings[name] = _marking(initial.places, nxt)

@@ -10,7 +10,7 @@ tell two states apart.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from operator import sub
@@ -32,6 +32,7 @@ from .lts import (
     language_equivalent,
     reachable_states,
     spanning_tree,
+    state_name,
     strongly_connected_components,
 )
 from .petri import PetriNet, bounded, reachability_graph
@@ -185,8 +186,8 @@ class SynthesisOutcome:
     failed_essp: Dict[str, List[str]] = field(default_factory=dict)
     separation_failure_points: Optional[str] = None
     lts: Optional[Lts] = None
-    # language-only synthesis: the tree unfolding that was solved, and the
-    # input state each of its states copies
+    # language-only synthesis of an input that is not a tree: the tree
+    # unfolding that was solved, and the input state each of its states copies
     unfolding: Optional[Tuple[Lts, Dict[str, str]]] = None
 
 
@@ -205,24 +206,9 @@ def region_basis(lts: Lts) -> List[Tuple[int, ...]]:
 def enumerate_separation_problems(lts: Lts) -> List[SeparationProblem]:
     """Event/state problems for every reachable state and disabled label,
     then all unordered pairs of distinct reachable states; both in the
-    deterministic state/label order."""
-    reach = reachable_states(lts)
-    problems = _event_state_problems(lts, reach)
-    for i, state in enumerate(reach):
-        for other in reach[i + 1 :]:
-            problems.append(SeparationProblem("ssp", state, other=other))
-    return problems
-
-
-def _event_state_problems(lts: Lts, states: Sequence[str]) -> List[SeparationProblem]:
-    """An event/state problem per given state and label it does not enable."""
-    problems: List[SeparationProblem] = []
-    for state in states:
-        enabled = set(lts.enabled_labels(state))
-        for label in lts.labels:
-            if label not in enabled:
-                problems.append(SeparationProblem("essp", state, label=label))
-    return problems
+    deterministic state/label order.  Raises PreconditionError on an input
+    synthesis rejects."""
+    return _Engine(lts, PropertySet()).problems()[0]
 
 
 def _check_synthesis_input(lts: Lts) -> None:
@@ -289,10 +275,14 @@ class _Engine:
             for arc in lts.arcs_from(s):
                 self.enabled_states[arc.label].append(s)
                 self.arc_pairs.append((s, arc.label))
-        if len(set(self.arc_pairs)) < len(self.arc_pairs) or not all(
-            self.enabled_states.values()
-        ):
+        self.enabled = set(self.arc_pairs)
+        if len(self.enabled) < len(self.arc_pairs) or not all(self.enabled_states.values()):
             _check_synthesis_input(lts)
+        # the basis solver serves no property, `pure` and `plain,pure`
+        # without locations; the general solver everything else
+        self.general = bool(lts.locations) or props.k is not None or (
+            props.on or props.tnet or props.cf or (props.plain and not props.pure)
+        )
         psi = self.psi = {
             s: self.tree.path_parikh[s].as_tuple(self.labels) for s in self.states
         }
@@ -310,6 +300,27 @@ class _Engine:
         self._projected: Optional[Dict[str, Tuple[int, ...]]] = None
 
     # -- generic helpers ---------------------------------------------------
+
+    def problems(self):
+        """The separation problems in order: an event/state problem per state,
+        in `states` order, and label it does not enable, then (unless
+        language-only) every unordered pair of distinct states.  Also their
+        state indices, as the separation pass reads them: per label index
+        the (problem, state) pairs, and (problem, state, state) per pair."""
+        problems: List[SeparationProblem] = []
+        pairs: List[Tuple[int, int, int]] = []
+        by_label: List[List[Tuple[int, int]]] = [[] for _ in self.labels]
+        for i, s in enumerate(self.states):
+            for k, t in enumerate(self.labels):
+                if (s, t) not in self.enabled:
+                    by_label[k].append((len(problems), i))
+                    problems.append(SeparationProblem("essp", s, label=t))
+        if not self.props.language:
+            for i, s in enumerate(self.states):
+                for j, other in enumerate(self.states[i + 1 :], i + 1):
+                    pairs.append((len(problems), i, j))
+                    problems.append(SeparationProblem("ssp", s, other=other))
+        return problems, by_label, pairs
 
     def value_array(self, region: Region) -> List[int]:
         """The region's token count at every state, in `states` order, as
@@ -607,19 +618,8 @@ class _Engine:
     # -- dispatch ------------------------------------------------------------
 
     def solve(self, problem: SeparationProblem) -> Optional[Region]:
-        """The basis solver without locations for no property, `pure` and
-        `plain,pure`; the general solver for everything else."""
-        props = self.props
-        if (
-            self.lts.locations
-            or props.on
-            or props.tnet
-            or props.cf
-            or props.k is not None
-            or (props.plain and not props.pure)
-        ):
-            return self.solve_general(problem)
-        return self.solve_basis(problem)
+        """The solver `__init__` picked for this input and property set."""
+        return self.solve_general(problem) if self.general else self.solve_basis(problem)
 
 
 def _combine(basis, coefficients, dim: int) -> Tuple[int, ...]:
@@ -761,28 +761,21 @@ def _verify_success(lts: Lts, net: PetriNet, props: PropertySet) -> None:
         raise InternalError(f"requested {props.k}-bounded, bound exceeded")
 
 
-def _separation_pass(
-    engine: _Engine, problems: List[SeparationProblem]
-) -> Tuple[List[Tuple[Region, Set[int]]], List[SeparationProblem]]:
-    """Solve the problems in order, skipping those that a region found
-    earlier solves; returns each found region with the indices of the
-    problems it solves, and the unsolvable problems.
+def _separation_pass(engine: _Engine) -> Tuple[
+    List[SeparationProblem], List[Tuple[Region, Set[int]]], List[SeparationProblem]
+]:
+    """Solve the engine's problems in order, skipping those that a region
+    found earlier solves; returns the problems, each found region with the
+    indices of the problems it solves, and the unsolvable problems.
 
-    The problems are indexed once over state indices: (problem, state) per
-    label, (problem, state, state) per pair.  Each found region is evaluated
-    once, as a value array, and solves the problems of each label with
-    backward weight b > 0 at states valued below b, and the pairs whose
-    values differ.  It solves its own problem, which no earlier region
-    solves, so it is always a new one."""
-    index = engine.index
-    by_label: Dict[str, List[Tuple[int, int]]] = {t: [] for t in engine.labels}
-    pairs: List[Tuple[int, int, int]] = []
-    for p, problem in enumerate(problems):
-        if problem.kind == "essp":
-            by_label[problem.label].append((p, index[problem.state]))
-        else:
-            pairs.append((p, index[problem.state], index[problem.other]))
-    essp = [(k, by_label[t]) for k, t in enumerate(engine.labels) if by_label[t]]
+    Each found region is evaluated once, as a value array, and read at the
+    state indices `_Engine.problems` lists: it solves the (problem, state)
+    pairs of each label with backward weight b > 0 at states valued below
+    b, and the (problem, state, state) pairs whose values differ.  It
+    solves its own problem, which no earlier region solves, so it is
+    always a new one."""
+    problems, by_label, pairs = engine.problems()
+    essp = [(k, group) for k, group in enumerate(by_label) if group]
     solved: List[Tuple[Region, Set[int]]] = []
     covered: Set[int] = set()
     failed: List[SeparationProblem] = []
@@ -798,15 +791,15 @@ def _separation_pass(
         problem_set.update([p for p, s, o in pairs if values[s] != values[o]])
         solved.append((region, problem_set))
         covered |= problem_set
-    return solved, failed
+    return problems, solved, failed
 
 
-def _run_engine(engine: _Engine, problems: List[SeparationProblem]) -> SynthesisOutcome:
+def _run_engine(engine: _Engine) -> SynthesisOutcome:
     """Run the separation pass.  On failure, report the unsolvable problems
     with every region found; on success, keep the regions that
     `minimize_regions` picks, build their net and verify it."""
     lts, props = engine.lts, engine.props
-    solved, failed = _separation_pass(engine, problems)
+    problems, solved, failed = _separation_pass(engine)
     outcome = SynthesisOutcome(success=not failed, properties=props, lts=lts)
     if failed:
         outcome.regions = [region for region, _ in solved]
@@ -836,8 +829,7 @@ def synthesize(lts: Lts, props: Optional[PropertySet] = None) -> SynthesisOutcom
     props = props or PropertySet()
     if props.language:
         return synthesize_language_only(lts, props)
-    engine = _Engine(lts, props)  # checks the input before the quadratic enumeration
-    return _run_engine(engine, enumerate_separation_problems(lts))
+    return _run_engine(_Engine(lts, props))  # checks the input before listing problems
 
 
 def _is_acyclic(lts: Lts) -> bool:
@@ -848,31 +840,32 @@ def _is_acyclic(lts: Lts) -> bool:
     )
 
 
+def _is_tree(lts: Lts) -> bool:
+    """Whether no arc enters the initial state and at most one enters each
+    other state.  Such an input, if totally reachable, is acyclic and its
+    own tree unfolding."""
+    incoming = Counter(arc.target for arc in lts.arcs)
+    return lts.initial not in incoming and all(n == 1 for n in incoming.values())
+
+
 def _unfold_to_tree(lts: Lts) -> Tuple[Lts, Dict[str, str]]:
-    """Tree unfolding of an acyclic system: one fresh state per path, and
-    the input state each tree state copies.
+    """Tree unfolding of an acyclic system: one fresh state per path, named
+    by `lts.state_name`, and the input state each tree state copies.
 
     Reconvergent states would otherwise force both paths onto one token
-    count, a constraint language-only synthesis must not impose.  Inputs
-    that already are trees come back unchanged.  The tree can be
-    exponentially larger than the input (a chain of k diamonds has 2^k
-    paths), so past DEFAULT_STATE_LIMIT states it raises
+    count, a constraint language-only synthesis must not impose.  The tree
+    can be exponentially larger than the input (a chain of k diamonds has
+    2^k paths), so past DEFAULT_STATE_LIMIT states it raises
     StateLimitExceededError.
     """
-    limit = _petri.DEFAULT_STATE_LIMIT
-    incoming: Dict[str, int] = {s: 0 for s in lts.states}
-    for arc in lts.arcs:
-        incoming[arc.target] += 1
-    if incoming[lts.initial] == 0 and all(
-        n <= 1 for s, n in incoming.items() if s != lts.initial
-    ):
-        return lts, {s: s for s in lts.states}
+    limit, labels = _petri.DEFAULT_STATE_LIMIT, set(lts.labels)
     tree = Lts(name=lts.name, description=lts.description)
-    tree.add_state("u0", initial=True)
+    root = state_name(0, labels)
+    tree.add_state(root, initial=True)
     for t in lts.labels:
         tree.add_label(t, location=lts.location(t))
-    queue = deque([("u0", lts.initial)])
-    origin = {"u0": lts.initial}
+    queue = deque([(root, lts.initial)])
+    origin = {root: lts.initial}
     count = 1
     while queue:
         node, original = queue.popleft()
@@ -881,7 +874,7 @@ def _unfold_to_tree(lts: Lts) -> Tuple[Lts, Dict[str, str]]:
                 raise StateLimitExceededError(
                     f"the tree unfolding has more than {limit} states"
                 )
-            fresh = f"u{count}"
+            fresh = state_name(count, labels)
             count += 1
             tree.add_state(fresh)
             tree.add_arc(node, arc.label, fresh)
@@ -902,18 +895,20 @@ def synthesize_language_only(lts: Lts, props: Optional[PropertySet] = None) -> S
     """Synthesis up to prefix-language equivalence; only acyclic inputs are
     supported (cyclic ones would need an unfolding construction that is out
     of scope here).  State separation is not enforced, so only event/state
-    problems are built.  The problems are solved on the tree unfolding;
-    failures name the input states."""
+    problems are built.  A tree input (every word) is solved as it is, and
+    the engine's walk checks it; any other is solved on its tree unfolding,
+    and failures name the input states."""
     props = replace(props) if props is not None else PropertySet()
     props.language = True
+    if _is_tree(lts):
+        return _run_engine(_Engine(lts, props))
     _check_synthesis_input(lts)
     if not _is_acyclic(lts):
         raise UnsupportedInputError(
             "language-only synthesis supports acyclic inputs only"
         )
     tree, origin = _unfold_to_tree(lts)
-    engine = _Engine(tree, props)
-    outcome = _run_engine(engine, _event_state_problems(tree, engine.states))
+    outcome = _run_engine(_Engine(tree, props))
     outcome.lts, outcome.unfolding = lts, (tree, origin)
     if outcome.failed_essp:
         order = reachable_states(lts)
@@ -923,14 +918,17 @@ def synthesize_language_only(lts: Lts, props: Optional[PropertySet] = None) -> S
 
 
 def word_lts(word: Sequence[str]) -> Lts:
-    """The linear system of a word: states s0..sn, arc s(i-1) -a(i)-> s(i)."""
+    """The linear system of a word: states s0..sn, arc s(i-1) -a(i)-> s(i),
+    each named by `lts.state_name` (ss1 where a letter is s1)."""
+    letters = set(word)
+    names = [state_name(i, letters) for i in range(len(word) + 1)]
     lts = Lts(name="word")
-    lts.add_state("s0", initial=True)
+    lts.add_state(names[0], initial=True)
     for t in dict.fromkeys(word):
         lts.add_label(t)
     for i, letter in enumerate(word, start=1):
-        lts.add_state(f"s{i}")
-        lts.add_arc(f"s{i - 1}", letter, f"s{i}")
+        lts.add_state(names[i])
+        lts.add_arc(names[i - 1], letter, names[i])
     return lts
 
 
@@ -941,16 +939,16 @@ def word_synthesize(props: Optional[PropertySet], word: Sequence[str]) -> Synthe
     props = replace(props) if props is not None else PropertySet()
     props.language = True
     word = list(word)
+    lts = word_lts(word)
     if not word:
-        outcome = SynthesisOutcome(success=True, properties=props, net=PetriNet(name="empty"))
-        outcome.lts = word_lts(word)
-        return outcome
-    outcome = synthesize_language_only(word_lts(word), props)
+        return SynthesisOutcome(success=True, properties=props, net=PetriNet(name="empty"), lts=lts)
+    outcome = synthesize_language_only(lts, props)
     if not outcome.success:
+        position = {state: i for i, state in enumerate(lts.states)}
         failures_at: Dict[int, List[str]] = {}
         for label, states in outcome.failed_essp.items():
             for state in states:
-                failures_at.setdefault(int(state[1:]), []).append(label)
+                failures_at.setdefault(position[state], []).append(label)
         parts: List[str] = []
         for i, letter in enumerate(word):
             prefix = "".join(f"[{t}] " for t in failures_at.get(i, []))

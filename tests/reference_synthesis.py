@@ -26,6 +26,13 @@ vectors; the values `check_region` returns must equal it.  `_solve_with`
 built every row of its system again for each orientation, through a local
 `effect_coeffs`, and called `_initial_upper_bound` (here a function of the
 engine); the systems handed to `LinearSystem.solve` must be the same.
+
+`enumerate_separation_problems` and `_event_state_problems` listed the
+problems on a walk of their own, through `reachable_states` and
+`enabled_labels`; `index_problems` is the loop that opened the separation
+pass and turned each problem back into state indices through
+`_Engine.index` (here it returns the per-label lists in label order).
+`_Engine.problems` must give the same problems and the same indices.
 """
 
 from __future__ import annotations
@@ -425,3 +432,38 @@ def _initial_upper_bound(self, problem, weight_ub: Optional[int]) -> Optional[in
         psi = self.psi[problem.state]
         bounds.append(weight_ub - 1 + weight_ub * sum(psi))
     return min(bounds) if bounds else None
+
+
+def enumerate_separation_problems(lts: Lts) -> List[SeparationProblem]:
+    """Event/state problems for every reachable state and disabled label,
+    then all unordered pairs of distinct reachable states; both in the
+    deterministic state/label order."""
+    reach = reachable_states(lts)
+    problems = _event_state_problems(lts, reach)
+    for i, state in enumerate(reach):
+        for other in reach[i + 1 :]:
+            problems.append(SeparationProblem("ssp", state, other=other))
+    return problems
+
+
+def _event_state_problems(lts: Lts, states: Sequence[str]) -> List[SeparationProblem]:
+    """An event/state problem per given state and label it does not enable."""
+    problems: List[SeparationProblem] = []
+    for state in states:
+        enabled = set(lts.enabled_labels(state))
+        for label in lts.labels:
+            if label not in enabled:
+                problems.append(SeparationProblem("essp", state, label=label))
+    return problems
+
+
+def index_problems(engine, problems: List[SeparationProblem]):
+    index = engine.index
+    by_label: Dict[str, List[Tuple[int, int]]] = {t: [] for t in engine.labels}
+    pairs: List[Tuple[int, int, int]] = []
+    for p, problem in enumerate(problems):
+        if problem.kind == "essp":
+            by_label[problem.label].append((p, index[problem.state]))
+        else:
+            pairs.append((p, index[problem.state], index[problem.other]))
+    return [by_label[t] for t in engine.labels], pairs

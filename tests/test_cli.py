@@ -166,6 +166,12 @@ def test_word_synthesize_failure_report(capsys):
     ]
 
 
+def test_word_synthesize_letter_named_like_a_state():
+    status, output = dispatch(["word_synthesize", "none", "s1,a"])
+    assert status == 0
+    assert output.splitlines()[0] == "success: Yes"
+
+
 def test_word_synthesize_success_prints_or_writes_net(tmp_path):
     report = [
         "success: Yes",

@@ -615,3 +615,15 @@ def test_omega_marking_comparisons():
     assert m1.covers(m2)
     assert not m2.covers(m1)
     assert m1.has_omega()
+
+
+def test_graph_state_names_avoid_labels():
+    # a label named like a state pushes that state's name to ss1, sss1, ...
+    net = PetriNet()
+    net.add_place("p", tokens=3)
+    net.add_transition("t", label="s1")
+    net.add_transition("u", label="ss1")
+    net.add_flow("p", "t")
+    net.add_flow("p", "u")
+    for graph in (reachability_graph(net), coverability_graph(net)):
+        assert list(graph.lts.states) == ["s0", "sss1", "s2", "s3"]

@@ -486,14 +486,21 @@ def test_synthesize_rejects_nondeterministic():
 
 
 def test_synthesize_checks_input_before_enumerating(monkeypatch):
-    # a bad input fails fast, without the quadratic problem enumeration
-    def refuse(lts):
-        raise AssertionError("separation problems enumerated")
+    # a bad input fails fast, without the quadratic problem list
+    listed = []
+    problems = _Engine.problems
 
-    monkeypatch.setattr(synthesis_module, "enumerate_separation_problems", refuse)
+    def recording(self):
+        listed.append(self.lts)
+        return problems(self)
+
+    monkeypatch.setattr(_Engine, "problems", recording)
     lts = Lts.from_data("s0", [("s0", "a", "s1"), ("s0", "a", "s2")])
     with pytest.raises(PreconditionError):
         synthesize(lts)
+    assert listed == []
+    assert synthesize(word_lts(["a", "b"])).success
+    assert len(listed) == 1  # the problem list the check has to precede
 
 
 def test_synthesize_rejects_unreachable():
@@ -602,6 +609,22 @@ def test_word_synthesize_failure_rendering():
     assert outcome.separation_failure_points == "a, b, [a] b, a, a, c"
 
 
+def test_word_synthesize_letters_named_like_states():
+    # letters may be named like the states s0..sn: such a state takes
+    # another s in front, and failures are placed by position, not by name
+    assert list(word_lts(["s1", "a"]).states) == ["s0", "ss1", "s2"]
+    assert list(word_lts(["ss1", "s2", "s1"]).states) == ["s0", "sss1", "ss2", "s3"]
+    assert list(word_lts(["s3", "ss1"]).states) == ["s0", "s1", "s2"]
+    outcome = word_synthesize(None, ["s1", "a"])
+    assert outcome.success
+    assert language_equivalent(reachability_graph(outcome.net).lts, word_lts(["s1", "a"]))
+    twin = word_synthesize(None, ["a", "b", "b", "a", "a", "c"])
+    clash = word_synthesize(None, ["s1", "s0", "s0", "s1", "s1", "c"])
+    assert not clash.success
+    renamed = twin.separation_failure_points.replace("a", "s1").replace("b", "s0")
+    assert clash.separation_failure_points == renamed == "s1, s0, [s1] s0, s1, s1, c"
+
+
 def test_word_synthesize_single_letter():
     outcome = word_synthesize(None, ["a"])
     assert outcome.success
@@ -663,6 +686,17 @@ def test_language_only_reconvergent_dag():
     assert outcome.success
     graph = reachability_graph(outcome.net)
     assert language_equivalent(graph.lts, lts)
+
+
+def test_language_only_unfolding_names_states_around_the_labels():
+    # generated tree states step around a label named like one of them
+    lts = Lts.from_data("q0", [("q0", "a", "q1"), ("q0", "s1", "q1"), ("q1", "b", "q2")])
+    outcome = synthesize(lts, PropertySet(language=True))
+    assert outcome.success
+    tree, origin = outcome.unfolding
+    assert list(tree.states) == ["s0", "ss1", "s2", "s3", "s4"]
+    assert origin == {"s0": "q0", "ss1": "q1", "s2": "q1", "s3": "q2", "s4": "q2"}
+    assert language_equivalent(reachability_graph(outcome.net).lts, lts)
 
 
 def test_language_only_failures_name_input_states():

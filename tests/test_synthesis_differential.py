@@ -22,8 +22,14 @@ checked against the two-walk `_check_synthesis_input`, the Parikh-vector
 `value_array` and the per-orientation `_solve_with` they replaced: the
 same error message, the same values, and the same variables, rows and
 objective handed to `LinearSystem.solve`.
+
+The engine's problem list and its state indices are checked against the
+walking `enumerate_separation_problems` and `_event_state_problems` and the
+pass's re-indexing loop they replaced, on every valid input and on the
+tree unfoldings; a valid synthesis walks its input once before solving.
 """
 
+from dataclasses import replace
 from functools import partial
 
 import pytest
@@ -50,16 +56,19 @@ from aptk.synthesis import (
     Region,
     SeparationProblem,
     _Engine,
-    _event_state_problems,
     _is_acyclic,
     _separation_pass,
     _unfold_to_tree,
     check_region,
     minimize_regions,
     synthesize,
+    word_synthesize,
 )
 from conftest import make_example_lts
 from reference_synthesis import _check_synthesis_input as reference_check_input
+from reference_synthesis import _event_state_problems as reference_event_state_problems
+from reference_synthesis import enumerate_separation_problems as reference_enumerate
+from reference_synthesis import index_problems as reference_index
 from reference_synthesis import _solve_with as reference_solve_with
 from reference_synthesis import value_array as reference_value_array
 from reference_synthesis import _cycle_rows as reference_cycle_rows
@@ -195,9 +204,8 @@ def test_separation_pass_matches_reference(mode):
     props = PropertySet.parse(mode)
     outcomes = set()
     for lts in _pass_inputs():
-        problems = enumerate_separation_problems(lts)
-        solved, failed = _separation_pass(_Engine(lts, props), problems)
-        expected_solved, expected_failed = reference_pass(_Engine(lts, props), problems)
+        problems, solved, failed = _separation_pass(_Engine(lts, props))
+        expected_solved, expected_failed = reference_pass(_Engine(lts, props), reference_enumerate(lts))
         where = sorted(map(str, lts.arcs))
         assert solved == expected_solved, where
         assert failed == expected_failed, where
@@ -303,8 +311,85 @@ def test_synthesis_checks_its_input_on_the_engine_walk(monkeypatch):
     assert any(lines[0] == "success: No" for lines in expected)
 
 
+def test_valid_synthesis_walks_its_input_once_before_solving(monkeypatch):
+    # the engine's spanning tree is the one walk of a valid input before
+    # solving: no `reachable_states` (in the input check or the problem
+    # list) and, for a word, no input check; only the independent
+    # verification of a found net may walk again
+    cases = _walk_cases() + [(word_lts("abbaac"), PropertySet(plain=True))]
+    expected = [format_report(synthesize(lts, props)) for lts, props in cases]
+    words = ["abcabc", "abbaac", "aabab"]
+    expected_words = [format_report(word_synthesize(None, word)) for word in words]
+    walk, verify, tree = lts_module.reachable_states, synthesis_module._verify_success, spanning_tree
+    verifying, trees = [], []
+
+    def refuse(lts):
+        if not verifying:
+            raise AssertionError("synthesis walked its input again")
+        return walk(lts)
+
+    def verified(*args):
+        verifying.append(True)
+        try:
+            return verify(*args)
+        finally:
+            verifying.pop()
+
+    def counting(lts):
+        trees.append(lts)
+        return tree(lts)
+
+    def unchecked(lts):
+        raise AssertionError("word synthesis ran the input check")
+
+    monkeypatch.setattr(lts_module, "reachable_states", refuse)
+    monkeypatch.setattr(synthesis_module, "reachable_states", refuse)
+    monkeypatch.setattr(synthesis_module, "_verify_success", verified)
+    monkeypatch.setattr(synthesis_module, "spanning_tree", counting)
+    for (lts, props), lines in zip(cases, expected):
+        trees.clear()
+        assert format_report(synthesize(lts, props)) == lines
+        assert trees == [lts]
+    monkeypatch.setattr(synthesis_module, "_check_synthesis_input", unchecked)
+    outcomes = [word_synthesize(None, word) for word in words]
+    monkeypatch.undo()
+    assert [format_report(outcome) for outcome in outcomes] == expected_words
+    assert {lines[0] for lines in expected_words} == {"success: Yes", "success: No"}
+
+
+def test_engine_problems_match_reference():
+    # the same problems in the same order, and the state indices the pass
+    # read off them; language-only engines list no state pairs
+    counts = {"input": 0, "rejected": 0, "tree": 0}
+    cases = [("input", lts) for lts in _inputs() + _hand_inputs()]
+    for family, lts in cases + [("tree", tree) for tree in _unfoldings()]:
+        where = sorted(map(str, lts.arcs))
+        if not (is_deterministic(lts) and is_totally_reachable(lts)):
+            with pytest.raises(PreconditionError) as expected:
+                reference_check_input(lts)
+            with pytest.raises(PreconditionError) as raised:
+                enumerate_separation_problems(lts)
+            assert str(raised.value) == str(expected.value), where
+            counts["rejected"] += 1
+            continue
+        expected = reference_enumerate(lts)
+        assert enumerate_separation_problems(lts) == expected, where
+        engine = _Engine(lts, PropertySet())
+        problems, by_label, pairs = engine.problems()
+        assert problems == expected, where
+        assert (by_label, pairs) == reference_index(engine, expected), where
+        engine = _Engine(lts, PropertySet(language=True))
+        problems, by_label, pairs = engine.problems()
+        assert problems == reference_event_state_problems(lts, lts_module.reachable_states(lts))
+        assert (by_label, pairs) == reference_index(engine, problems), where
+        assert pairs == [] and all(p.kind == "essp" for p in problems), where
+        counts[family] += 1
+    assert all(counts.values()), counts
+
+
 def _unfoldings():
-    """Tree unfoldings of the acyclic inputs, as language-only solves them."""
+    """Tree unfoldings of the acyclic inputs, as language-only synthesis
+    solves those that are not trees themselves."""
     return [
         _unfold_to_tree(lts)[0]
         for lts in _inputs() + [_hand_inputs()[-1]]
@@ -318,11 +403,9 @@ def test_value_arrays_are_the_check_region_values(mode):
     trees = _unfoldings()
     counts = {"input": 0, "tree": 0}
     for lts in _inputs() + trees:
-        engine = _Engine(lts, props)
-        problems = enumerate_separation_problems(lts)
-        if lts in trees:
-            problems = _event_state_problems(lts, engine.states)
-        solved, _ = _separation_pass(engine, problems)
+        # on a tree unfolding, language-only synthesis lists no state pairs
+        engine = _Engine(lts, replace(props, language=lts in trees))
+        _, solved, _ = _separation_pass(engine)
         for region, _ in solved:
             counts["tree" if lts in trees else "input"] += 1
             values = check_region(lts, region)
