@@ -62,13 +62,14 @@ def _pivot(
     return terms
 
 
-def _run_simplex(tableau, basis, cost, num_cols) -> Tuple[str, int]:
+def _run_simplex(tableau, basis, cost, num_cols) -> Tuple[str, List[int]]:
     """Minimise cost over the current tableau with Bland's rule.
 
-    cost is a full row (length num_cols + 1, last entry the running value,
-    stored negated as usual), kept only up to a positive factor: its signs
-    pick the pivots.  Returns ('optimal', v) or ('unbounded', v), where v is
-    that positive multiple of minus the optimum.
+    cost is a full row (entry num_cols is the running value, stored negated
+    as usual; columns behind it never enter but are updated), kept only up
+    to a positive factor: its signs pick the pivots.  Returns ('optimal',
+    cost) or ('unbounded', cost) with the final cost row, whose entry
+    num_cols is that positive multiple of minus the optimum.
     """
     m = len(tableau)
     # price out basic variables
@@ -83,7 +84,7 @@ def _run_simplex(tableau, basis, cost, num_cols) -> Tuple[str, int]:
                 col = c
                 break
         if col < 0:
-            return "optimal", cost[num_cols]
+            return "optimal", cost
         # smallest ratio rhs / entry, ties to the smallest basic index;
         # the ratios are compared by cross-multiplying
         row = -1
@@ -98,7 +99,7 @@ def _run_simplex(tableau, basis, cost, num_cols) -> Tuple[str, int]:
                 if left < right or (left == right and basis[r] < basis[row]):
                     row = r
         if row < 0:
-            return "unbounded", cost[num_cols]
+            return "unbounded", cost
         terms = _pivot(tableau, basis, row, col)
         if cost[col]:
             cost = _eliminate(cost, col, tableau[row][col], terms)
@@ -115,19 +116,26 @@ def solve_lp(
     num_vars: int,
     rows: Sequence[Tuple[Sequence[Fraction], str, Fraction]],
     objective: Optional[Sequence[Fraction]] = None,
-) -> Tuple[str, Optional[List[Fraction]]]:
+    duals: bool = False,
+) -> Tuple:
     """Exact LP over x >= 0: rows are (coeffs, rel, rhs) with rel in <=, =, >=
     and every number an int or a Fraction.
 
     Returns ('infeasible', None), ('optimal', x) or ('unbounded', x) where in
-    the unbounded case x is still a feasible point.
+    the unbounded case x is still a feasible point.  With duals, a third
+    item follows: at an optimum, multipliers u, one per row, with
+    u . rhs = the optimum and objective - u^T A >= 0 on every column (u <= 0
+    on <= rows, u >= 0 on >= rows); else None.  Asking for them changes no
+    pivot.
 
     The tableau is fraction-free: row r holds integers and stands for the
     rational row tableau[r] / tableau[r][basis[r]], whose basic coefficient
     is kept positive; every elimination divides the row by its gcd.  Pivots
     follow Bland's smallest-index rule on that rational tableau, so the
     pivot sequence, and with it the returned point, is the one of the
-    textbook rational simplex.
+    textbook rational simplex.  The multipliers come from one unit column
+    per row behind the rhs column, which never enters but every pivot
+    updates: minus its reduced cost is that row's multiplier.
     """
     work: List[Tuple[List[int], str, int]] = []
     for coeffs, rel, rhs in rows:
@@ -163,11 +171,17 @@ def solve_lp(
         g = math.gcd(*full)
         tableau.append([v // g for v in full] if g > 1 else full)
 
+    units = m if duals else 0
+    if duals:  # row r's unit column, +-1 in its rational row as given
+        for r, (_, _, rhs) in enumerate(rows):
+            tableau[r] += [0] * m
+            tableau[r][grand + 1 + r] = -tableau[r][basis[r]] if rhs < 0 else tableau[r][basis[r]]
+
     if grand > total:
-        cost = [0] * total + [1] * (grand - total) + [0]
-        _, value = _run_simplex(tableau, basis, cost, grand)
-        if value != 0:
-            return "infeasible", None
+        cost = [0] * total + [1] * (grand - total) + [0] * (1 + units)
+        _, cost = _run_simplex(tableau, basis, cost, grand)
+        if cost[grand] != 0:
+            return ("infeasible", None, None) if duals else ("infeasible", None)
         # drive surviving artificials out of the basis
         for r in range(m):
             if basis[r] >= total:
@@ -182,17 +196,59 @@ def solve_lp(
         tableau = [tableau[r][:total] + tableau[r][grand:] for r in rows_keep]
         basis = [basis[r] for r in rows_keep]
 
-    cost = [0] * (total + 1)
+    cost = [0] * (total + 1 + units)
+    scale = 1
     if objective is not None:
-        weights, _ = _integer_row(objective)
+        weights, scale = _integer_row(objective)
         cost[: len(weights)] = weights
-    status, _ = _run_simplex(tableau, basis, cost, total)
+    if duals:  # one more entry keeps the cost row's positive factor
+        cost.append(scale)
+    status, cost = _run_simplex(tableau, basis, cost, total)
 
     solution = [Fraction(0)] * num_vars
     for r, b in enumerate(basis):
         if b < num_vars:
             solution[b] = Fraction(tableau[r][total], tableau[r][b])
-    return status, solution
+    if not duals:
+        return status, solution
+    if status != "optimal":
+        return status, solution, None
+    return status, solution, [Fraction(-v, cost[-1]) for v in cost[total + 1 : -1]]
+
+
+def solve_cone(
+    rows: Sequence[Sequence[int]], d: int
+) -> Tuple[Optional[List[int]], Optional[List[Fraction]]]:
+    """An integer x with p . x <= -1 for every row p (each of length d),
+    returned as (x, None), or (None, y) with a Farkas certificate that no x
+    exists: y >= 0, sum(y) = 1 and sum(y[i] * rows[i]) = 0.
+
+    One `solve_lp` call on the dual  min -1.y  s.t.  P^T y = 0, 1.y <= 1,
+    y >= 0, which has d + 1 rows however many rows P has.  Its optimum is 0
+    or -1.  At -1, y is the certificate.  At 0, the multipliers x of the d
+    equality rows and s of the last one meet p . x + s <= -1 for every row
+    with s = 0, so x scaled to coprime integers keeps P x <= -1.  Both
+    results are checked exactly.
+    """
+    m = len(rows)
+    dual = [([p[i] for p in rows], "=", 0) for i in range(d)] + [([1] * m, "<=", 1)]
+    status, y, multipliers = solve_lp(m, dual, [-1] * m, duals=True)
+    if status != "optimal":
+        raise InternalError(
+            f"cone dual reported {status}, but y = 0 is feasible and 1.y <= 1 bounds it; solver bug"
+        )
+    if not any(y):
+        x, _ = _integer_row(multipliers[:d])
+        g = math.gcd(*x)
+        x = [v // g for v in x] if g > 1 else x
+        if any(_dot(p, x) > -1 for p in rows):
+            raise InternalError("cone point fails a row; solver bug")
+        return x, None
+    if any(v < 0 for v in y) or sum(y) != 1 or any(
+        sum(v * p[i] for v, p in zip(y, rows) if v) for i in range(d)
+    ):
+        raise InternalError("Farkas certificate does not check; solver bug")
+    return None, y
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from .common import (
     StateLimitExceededError,
     UnsupportedInputError,
 )
-from .linalg import LinearSystem, _dot, integer_kernel_basis
+from .linalg import LinearSystem, _dot, integer_kernel_basis, solve_cone
 from .lts import (
     Lts,
     is_deterministic,
@@ -495,6 +495,10 @@ class _Engine:
         """Solving over basis coefficients x: effects = sum of x[j] * basis[j].
 
         Serves the property-free case and `pure`, optionally with `plain`.
+        An empty basis solves nothing: every region then has zero effects,
+        so its value is the same at every state, and the cycle rows have
+        full rank, so every label occurs on an arc and is enabled
+        somewhere, hence everywhere.
         State pairs: the first basis region whose values differ at the two
         states, else (plain only) one boxed solve.  Event/state: every row
         must have a negative effect.  The rows are the path difference to
@@ -504,10 +508,10 @@ class _Engine:
         label are then raised until it is disabled exactly there.
         Plainness caps the per-label effects at one; the coefficient box
         then comes from an exact pseudo-inverse bound, keeping branch and
-        bound complete.  `_basis_effects` keeps one copy of equal rows and,
-        without `plain`, solves the unboxed system by row generation: few
-        of the rows are active in any LP.
+        bound complete.
         """
+        if not self.basis:
+            return None
         pure, plain = self.props.pure, self.props.plain
         projection = self._projection()
         at = projection[problem.state]
@@ -560,47 +564,34 @@ class _Engine:
 
         The rows come projected onto the basis (row p stands for the effect
         constraint p . x <= -1); a repeated row is the same constraint, so
-        only distinct ones are kept.  Under `plain`
-        all of them are active at once: one boxed system.  Otherwise rows
-        are generated (Dantzig-Fulkerson-Johnson): solve on an active subset,
-        seeded with the first d distinct rows (a vertex in d unknowns is
-        fixed by d tight rows; with d = 0 one row already decides), check
-        every row against the integer x and add the violated ones, until
-        none is.  An infeasible subset proves the whole system infeasible,
-        and the active set grows every round (the rows it holds are
-        satisfied), so the loop ends.
+        only distinct ones are kept.  Under `plain` they go into one boxed
+        system for branch and bound.  Otherwise the system is a cone, and
+        one `solve_cone` call on its Farkas dual, with d + 1 tableau rows
+        for a basis of d vectors, returns a checked x or a checked
+        certificate that there is none.
         """
         projected = list(dict.fromkeys(rows))
-        boxes = _coefficient_boxes(self.basis) if plain else None
-        active = projected if plain else projected[: max(1, len(self.basis))]
-        while True:
-            x = self._coefficients(active, boxes)
-            if x is None:
-                return None
-            violated = [p for p in projected if _dot(p, x) > -1]
-            if not violated:
-                return _combine(self.basis, x, len(self.labels))
-            active = active + violated
+        if plain:
+            x = self._coefficients(projected)
+        else:
+            x, _ = solve_cone(projected, len(self.basis))
+        return None if x is None else _combine(self.basis, x, len(self.labels))
 
-    def _coefficients(self, projected, boxes) -> Optional[List[int]]:
+    def _coefficients(self, projected) -> Optional[List[int]]:
         """Integer basis coefficients x with p . x <= -1 for every projected
-        row p; with boxes, |x[j]| <= boxes[j] and every effect in [-1, 1]."""
+        row p, |x[j]| <= its pseudo-inverse box and every effect in [-1, 1]."""
         system = LinearSystem()
         names = [f"x{j}" for j in range(len(self.basis))]
-        for j, name in enumerate(names):
-            if boxes is None:
-                system.add_variable(name)
-            else:
-                system.add_variable(name, lower=-boxes[j], upper=boxes[j])
+        for name, box in zip(names, _coefficient_boxes(self.basis)):
+            system.add_variable(name, lower=-box, upper=box)
         for p in projected:
             system.add_constraint({n: c for n, c in zip(names, p) if c}, "<=", -1)
-        if boxes is not None:
-            for i in range(len(self.labels)):
-                coeffs = {n: v[i] for n, v in zip(names, self.basis) if v[i]}
-                if not coeffs:
-                    continue
-                system.add_constraint(coeffs, "<=", 1)
-                system.add_constraint(coeffs, ">=", -1)
+        for i in range(len(self.labels)):
+            coeffs = {n: v[i] for n, v in zip(names, self.basis) if v[i]}
+            if not coeffs:
+                continue
+            system.add_constraint(coeffs, "<=", 1)
+            system.add_constraint(coeffs, ">=", -1)
         solution = system.solve()
         return None if solution is None else [solution[n] for n in names]
 

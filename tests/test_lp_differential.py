@@ -120,3 +120,36 @@ def lps(draw):
 @given(lps())
 def test_solve_lp_matches_reference_hypothesis(lp):
     assert_same(*lp)
+
+
+def assert_duals_certify(num_vars, rows, objective):
+    """The multipliers solve_lp returns with duals: the same status and
+    point as without them, and at an optimum a dual solution whose value
+    equals the optimum, checked exactly."""
+    status, x, u = solve_lp(num_vars, rows, objective, duals=True)
+    assert (status, x) == solve_lp(num_vars, rows, objective)
+    if status != "optimal":
+        assert u is None
+        return status
+    c = objective if objective is not None else [0] * num_vars
+    assert len(u) == len(rows)
+    assert sum(ui * rhs for ui, (_, _, rhs) in zip(u, rows)) == sum(a * b for a, b in zip(c, x))
+    for j in range(num_vars):
+        assert c[j] - sum(ui * coeffs[j] for ui, (coeffs, _, _) in zip(u, rows)) >= 0
+    for ui, (_, rel, _) in zip(u, rows):
+        assert {"<=": ui <= 0, ">=": ui >= 0, "=": True}[rel]
+    return status
+
+
+def test_solve_lp_duals_certify_the_optimum():
+    for num_vars, rows, objective, status in CASES:
+        assert assert_duals_certify(num_vars, rows, objective) == status
+    rng = random.Random(20261)
+    optimal = sum(assert_duals_certify(*random_lp(rng)) == "optimal" for _ in range(2000))
+    assert optimal >= 300
+
+
+@settings(max_examples=200, deadline=None)
+@given(lps())
+def test_solve_lp_duals_certify_the_optimum_hypothesis(lp):
+    assert_duals_certify(*lp)

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -296,59 +297,112 @@ def test_plain_pure_effect_bound():
     assert (restricted is not None) == solvable
 
 
-# -- basis solver: row generation ---------------------------------------------------
+# -- basis solver: the cone path ---------------------------------------------------
 
 
-def _record_lp_rows(monkeypatch):
-    """The row count of every LP that linalg.solve_lp receives from now on."""
+def _record_cone_lps(monkeypatch):
+    """(LP rows, certificate or None) of every cone problem that synthesis
+    solves from now on; each must be one solve_lp call, and any solve_lp
+    call outside a cone problem fails the test."""
     seen = []
-    original = linalg.solve_lp
+    lps = None  # (columns, rows) of each LP of the cone problem being solved
+    solve_lp = linalg.solve_lp
+    solve_cone = synthesis_module.solve_cone
 
-    def recording(num_vars, rows, objective=None):
-        seen.append(len(rows))
-        return original(num_vars, rows, objective)
+    def recording_lp(num_vars, rows, *args, **kwargs):
+        assert lps is not None, "a solve_lp call outside the cone path"
+        lps.append((num_vars, len(rows)))
+        return solve_lp(num_vars, rows, *args, **kwargs)
 
-    monkeypatch.setattr(linalg, "solve_lp", recording)
+    def recording_cone(rows, d):
+        nonlocal lps
+        lps = []
+        x, y = solve_cone(rows, d)
+        assert lps == [(len(rows), d + 1)]  # the dual: a column per row, d + 1 rows
+        lps = None
+        if y is not None:  # the rows weighed to sum 1 and to the zero vector
+            assert len(y) == len(rows) and all(v >= 0 for v in y) and sum(y) == 1
+            assert all(sum(v * p[i] for v, p in zip(y, rows)) == 0 for i in range(d))
+        seen.append((d + 1, y))
+        return x, y
+
+    monkeypatch.setattr(linalg, "solve_lp", recording_lp)
+    monkeypatch.setattr(synthesis_module, "solve_cone", recording_cone)
     return seen
 
 
-def test_row_generation_adds_violated_rows_until_none_is(example_lts, monkeypatch):
-    # the seed of d = 3 rows admits a point that violates later rows
+def test_cone_path_solves_with_one_lp_on_d_plus_one_rows(example_lts, monkeypatch):
+    # one row per state under pure, over a basis of d = 3: one dual LP with
+    # 4 tableau rows
     engine = _Engine(example_lts, PropertySet(pure=True))
     problem = SeparationProblem("essp", "s0", label="c")
-    seen = _record_lp_rows(monkeypatch)
+    seen = _record_cone_lps(monkeypatch)
     region = engine.solve_basis(problem)
-    assert len(seen) > 1 and seen[0] == len(engine.basis) == 3
-    assert seen == sorted(set(seen))  # the active set grows every round
+    assert seen == [(len(engine.basis) + 1, None)] and len(engine.basis) == 3
     check_region(example_lts, region)
     assert region.is_pure() and engine.solves(region, problem)
 
 
-def test_row_generation_stops_at_an_infeasible_seed(monkeypatch):
-    # the self-loops force a's effect to 0, so no pure region disables a;
-    # with d = 1 the first distinct row alone is infeasible, and the other
-    # two never enter an LP
+def test_cone_path_failure_carries_a_checked_certificate(monkeypatch):
+    # the self-loops force a's effect to 0, so no pure region disables a:
+    # the one dual LP ends at -1 with a Farkas certificate over the rows
     lts = Lts.from_data(
         "s0", [("s0", "b", "s1"), ("s1", "a", "s1"), ("s1", "b", "s2"), ("s2", "a", "s2")]
     )
     engine = _Engine(lts, PropertySet(pure=True))
     assert len(engine.basis) == 1
-    seen = _record_lp_rows(monkeypatch)
+    seen = _record_cone_lps(monkeypatch)
     assert engine.solve_basis(SeparationProblem("essp", "s0", label="a")) is None
-    assert seen == [1]
+    [(tableau_rows, y)] = seen
+    assert tableau_rows == 2 and y is not None  # checked by the recorder
 
 
-def test_row_generation_sends_fewer_rows_than_enabled_states(monkeypatch):
-    # without row generation every event/state LP took one row per state
-    # enabling the label
+@pytest.mark.parametrize("mode", ["none", "pure"])
+def test_cone_path_makes_one_lp_per_event_state_problem(mode, monkeypatch):
+    # bitnet(5) has 32 states and d = 5: every event/state problem is one
+    # LP with 6 tableau rows, against one row per enabling state (or per
+    # state under pure) in the primal
     lts = reachability_graph(bitnet(5)).lts
-    engine = _Engine(lts, PropertySet())
+    engine = _Engine(lts, PropertySet.parse(mode))
     problems = [p for p in enumerate_separation_problems(lts) if p.kind == "essp"]
-    full = sum(len(engine.enabled_states[p.label]) for p in problems)
-    seen = _record_lp_rows(monkeypatch)
+    seen = _record_cone_lps(monkeypatch)
     for problem in problems:
         assert engine.solve_basis(problem) is not None
-    assert sum(seen) < full
+    assert seen == [(len(engine.basis) + 1, None)] * len(problems)
+    assert len(engine.basis) == 5
+
+
+def test_empty_basis_solves_nothing_without_a_system(monkeypatch):
+    # the cycles ab and b span both labels: every region has zero effects
+    lts = Lts.from_data("s0", [("s0", "a", "s1"), ("s1", "b", "s0"), ("s0", "b", "s0")])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an empty basis built a system or made an LP call")
+
+    monkeypatch.setattr(synthesis_module, "LinearSystem", refuse)
+    monkeypatch.setattr(synthesis_module, "solve_cone", refuse)
+    monkeypatch.setattr(linalg, "solve_lp", refuse)
+    problems = enumerate_separation_problems(lts)
+    assert {p.kind for p in problems} == {"essp", "ssp"}
+    for mode in ("none", "pure", "plain", "plain,pure"):
+        engine = _Engine(lts, PropertySet.parse(mode))
+        assert engine.basis == []
+        for problem in problems:
+            assert engine.solve_basis(problem) is None
+
+
+def test_failing_word_makes_one_cone_lp_per_problem(monkeypatch):
+    # a failing language-only input: every problem is at most one LP, and
+    # each unsolvable one is refused by its LP with a certificate
+    rng = random.Random(5)
+    word = [rng.choice("abc") for _ in range(160)]
+    essp, _, _ = _Engine(word_lts(word), PropertySet(language=True)).problems()
+    seen = _record_cone_lps(monkeypatch)
+    outcome = word_synthesize(None, word)
+    assert not outcome.success
+    failed = sum(len(states) for states in outcome.failed_essp.values())
+    assert 0 < len(seen) <= len(essp)
+    assert sum(y is not None for _, y in seen) == failed > 0
 
 
 def test_all_zero_region_never_solves_essp(example_lts):

@@ -3,8 +3,8 @@ basis-space solvers it replaced, kept in reference_synthesis.py.
 
 Under `pure,plain` both solve the same boxed integer system, so they must
 agree exactly: the same Region, or None, for every separation problem.
-Under `none` and `pure` solve_basis generates rows, so its LP may stop at
-another vertex than the reference's full LP.  There both must agree on
+Under `none` and `pure` solve_basis solves the Farkas dual, so its point
+may be another vertex than the reference's primal LP.  There both must agree on
 solvability, and every region solve_basis returns must be valid, solve its
 problem and, under `pure`, be pure.
 
