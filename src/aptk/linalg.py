@@ -108,6 +108,8 @@ def _run_simplex(tableau, basis, cost, num_cols) -> Tuple[str, List[int]]:
 def _integer_row(values) -> Tuple[List[int], int]:
     """(the values, ints or Fractions, times the lcm L of their
     denominators, L)."""
+    if all(type(v) is int for v in values):
+        return list(values), 1
     scale = math.lcm(*[v.denominator for v in values])
     return [v.numerator * (scale // v.denominator) for v in values], scale
 
@@ -288,10 +290,11 @@ class LinearSystem:
     right-hand side is 0 or at most -1 and no variable has an upper bound),
     and exact-LP branch and bound over the variable boxes otherwise.
 
-    Each solve compiles the rows once into integer coefficient lists over
-    the variables their box does not fix (a Fraction stays only where the
-    input is not integral); a node shifts the right-hand sides by its lower
-    bounds and reuses unit rows for its box.
+    Each solve compiles the rows once into coefficient lists over the
+    variables their box does not fix (a Fraction stays only where the input
+    is not integral).  Branch and bound scales them to integers and builds
+    the dual of its node LP from them once, with one row per free
+    variable; a node only sets the dual's costs from its box.
     """
 
     def __init__(self):
@@ -426,14 +429,43 @@ class LinearSystem:
     def _branch_and_bound(free, rows, objective) -> Optional[Dict[str, int]]:
         """DFS branch and bound over the finite boxes.
 
-        Each node solves the LP over y = x - lower >= 0 with y <= upper -
-        lower.  Branches on the lowest-index fractional variable, floor side
+        A node's LP over y = x - lower is  min c.y  s.t.  A y (<= or =)
+        b - A.lower,  0 <= y <= upper - lower.  It is solved through one
+        `solve_lp(..., duals=True)` call on its dual
+
+            min (b - A.lower).(p - q) + (upper - lower).w
+            s.t.  A^T (q - p) - w <= c,   p, q, w >= 0,
+
+        with one column p per row, one more column q per = row, and one
+        column w per box: one row per free variable however many rows the
+        system has.  The dual's matrix is built once per solve; only its
+        costs follow the node's box.  The box makes the dual feasible, so
+        "unbounded" means the node is infeasible; with c >= 0 every dual
+        row is <= with rhs >= 0, and the LP starts from its slack basis
+        with no phase 1.  y is minus the dual rows' multipliers.  It is
+        checked exactly against every row and box, in integers over one
+        common denominator, before it is used.
+
+        Branches on the lowest-index fractional variable, floor side
         first; with an objective the first incumbent attaining the best
         bound wins.
         """
         limit = DEFAULT_NODE_LIMIT
         n = len(free)
-        units = [[int(i == j) for i in range(n)] for j in range(n)]
+        # each row times the lcm of its denominators is the same constraint;
+        # columns[j] holds variable j's coefficients, columns[n] the rhs
+        lines = [_integer_row(line + [rhs])[0] for line, _, rhs in rows]
+        columns = list(zip(*lines)) or [()] * (n + 1)
+        rels = [rel for _, rel, _ in rows]
+        signs = [(k, s) for k, rel in enumerate(rels) for s in ((-1, 1) if rel == "=" else (-1,))]
+        dual = [
+            (
+                [s * columns[i][k] for k, s in signs] + [-int(i == j) for j in range(n)],
+                "<=",
+                0 if objective is None else objective[i],
+            )
+            for i in range(n)
+        ]
         best_value = None
         best_point: Optional[Dict[str, int]] = None
         nodes = 0
@@ -443,23 +475,40 @@ class LinearSystem:
             if nodes == limit:
                 raise BoundExceededError(f"branch and bound passed its limit of {limit} nodes")
             nodes += 1
-            lp_rows = [(line, rel, rhs - _dot(line, lower)) for line, rel, rhs in rows]
-            lp_rows += [(unit, "<=", hi - lo) for unit, lo, hi in zip(units, lower, upper)]
-            status, point = solve_lp(n, lp_rows, objective)
-            if status == "infeasible":
+            shifted = columns[n]
+            for lo, column in zip(lower, columns):
+                if lo:
+                    shifted = [b - lo * c for b, c in zip(shifted, column)]
+            widths = [hi - lo for lo, hi in zip(lower, upper)]
+            costs = [-s * shifted[k] for k, s in signs] + widths
+            status, _, multipliers = solve_lp(len(costs), dual, costs, duals=True)
+            if status == "unbounded":
                 continue
+            if status != "optimal":
+                raise InternalError(
+                    f"node dual reported {status}, but the box makes it feasible; solver bug"
+                )
+            ys, scale = _integer_row([-u for u in multipliers])
+            slack = [scale * b for b in shifted]
+            for y, column in zip(ys, columns):
+                if y:
+                    slack = [t - y * c for t, c in zip(slack, column)]
+            if any(y < 0 or y > scale * w for y, w in zip(ys, widths)) or any(
+                t != 0 if rel == "=" else t < 0 for t, rel in zip(slack, rels)
+            ):
+                raise InternalError("node point fails a row or its box; solver bug")
             if objective is not None:
-                value = _dot(objective, point) + _dot(objective, lower)
+                value = Fraction(_dot(objective, ys), scale) + _dot(objective, lower)
                 if best_value is not None and value >= best_value:
                     continue
-            j = next((j for j, y in enumerate(point) if y.denominator != 1), None)
-            if j is None:
-                candidate = {v.name: y.numerator + lo for v, y, lo in zip(free, point, lower)}
+            if scale == 1:
+                candidate = {v.name: y + lo for v, y, lo in zip(free, ys, lower)}
                 if objective is None:
                     return candidate
                 best_value, best_point = value, candidate
                 continue
-            floor = point[j].numerator // point[j].denominator + lower[j]
+            j = next(j for j, y in enumerate(ys) if y % scale)
+            floor = ys[j] // scale + lower[j]
             floor_upper = upper[:]
             floor_upper[j] = floor
             ceil_lower = lower[:]

@@ -226,7 +226,7 @@ def _parity_system():
 def test_branch_and_bound_stops_at_node_limit(monkeypatch):
     nodes = []
     solve_lp = linalg.solve_lp
-    monkeypatch.setattr(linalg, "solve_lp", lambda *args: nodes.append(1) or solve_lp(*args))
+    monkeypatch.setattr(linalg, "solve_lp", lambda *a, **k: nodes.append(1) or solve_lp(*a, **k))
     assert _parity_system().solve() is None
     needed = len(nodes)
     assert needed > 3
@@ -235,6 +235,52 @@ def test_branch_and_bound_stops_at_node_limit(monkeypatch):
     monkeypatch.setattr(linalg, "DEFAULT_NODE_LIMIT", needed - 1)
     with pytest.raises(BoundExceededError, match=f"limit of {needed - 1} nodes"):
         _parity_system().solve()
+
+
+def test_node_lps_have_one_row_per_free_variable(monkeypatch):
+    # each node LP goes to solve_lp as the dual of the node's LP: one row per
+    # free variable however many rows the system has.  With c >= 0 (all
+    # variables minimised, or no objective) every row is <= with rhs >= 0,
+    # so the simplex starts from the slack basis and runs once: no phase 1.
+    calls, runs = [], []
+    solve_lp, run_simplex = linalg.solve_lp, linalg._run_simplex
+
+    def recording(num_vars, rows, *args, **kwargs):
+        calls.append(rows)
+        return solve_lp(num_vars, rows, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "solve_lp", recording)
+    monkeypatch.setattr(linalg, "_run_simplex", lambda *a: runs.append(1) or run_simplex(*a))
+    rng = random.Random(1983)
+    verdicts, nodes = [], 0
+    for trial in range(60):
+        system = LinearSystem()
+        names = [f"v{i}" for i in range(rng.randint(1, 4))]
+        # the rows hold at this point, with slack 0-2, in two trials of three
+        point = {"fixed": 1}
+        for name in names:
+            lower = rng.randint(-2, 0)
+            system.add_variable(name, lower=lower, upper=lower + rng.randint(1, 4))
+            point[name] = lower + rng.randint(0, 1)
+        system.add_variable("fixed", lower=1, upper=1)
+        num_rows = rng.randint(6, 12)
+        for _ in range(num_rows):
+            coeffs = {n: rng.randint(-3, 3) for n in point}
+            at = sum(c * point[n] for n, c in coeffs.items())
+            rel = rng.choice(["<=", ">=", "<=", ">=", "="])
+            slack = 0 if rel == "=" else rng.randint(0, 2)
+            rhs = at + (slack if rel == "<=" else -slack) if trial % 3 else rng.randint(-2, 4)
+            system.add_constraint(coeffs, rel, rhs)
+        if trial % 2:
+            system.minimize_all_variables()
+        del calls[:], runs[:]
+        verdicts.append(system.solve() is not None)
+        assert calls and all(len(rows) == len(names) < num_rows for rows in calls)
+        assert all(rel == "<=" and rhs >= 0 for rows in calls for _, rel, rhs in rows)
+        assert len(runs) == len(calls)
+        nodes += len(calls)
+    # both verdicts occur, and some systems branch
+    assert 10 < sum(verdicts) < 50 and nodes > len(verdicts)
 
 
 def _random_cone_system(rng):

@@ -14,8 +14,15 @@ region's solved problems.  Families:
 A change that alters outputs on purpose regenerates the file, and says so:
 
     PYTHONPATH=src python tests/test_output_digests.py
+
+To find the instances that changed, list one family in two checkouts and
+diff the listings; each line is an instance's index and the sha256 of its
+input (the word, or the rendered LTS) and of its output:
+
+    PYTHONPATH=src python tests/test_output_digests.py --show words/plain
 """
 
+import argparse
 import hashlib
 import itertools
 import json
@@ -67,17 +74,27 @@ def _output(run) -> str:
     return "\n".join(lines)
 
 
-def digest(family: str, mode: str) -> str:
+def _outputs(family: str, mode: str):
+    """(instance, output) for every instance of the family, in order."""
     props = PropertySet.parse(f"{mode},verbose")
-    if family == "words":
-        runs = [lambda w=w: word_synthesize(props, w) for w in _family(family)]
-    else:
-        runs = [lambda lts=lts: synthesize(lts, props) for lts in _family(family)]
+    synth = word_synthesize if family == "words" else lambda props, lts: synthesize(lts, props)
+    for instance in _family(family):
+        yield instance, _output(lambda: synth(props, instance))
+
+
+def digest(family: str, mode: str) -> str:
     sha = hashlib.sha256()
-    for run in runs:
-        sha.update(_output(run).encode())
+    for _, output in _outputs(family, mode):
+        sha.update(output.encode())
         sha.update(b"\0")
     return sha.hexdigest()
+
+
+def show(family: str, mode: str) -> None:
+    """Print index, input sha256 and output sha256 of every instance."""
+    for index, (instance, output) in enumerate(_outputs(family, mode)):
+        text = instance if family == "words" else render(Document(kind="LTS", lts=instance))
+        print(index, hashlib.sha256(text.encode()).hexdigest(), hashlib.sha256(output.encode()).hexdigest())
 
 
 def _key(family: str, mode: str) -> str:
@@ -95,6 +112,12 @@ def test_outputs_match_the_recorded_digest(family, mode):
 
 
 if __name__ == "__main__":
-    digests = {_key(*case): digest(*case) for case in CASES}
-    DIGESTS.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {len(digests)} digests to {DIGESTS}")
+    parser = argparse.ArgumentParser(description="Regenerate the digest file, or list one case.")
+    parser.add_argument("--show", metavar="FAMILY/MODE", choices=[_key(*case) for case in CASES])
+    case = parser.parse_args().show
+    if case:
+        show(*case.split("/", 1))
+    else:
+        digests = {_key(*case): digest(*case) for case in CASES}
+        DIGESTS.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")
+        print(f"wrote {len(digests)} digests to {DIGESTS}")
