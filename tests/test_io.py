@@ -117,6 +117,24 @@ def test_name_description_escaping():
     assert again.description == "line"
 
 
+# where each case below fails, as the parser reported it before its lexer
+# went to one regex match per token
+ERROR_POSITIONS = {
+    "duplicate": (2, 11),
+    "multiple .type": (2, 1),
+    "missing .type": (1, 1),
+    "zero multiplicity": (5, 6),
+    "bad multiplicity '²'": (5, 6),
+    "unknown place": (5, 1),
+    "initial": (1, 1),
+    "second [initial]": (2, 21),
+    "unknown state": (4, 7),
+    "duplicate flow": (6, 1),
+    "unterminated string": (2, 7),
+    "unterminated comment": (1, 11),
+}
+
+
 @pytest.mark.parametrize(
     "text,fragment",
     [
@@ -139,7 +157,7 @@ def test_errors_have_positions(text, fragment):
     with pytest.raises(ParseError) as err:
         parse(text)
     assert fragment in str(err.value)
-    assert err.value.line >= 1 and err.value.column >= 1
+    assert (err.value.line, err.value.column) == ERROR_POSITIONS[fragment]
 
 
 def test_dot_lts(example_lts):
