@@ -2,17 +2,20 @@
 
 A document is a `.type LPN` (labelled Petri net) or `.type LTS` file made of
 dot-keyword sections in any order; `/*..*/` and `//` comments are allowed
-between any two tokens.  One compiled regular expression, with an
-alternative per token kind, lexes a document.  The writer emits a canonical
-form: parsing its output yields a structurally identical model, and
-printing is idempotent.
+between any two tokens.  The lexer makes one regular-expression match per
+token, which takes the whitespace and comments in front of the token with
+it; a token keeps only its offset, and line and column are computed only
+for errors.  The parser splits the sections in one scan over the tokens.
+The writer emits a canonical form: parsing its output yields a structurally
+identical model, printing is idempotent, and a name that would not read
+back as one identifier is refused.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .common import AptError, ParseError
 from .lts import Lts
@@ -35,36 +38,30 @@ class Document:
 # Lexer.
 # ---------------------------------------------------------------------------
 
-_PUNCT = {
-    "{": "LBRACE",
-    "}": "RBRACE",
-    "[": "LBRACK",
-    "]": "RBRACK",
-    ",": "COMMA",
-    ":": "COLON",
-    "*": "STAR",
-    "=": "EQUALS",
-}
-
 
 class _Token(NamedTuple):
-    kind: str  # SECTION ID NUM STR ARROW plus _PUNCT values and EOF
+    kind: str  # a group name of _TOKEN: ID SECTION STR NUM ARROW, punctuation, EOF
     value: str
-    line: int
-    column: int
+    offset: int  # of the token's first character; _position turns it into line/column
 
 
-# Tried in this order; SKIP is whitespace and comments, ERROR any character
-# that starts no token, and _token_regex fills in the two %s.
+# One match per token: the whitespace and comments in front of it, then the
+# token.  No two token alternatives start on the same character, so their
+# order changes no token; ID, the commonest, comes first.  EOF ends the scan,
+# and ERROR is any character that starts no token, so every match succeeds
+# at once and the skipped prefix never backtracks.  _token_regex fills in
+# %(odd)s and %(digits)s.
 _TOKEN = (
-    r"(?P<SKIP>[ \t\r\n]+|//[^\n]*|/\*.*?\*/)"
+    r"(?:[ \t\r\n]+|//[^\n]*|/\*.*?\*/)*"
+    r"(?:(?P<ID>[^\W\d%(odd)s]\w*)"
     r"|(?P<SECTION>\.\w*)"
     r'|(?P<STR>"[^"\\]*(?:\\["\\][^"\\]*)*")'
     r"|(?P<ARROW>->)"
-    r"|(?P<PUNCT>[{}\[\],:*=])"
-    r"|(?P<NUM>[\d%s]+)"
-    r"|(?P<ID>[^\W\d%s]\w*)"
-    r"|(?P<ERROR>.)"
+    r"|(?P<LBRACE>\{)|(?P<RBRACE>\})|(?P<LBRACK>\[)|(?P<RBRACK>\])"
+    r"|(?P<COMMA>,)|(?P<COLON>:)|(?P<STAR>\*)|(?P<EQUALS>=)"
+    r"|(?P<NUM>[\d%(digits)s]+)"
+    r"|(?P<EOF>\Z)"
+    r"|(?P<ERROR>.))"
 )
 _STRING_BODY = re.compile(r'[^"\\]*(?:\\["\\][^"\\]*)*')
 
@@ -78,7 +75,12 @@ def _token_regex(text: str) -> re.Pattern:
         sorted(c for c in set(text) if c.isnumeric() and not (c.isdecimal() or c.isalpha()))
     )
     digits = "".join(c for c in odd if c.isdigit())
-    return re.compile(_TOKEN % (re.escape(digits), re.escape(odd)), re.DOTALL)
+    return re.compile(_TOKEN % {"odd": re.escape(odd), "digits": re.escape(digits)}, re.DOTALL)
+
+
+def _position(text: str, offset: int) -> Tuple[int, int]:
+    """(line, column) of `offset` in `text`, both counted from 1."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
 def _lex_error(text: str, i: int) -> ParseError:
@@ -93,32 +95,30 @@ def _lex_error(text: str, i: int) -> ParseError:
         else:
             at = j
             message = "dangling escape" if j + 1 == len(text) else f"unknown escape \\{text[j + 1]}"
-    return ParseError(message, text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at))
+    return ParseError(message, *_position(text, at))
 
 
 def _tokenize(text: str) -> List[_Token]:
-    tokens: List[_Token] = []
-    line, line_start = 1, 0
-    for match in _token_regex(text).finditer(text):
-        kind, value, start = match.lastgroup, match.group(), match.start()
-        if kind == "ERROR":
-            raise _lex_error(text, start)
-        column = start - line_start + 1
+    """The tokens of `text`, ending in EOF; raises the first lexical error."""
+    make = tuple.__new__  # skips _Token's Python-level __new__
+    tokens = [
+        make(_Token, (m.lastgroup, m[m.lastindex], m.start(m.lastindex)))
+        for m in _token_regex(text).finditer(text)
+    ]
+    for i, (kind, value, offset) in enumerate(tokens):
         if kind == "SECTION":
             if value == ".":
-                raise ParseError("lone '.'", line, column)
-            tokens.append(_Token(kind, value[1:], line, column))
+                raise ParseError("lone '.'", *_position(text, offset))
+            tokens[i] = _Token(kind, value[1:], offset)
         elif kind == "STR":
-            body = re.sub(r"\\(.)", r"\1", value[1:-1], flags=re.DOTALL)
-            tokens.append(_Token(kind, body, line, column))
-        elif kind == "PUNCT":
-            tokens.append(_Token(_PUNCT[value], value, line, column))
-        elif kind != "SKIP":
-            tokens.append(_Token(kind, value, line, column))
-        if "\n" in value:
-            line += value.count("\n")
-            line_start = start + value.rindex("\n") + 1
-    tokens.append(_Token("EOF", "", line, len(text) - line_start + 1))
+            tokens[i] = _Token(kind, re.sub(r"\\(.)", r"\1", value[1:-1], flags=re.DOTALL), offset)
+        elif kind == "ERROR":
+            raise _lex_error(text, offset)
+        elif kind == "EOF":
+            # after a match that ends at the end of the text, finditer
+            # matches EOF once more, empty
+            del tokens[i + 1 :]
+            break
     return tokens
 
 
@@ -129,40 +129,23 @@ def _tokenize(text: str) -> List[_Token]:
 
 class _Parser:
     def __init__(self, text: str):
+        self.text = text
         self.tokens = _tokenize(text)
-        self.pos = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def next(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind: str) -> _Token:
-        tok = self.next()
-        if tok.kind != kind:
-            raise ParseError(f"expected {kind}, found {tok.value!r}", tok.line, tok.column)
-        return tok
-
-    def fail(self, message: str, tok: Optional[_Token] = None):
-        tok = tok or self.peek()
-        raise ParseError(message, tok.line, tok.column)
+    def fail(self, message: str, tok: _Token):
+        raise ParseError(message, *_position(self.text, tok.offset)) from None
 
     # -- grammar ------------------------------------------------------------
 
     def parse(self) -> Document:
-        sections: List[Tuple[_Token, List]] = []
-        while self.peek().kind != "EOF":
-            head = self.expect("SECTION")
-            body_start = self.pos
-            while self.peek().kind not in ("SECTION", "EOF"):
-                self.next()
-            sections.append((head, self.tokens[body_start : self.pos]))
+        tokens = self.tokens
+        if tokens[0].kind not in ("SECTION", "EOF"):
+            self.fail(f"expected SECTION, found {tokens[0].value!r}", tokens[0])
+        heads = [i for i, tok in enumerate(tokens) if tok.kind == "SECTION"]
+        ends = heads[1:] + [len(tokens) - 1]
+        sections = [(tokens[i], tokens[i + 1 : j]) for i, j in zip(heads, ends)]
 
         doc_type: Optional[str] = None
-        type_tok = None
         for head, body in sections:
             if head.value == "type":
                 if doc_type is not None:
@@ -170,9 +153,8 @@ class _Parser:
                 if len(body) != 1 or body[0].kind != "ID" or body[0].value not in ("LPN", "LTS"):
                     self.fail(".type must be LPN or LTS", head)
                 doc_type = body[0].value
-                type_tok = head
         if doc_type is None:
-            self.fail("missing .type section", self.tokens[0] if self.tokens else None)
+            self.fail("missing .type section", tokens[0])
 
         seen: Dict[str, _Token] = {}
         for head, _ in sections:
@@ -272,7 +254,7 @@ class _Parser:
         net = PetriNet()
         place_toks: List[_Token] = []
         transition_entries = []
-        flow_sections = []
+        flow_section = None
         marking_section = None
         for head, body in sections:
             if head.value == "type":
@@ -289,7 +271,7 @@ class _Parser:
             elif head.value == "transitions":
                 transition_entries = self._ids_with_attrs(body, head)
             elif head.value == "flows":
-                flow_sections.append((head, body))
+                flow_section = (head, body)
             elif head.value == "initial_marking":
                 marking_section = (head, body)
             else:
@@ -299,7 +281,7 @@ class _Parser:
             try:
                 net.add_place(tok.value)
             except AptError as err:
-                raise ParseError(str(err), tok.line, tok.column) from None
+                self.fail(str(err), tok)
         for tok, attrs in transition_entries:
             label = None
             for name, value in attrs:
@@ -309,10 +291,11 @@ class _Parser:
             try:
                 net.add_transition(tok.value, label=label)
             except AptError as err:
-                raise ParseError(str(err), tok.line, tok.column) from None
+                self.fail(str(err), tok)
 
-        defined = set()
-        for head, body in flow_sections:
+        if flow_section is not None:
+            head, body = flow_section
+            defined = set()
             k = 0
             while k < len(body):
                 tok = body[k]
@@ -359,7 +342,7 @@ class _Parser:
         lts = Lts()
         state_entries = []
         label_entries = []
-        arc_sections = []
+        arc_section = None
         for head, body in sections:
             if head.value == "type":
                 continue
@@ -372,7 +355,7 @@ class _Parser:
             elif head.value == "labels":
                 label_entries = self._ids_with_attrs(body, head)
             elif head.value == "arcs":
-                arc_sections.append((head, body))
+                arc_section = (head, body)
             else:
                 self.fail(f"unknown section .{head.value} in an LTS file", head)
 
@@ -390,7 +373,7 @@ class _Parser:
             try:
                 lts.add_state(tok.value, initial=initial)
             except AptError as err:
-                raise ParseError(str(err), tok.line, tok.column) from None
+                self.fail(str(err), tok)
         if initial_seen is None:
             self.fail("no state is marked [initial]", sections[0][0])
 
@@ -403,20 +386,21 @@ class _Parser:
             try:
                 lts.add_label(tok.value, location=location)
             except AptError as err:
-                raise ParseError(str(err), tok.line, tok.column) from None
+                self.fail(str(err), tok)
 
-        for head, body in arc_sections:
+        if arc_section is not None:
+            head, body = arc_section
             if len(body) % 3 != 0:
                 self.fail(".arcs needs 'source label target' triples", head)
-            for k in range(0, len(body), 3):
-                src, lab, tgt = body[k : k + 3]
-                for tok in (src, lab, tgt):
-                    if tok.kind != "ID":
-                        self.fail("expected an identifier in .arcs", tok)
+            triples = iter(body)
+            for src, lab, tgt in zip(triples, triples, triples):
+                if src.kind != "ID" or lab.kind != "ID" or tgt.kind != "ID":
+                    bad = next(tok for tok in (src, lab, tgt) if tok.kind != "ID")
+                    self.fail("expected an identifier in .arcs", bad)
                 try:
                     lts.add_arc(src.value, lab.value, tgt.value)
                 except AptError as err:
-                    raise ParseError(str(err), src.line, src.column) from None
+                    self.fail(str(err), src)
         return Document(kind="LTS", lts=lts)
 
 
@@ -465,15 +449,37 @@ def _marking_comment(marking: Marking) -> str:
     return f"/* [ {inner} ] */"
 
 
+# Names joined by single spaces, each an ASCII identifier.
+_ASCII_IDS = re.compile(r"[A-Za-z_]\w*(?: [A-Za-z_]\w*)*", re.ASCII)
+
+
+def _check_names(what: str, names: Sequence[str]) -> None:
+    """Raise AptError naming the first of `names` that the lexer would not
+    read back as exactly one ID token."""
+    joined = " ".join(names)
+    if joined.count(" ") == len(names) - 1 and _ASCII_IDS.fullmatch(joined):
+        return
+    for name in names:
+        try:
+            tokens = _tokenize(name)
+        except ParseError:
+            tokens = []
+        if len(tokens) != 2 or tokens[0].kind != "ID" or tokens[0].value != name:
+            raise AptError(f"cannot write {what} {name!r}: it would not read back as one identifier")
+
+
 def render(doc: Document) -> str:
     """Canonical text form; `parse(render(d))` is structurally identical to
-    `d` and rendering is idempotent."""
+    `d` and rendering is idempotent.  A name that would not read back as an
+    identifier raises AptError."""
     if doc.kind == "LPN":
         return _render_net(doc.net)
     return _render_lts(doc.lts, doc.state_markings)
 
 
 def _render_net(net: PetriNet) -> str:
+    _check_names("place", net.places)
+    _check_names("transition", net.transitions)
     lines = [f".name {_quote(net.name)}"]
     if net.description:
         lines.append(f".description {_quote(net.description)}")
@@ -500,6 +506,12 @@ def _render_net(net: PetriNet) -> str:
 
 
 def _render_lts(lts: Lts, markings: Optional[Dict[str, Marking]] = None) -> str:
+    _check_names("state", lts.states)
+    _check_names("label", lts.labels)
+    if markings:
+        # the places of the marking comments, once per distinct place tuple
+        for places in {id(m.places): m.places for m in markings.values()}.values():
+            _check_names("place", places)
     lines = [f".name {_quote(lts.name)}"]
     if lts.description:
         lines.append(f".description {_quote(lts.description)}")

@@ -279,15 +279,19 @@ def is_persistent(lts: Lts) -> Check:
     det = is_deterministic(lts)
     if not det:
         raise PreconditionError(f"persistence needs a deterministic input: {det.detail}")
+    # label -> target at each reachable state, labels in declaration order
+    position = {t: i for i, t in enumerate(lts.labels)}
+    step = {}
     for state in reachable_states(lts):
-        enabled = lts.enabled_labels(state)
-        for i, t in enumerate(enabled):
-            for u in enabled[i + 1 :]:
-                via_t = lts.successors(state, t)[0]
-                via_u = lts.successors(state, u)[0]
-                r_tu = lts.successors(via_t, u)
-                r_ut = lts.successors(via_u, t)
-                if not r_tu or not r_ut or r_tu[0] != r_ut[0]:
+        targets = {arc.label: arc.target for arc in lts.arcs_from(state)}
+        step[state] = {t: targets[t] for t in sorted(targets, key=position.__getitem__)}
+    for state, targets in step.items():
+        enabled = list(targets.items())
+        for i, (t, via_t) in enumerate(enabled):
+            after_t = step[via_t]
+            for u, via_u in enabled[i + 1 :]:
+                r_tu = after_t.get(u)
+                if r_tu is None or r_tu != step[via_u].get(t):
                     return Check(
                         False,
                         (state, t, u),

@@ -1,10 +1,13 @@
-"""The `isomorphic` and `bisimilar` of aptk.lts before their quadratic
-scans went, kept verbatim as the reference for their differential tests.
+"""The `isomorphic`, `bisimilar` and `is_persistent` of aptk.lts before
+their quadratic scans went, kept verbatim as the reference for their
+differential tests.
 
 `isomorphic`'s walk tested each newly mapped target against
 `mapping.values()`; `bisimilar` built its witness relation by testing
-every pair of states of the two systems.  The current functions must give
-the same verdict, witness and detail on every pair.
+every pair of states of the two systems; `is_persistent` scanned a state's
+arcs in every `successors` call.  The current functions must give the same
+verdict, witness and detail on every input, and `is_persistent` the same
+PreconditionError.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Dict, List, Tuple
 
-from aptk.common import Check
+from aptk.common import Check, PreconditionError
 from aptk.lts import Lts, _signature, is_deterministic, is_totally_reachable, reachable_states
 
 
@@ -152,3 +155,29 @@ def bisimilar(l1: Lts, l2: Lts) -> Check:
     ok = block[(0, l1.initial)] == block[(1, l2.initial)]
     detail = "" if ok else "initial states are not bisimilar"
     return Check(ok, relation if ok else None, detail)
+
+
+def is_persistent(lts: Lts) -> Check:
+    """Whether enabled labels can never disable each other.
+
+    Only defined on deterministic systems (otherwise the diamond endpoint is
+    ambiguous); nondeterministic input raises PreconditionError.
+    """
+    det = is_deterministic(lts)
+    if not det:
+        raise PreconditionError(f"persistence needs a deterministic input: {det.detail}")
+    for state in reachable_states(lts):
+        enabled = lts.enabled_labels(state)
+        for i, t in enumerate(enabled):
+            for u in enabled[i + 1 :]:
+                via_t = lts.successors(state, t)[0]
+                via_u = lts.successors(state, u)[0]
+                r_tu = lts.successors(via_t, u)
+                r_ut = lts.successors(via_u, t)
+                if not r_tu or not r_ut or r_tu[0] != r_ut[0]:
+                    return Check(
+                        False,
+                        (state, t, u),
+                        f"no common state completes the {t}/{u} diamond at {state}",
+                    )
+    return Check(True)

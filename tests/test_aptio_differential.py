@@ -1,6 +1,7 @@
 """The regex lexer of aptk.aptio against the character-by-character lexer it
 replaced (tests/reference_aptio.py): the same tokens, or the same
-ParseError message at the same line and column."""
+ParseError message at the same line and column.  aptio's tokens carry an
+offset, which aptio._position turns into the line and column compared."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,15 +23,17 @@ from aptk.synthesis import word_lts
 from conftest import N1_TEXT, make_example_lts, make_n1, make_n2, make_n3
 
 
-def lex(tokenize, text):
+def lex(tokenize, position, text):
     try:
-        return [(t.kind, t.value, t.line, t.column) for t in tokenize(text)]
+        return [(t.kind, t.value, *position(text, t)) for t in tokenize(text)]
     except ParseError as err:
         return ("error", str(err), err.line, err.column)
 
 
 def assert_same_tokens(text):
-    assert lex(aptio._tokenize, text) == lex(reference_aptio._tokenize, text), text
+    ours = lex(aptio._tokenize, lambda text, t: aptio._position(text, t.offset), text)
+    reference = lex(reference_aptio._tokenize, lambda text, t: (t.line, t.column), text)
+    assert ours == reference, text[:200]
 
 
 @pytest.mark.parametrize(
@@ -78,6 +81,24 @@ def assert_same_tokens(text):
     ],
 )
 def test_hand_cases_match_reference(text):
+    assert_same_tokens(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        " " * 200_000,
+        "a" + " \n\t" * 70_000 + "b",
+        "/* c */" * 20_000,
+        "x\n" + "// line\n/* block\n */ " * 10_000,
+        ".type LTS" + " /**/" * 20_000 + " /* open",
+    ],
+    ids=["spaces", "whitespace-between-ids", "comments", "mixed-comments", "comments-then-open"],
+)
+def test_long_skips_match_reference(text):
+    """Whitespace and comments are folded into the match of the token after
+    them, EOF included; a long run of them must end at the same EOF or error
+    position as in the character lexer, without backtracking."""
     assert_same_tokens(text)
 
 

@@ -189,6 +189,14 @@ def test_word_synthesize_success_prints_or_writes_net(tmp_path):
     assert out.read_text().rstrip("\n").splitlines() == lines[3:]
 
 
+def test_word_synthesize_refuses_to_write_an_unreadable_net(tmp_path, capsys):
+    # "a b" is one letter of the word, but the reader would see two names
+    out = tmp_path / "word.apt"
+    assert main(["word_synthesize", "none", "a b,c", str(out)]) == 2
+    assert "transition 'a b'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_generators_roundtrip(tmp_path):
     out = tmp_path / "bits.apt"
     status, _ = dispatch(["bitnet_generator", "2", str(out)])

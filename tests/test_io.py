@@ -1,7 +1,9 @@
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from aptk import Document, Lts, ParseError, PetriNet, parse, render, to_dot
+from aptk import AptError, Document, Lts, ParseError, PetriNet, parse, render, to_dot
 from aptk.aptio import parse_lts, parse_net
 from aptk.petri import reachability_graph
 
@@ -117,8 +119,7 @@ def test_name_description_escaping():
     assert again.description == "line"
 
 
-# where each case below fails, as the parser reported it before its lexer
-# went to one regex match per token
+# (line, column) of each case's error, by its fragment
 ERROR_POSITIONS = {
     "duplicate": (2, 11),
     "multiple .type": (2, 1),
@@ -203,6 +204,53 @@ def test_random_lts_roundtrip(arc_spec, _unused):
     assert again.labels == lts.labels
     assert again.arcs == lts.arcs
     assert again.initial == lts.initial
+
+
+def test_render_refuses_a_state_that_reads_back_as_a_number():
+    lts = Lts.from_data("1", [("1", "a", "2")])
+    with pytest.raises(AptError, match="state '1'"):
+        render(Document(kind="LTS", lts=lts))
+
+
+def test_render_refuses_a_place_that_would_end_a_marking_comment():
+    net = PetriNet()
+    net.add_place("p*/x", tokens=1)
+    net.add_transition("t")
+    net.add_flow("p*/x", "t")
+    graph = reachability_graph(net)
+    with pytest.raises(AptError, match=re.escape("place 'p*/x'")):
+        render(Document(kind="LTS", lts=graph.lts, state_markings=graph.markings))
+
+
+@pytest.mark.parametrize(
+    "name,ok",
+    [("x", True), ("_1", True), ("été", True), ("x²", True), ("a½", True),
+     ("1", False), ("²", False), ("½", False), ("", False), ("a b", False),
+     ("a-b", False), ("a/**/", False), (" a", False), ("a\n", False)],
+)
+def test_render_writes_only_names_that_read_back(name, ok):
+    net = PetriNet()
+    net.add_place(name)
+    net.add_transition("t")
+    doc = Document(kind="LPN", net=net)
+    if ok:
+        assert parse(render(doc)).net.places == (name,)
+    else:
+        with pytest.raises(AptError, match=re.escape(f"place {name!r}")):
+            render(doc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.text("ab1²½ _-\n/*.", min_size=0, max_size=3), min_size=1, max_size=4, unique=True))
+def test_render_output_always_reads_back(names):
+    lts = Lts.from_data(names[0], [], states=names)
+    try:
+        text = render(Document(kind="LTS", lts=lts))
+    except AptError as err:
+        assert not isinstance(err, ParseError)
+        return
+    again = parse(text).lts
+    assert again.states == lts.states and again.initial == lts.initial
 
 
 @settings(max_examples=40, deadline=None)

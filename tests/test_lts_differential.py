@@ -1,15 +1,18 @@
-"""Differential tests: aptk.lts.isomorphic and aptk.lts.bisimilar against
-the versions kept in reference_lts.py, which scanned `mapping.values()`
-once per mapped state and tested every pair of states for the relation.
-Both must give the same verdict, witness and detail on every pair."""
+"""Differential tests: aptk.lts.isomorphic, aptk.lts.bisimilar and
+aptk.lts.is_persistent against the versions kept in reference_lts.py,
+which scanned `mapping.values()` once per mapped state, tested every pair
+of states for the relation, and scanned a state's arcs for each successor.
+They must give the same verdict, witness and detail on every input."""
 
 from collections import Counter, defaultdict
 
 from hypothesis import given, seed, settings, strategies as st
 
-from aptk import Lts, bisimilar, isomorphic, reachability_graph
-from aptk.generators import bitnet, cyclenet
+from aptk import Lts, bisimilar, is_persistent, isomorphic, reachability_graph
+from aptk.common import PreconditionError
+from aptk.generators import bitnet, cyclenet, philnet_bistate
 from reference_lts import bisimilar as reference_bisimilar
+from reference_lts import is_persistent as reference_is_persistent
 from reference_lts import isomorphic as reference_isomorphic
 from test_lts import small_lts
 from test_synthesis import _canonical_instances
@@ -68,3 +71,74 @@ def test_isomorphic_and_bisimilar_match_reference_on_random_pairs(l1, l2, copy):
         l2 = _renamed(l1)
     assert _same(isomorphic(l1, l2), reference_isomorphic(l1, l2))
     assert _same(bisimilar(l1, l2), reference_bisimilar(l1, l2))
+
+
+def _persistence(check):
+    """(ok, witness, detail) of check(), or the PreconditionError it raises."""
+    try:
+        result = check()
+    except PreconditionError as err:
+        return ("PreconditionError", str(err))
+    return (result.ok, result.witness, result.detail)
+
+
+def _same_persistence(lts):
+    expected = _persistence(lambda: reference_is_persistent(lts))
+    assert _persistence(lambda: is_persistent(lts)) == expected, lts.arcs
+    return expected
+
+
+def test_is_persistent_matches_reference_on_canonical_systems_and_state_graphs():
+    graphs = [
+        reachability_graph(net).lts
+        for net in (bitnet(4), cyclenet(4, 2), philnet_bistate(2), philnet_bistate(3))
+    ]
+    verdicts = Counter(_same_persistence(lts)[0] for lts in _canonical_instances(3, 2) + graphs)
+    assert verdicts[True] and verdicts[False]
+
+
+@st.composite
+def persistence_inputs(draw):
+    """States s0.. with at most one arc per state and label, plus up to two
+    arcs among them that may make a reachable state nondeterministic, and
+    states u0.. that s0 cannot reach, whose arcs may be nondeterministic."""
+    states = [f"s{i}" for i in range(draw(st.integers(1, 5)))]
+    labels = ["a", "b", "c"][: draw(st.integers(1, 3))]
+    arcs = []
+    for src in states:
+        for label in labels:
+            choice = draw(st.integers(-1, len(states) - 1))
+            if choice >= 0:
+                arcs.append((src, label, states[choice]))
+    arc = st.tuples(st.sampled_from(states), st.sampled_from(labels), st.sampled_from(states))
+    arcs += draw(st.lists(arc, max_size=2))
+    unreachable = [f"u{i}" for i in range(draw(st.integers(0, 2)))]
+    if unreachable:
+        island = st.tuples(
+            st.sampled_from(unreachable), st.sampled_from(labels), st.sampled_from(states + unreachable)
+        )
+        arcs += draw(st.lists(island, max_size=6))
+    return Lts.from_data("s0", arcs, states=states + unreachable, labels=labels)
+
+
+@seed(20150602)
+@settings(max_examples=300, deadline=None)
+@given(persistence_inputs())
+def test_is_persistent_matches_reference_on_random_systems(lts):
+    _same_persistence(lts)
+
+
+def test_is_persistent_matches_reference_on_nondeterminism():
+    reachable = Lts.from_data("s0", [("s0", "a", "s1"), ("s0", "a", "s2"), ("s1", "b", "s2")])
+    assert _same_persistence(reachable)[0] == "PreconditionError"
+    # u0 is nondeterministic but unreachable, and s0 misses the a/b diamond
+    unreachable = Lts.from_data(
+        "s0",
+        [("s0", "a", "s1"), ("s0", "b", "s2"), ("s1", "b", "s1"), ("u0", "a", "s0"), ("u0", "a", "s1")],
+        states=["s0", "s1", "s2", "u0"],
+    )
+    assert _same_persistence(unreachable) == (
+        False,
+        ("s0", "a", "b"),
+        "no common state completes the a/b diamond at s0",
+    )
