@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .common import AptError, Check, CycleCapExceededError, PreconditionError
@@ -224,9 +225,17 @@ class SpanningTree:
     """BFS tree of the reachable part rooted at the initial state."""
 
     parent_arc: Dict[str, Arc] = field(default_factory=dict)
-    path_parikh: Dict[str, ParikhVector] = field(default_factory=dict)
     chords: List[Arc] = field(default_factory=list)
     order: List[str] = field(default_factory=list)
+
+    @cached_property
+    def path_parikh(self) -> Dict[str, ParikhVector]:
+        """Each state's tree-path Parikh vector, derived from the parent arcs on first use."""
+        parikh: Dict[str, ParikhVector] = {}
+        for state in self.order:
+            arc = self.parent_arc.get(state)
+            parikh[state] = ParikhVector() if arc is None else parikh[arc.source].added(arc.label)
+        return parikh
 
 
 def reachable_states(lts: Lts) -> List[str]:
@@ -406,17 +415,17 @@ def spanning_tree(lts: Lts) -> SpanningTree:
     object, so identity tells them apart).
     """
     tree = SpanningTree()
-    parent, parikh, order = tree.parent_arc, tree.path_parikh, tree.order
-    parikh[lts.initial] = ParikhVector()
+    parent, order = tree.parent_arc, tree.order
+    seen = {lts.initial}
     order.append(lts.initial)
     for state in order:
         for arc in lts.arcs_from(state):
-            if arc.target not in parikh:
+            if arc.target not in seen:
+                seen.add(arc.target)
                 parent[arc.target] = arc
-                parikh[arc.target] = parikh[state].added(arc.label)
                 order.append(arc.target)
     if len(order) < len(lts.states):
-        unreachable = next(s for s in lts.states if s not in parikh)
+        unreachable = next(s for s in lts.states if s not in seen)
         raise PreconditionError(f"state {unreachable} is unreachable; no spanning tree")
     tree.chords = [arc for arc in lts.arcs if parent.get(arc.target) is not arc]
     return tree

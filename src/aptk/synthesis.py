@@ -13,7 +13,10 @@ from __future__ import annotations
 from collections import Counter, deque
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from operator import sub
+from functools import cached_property
+from itertools import combinations, compress, count, islice, repeat
+from math import ceil
+from operator import ne, sub
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .common import (
@@ -95,6 +98,11 @@ class SeparationProblem:
         return f"states {self.state} and {self.other}"
 
 
+# the property tokens that set a flag, net properties first in `describe` order
+_FLAGS = {"pure": "pure", "plain": "plain", "output-nonbranching": "on", "t-net": "tnet",
+          "conflict-free": "cf", "language": "language", "verbose": "verbose"}
+
+
 @dataclass
 class PropertySet:
     """Requested properties of the synthesized net.
@@ -121,59 +129,27 @@ class PropertySet:
     @classmethod
     def parse(cls, text: str) -> "PropertySet":
         props = cls()
-        for raw in text.split(","):
-            token = raw.strip()
-            if not token:
-                continue
-            if token == "none":
-                continue
-            elif token == "pure":
-                props.pure = True
-            elif token == "plain":
-                props.plain = True
-            elif token == "output-nonbranching":
-                props.on = True
-            elif token == "t-net":
-                props.tnet = True
-            elif token == "conflict-free":
-                props.cf = True
-            elif token == "safe":
-                if props.k is not None and props.k != 1:
-                    raise AptError("conflicting boundedness requests")
-                props.k = 1
-            elif token == "language":
-                props.language = True
-            elif token == "verbose":
-                props.verbose = True
-            elif token.endswith("-bounded") and token[: -len("-bounded")].isdecimal():
-                k = int(token[: -len("-bounded")])
+        for token in filter(None, map(str.strip, text.split(","))):
+            bound = token[: -len("-bounded")] if token.endswith("-bounded") else ""
+            if token in _FLAGS:
+                setattr(props, _FLAGS[token], True)
+            elif token == "safe" or bound.isdecimal():
+                k = 1 if token == "safe" else int(bound)
                 if props.k is not None and props.k != k:
                     raise AptError("conflicting boundedness requests")
                 props.k = k
-            else:
+            elif token != "none":
                 raise AptError(f"unknown property {token!r}")
         props.__post_init__()
         return props
 
     def describe(self) -> str:
-        parts = []
-        if self.pure:
-            parts.append("pure")
-        if self.plain:
-            parts.append("plain")
-        if self.on:
-            parts.append("output-nonbranching")
-        if self.tnet:
-            parts.append("t-net")
-        if self.cf:
-            parts.append("conflict-free")
-        if self.k == 1:
-            parts.append("safe")
-        elif self.k is not None:
-            parts.append(f"{self.k}-bounded")
+        parts = [token for token, name in list(_FLAGS.items())[:5] if getattr(self, name)]
+        if self.k is not None:
+            parts.append("safe" if self.k == 1 else f"{self.k}-bounded")
         if self.language:
             parts.append("language")
-        return ",".join(parts) if parts else "none"
+        return ",".join(parts) or "none"
 
 
 @dataclass
@@ -208,7 +184,8 @@ def enumerate_separation_problems(lts: Lts) -> List[SeparationProblem]:
     then all unordered pairs of distinct reachable states; both in the
     deterministic state/label order.  Raises PreconditionError on an input
     synthesis rejects."""
-    return _Engine(lts, PropertySet()).problems()[0]
+    engine = _Engine(lts, PropertySet())
+    return list(engine.listed(engine.problems()[0]))
 
 
 def _check_synthesis_input(lts: Lts) -> None:
@@ -228,6 +205,7 @@ def check_region(lts: Lts, region: Region) -> Dict[str, int]:
     This is the definitional validity check and is independent of how the
     region was computed.
     """
+    weights = {t: (b, f - b) for t, b, f in zip(region.labels, region.backward, region.forward)}
     values = {lts.initial: region.initial}
     if region.initial < 0:
         raise InternalError("region has negative initial value")
@@ -235,11 +213,10 @@ def check_region(lts: Lts, region: Region) -> Dict[str, int]:
     for state in order:
         value = values[state]
         for arc in lts.arcs_from(state):
-            if value < region.b(arc.label):
-                raise InternalError(
-                    f"region blocks {arc.label} at {state}: {value} < {region.b(arc.label)}"
-                )
-            nxt = value - region.b(arc.label) + region.f(arc.label)
+            b, effect = weights[arc.label]
+            if value < b:
+                raise InternalError(f"region blocks {arc.label} at {state}: {value} < {b}")
+            nxt = value + effect
             if nxt < 0:
                 raise InternalError(f"region goes negative at {arc.target}")
             known = values.get(arc.target)
@@ -253,74 +230,89 @@ def check_region(lts: Lts, region: Region) -> Dict[str, int]:
 
 class _Engine:
     """Per-input context: spanning tree, Parikh vectors, cycle rows, basis,
-    and the solvers for individual separation problems."""
+    and the solvers for individual separation problems, all on indices: a
+    state is its place in `states`, a label in `labels`, and a problem is
+    ("essp", state, label) or ("ssp", state, later state)."""
 
     def __init__(self, lts: Lts, props: PropertySet):
         self.lts = lts
         self.props = props
-        self.labels = lts.labels
-        self.lab_index = {t: i for i, t in enumerate(self.labels)}
+        labels = self.labels = lts.labels
+        lab = self.lab_index = {t: i for i, t in enumerate(labels)}
         try:  # the one walk; on a defect, the input check names the first
             self.tree = spanning_tree(lts)
         except PreconditionError:
             _check_synthesis_input(lts)
             raise
-        self.states = list(self.tree.order)
-        # states enabling each label, and the (state, label) pairs of all
-        # arcs; a repeated pair (equal arcs are one arc) is a nondeterministic
-        # state, and a label no state enables is unused
-        self.enabled_states: Dict[str, List[str]] = {t: [] for t in self.labels}
-        self.arc_pairs: List[Tuple[str, str]] = []
-        for s in self.states:
+        states, parent = self.tree.order, self.tree.parent_arc
+        self.states, self.index = states, {s: i for i, s in enumerate(states)}
+        # states enabling each label and the (state, label) pair of each arc;
+        # a parent arc is also its target's `parents` entry, and gives its
+        # Parikh vector as the parent's plus that label's unit.  A repeated
+        # pair (equal arcs are one arc) is a nondeterministic state, and a
+        # label no state enables is unused
+        enabled_states, arc_pairs = self.enabled_states, self.arc_pairs = [[] for _ in labels], []
+        parents, psi = self.parents, self.psi = [], [(0,) * len(labels)]
+        for i, s in enumerate(states):
             for arc in lts.arcs_from(s):
-                self.enabled_states[arc.label].append(s)
-                self.arc_pairs.append((s, arc.label))
-        self.enabled = set(self.arc_pairs)
-        if len(self.enabled) < len(self.arc_pairs) or not all(self.enabled_states.values()):
+                k = lab[arc.label]
+                enabled_states[k].append(i)
+                arc_pairs.append((i, k))
+                if parent.get(arc.target) is arc:
+                    parents.append((i, k))
+                    psi.append(psi[i][:k] + (psi[i][k] + 1,) + psi[i][k + 1 :])
+        self.enabled = {i * len(labels) + k for i, k in arc_pairs}  # keys, as `problems` lists
+        if len(self.enabled) < len(arc_pairs) or not all(enabled_states):
             _check_synthesis_input(lts)
         # the basis solver serves no property, `pure` and `plain,pure`
         # without locations; the general solver everything else
         self.general = bool(lts.locations) or props.k is not None or (
             props.on or props.tnet or props.cf or (props.plain and not props.pure)
         )
-        psi = self.psi = {
-            s: self.tree.path_parikh[s].as_tuple(self.labels) for s in self.states
-        }
         # each chord closes a cycle with Parikh vector psi(source) + label -
         # psi(target); a region's effects are zero on each distinct nonzero one
         rows = []
         for arc in self.tree.chords:
-            row = list(map(sub, psi[arc.source], psi[arc.target]))
-            row[self.lab_index[arc.label]] += 1
+            row = list(map(sub, psi[self.index[arc.source]], psi[self.index[arc.target]]))
+            row[lab[arc.label]] += 1
             rows.append(tuple(row))
         self.cycle_rows = [row for row in dict.fromkeys(rows) if any(row)]
-        self.basis = integer_kernel_basis(self.cycle_rows, dim=len(self.labels))
-        self.index = {s: i for i, s in enumerate(self.states)}
+        self.basis = integer_kernel_basis(self.cycle_rows, dim=len(labels))
         self._values_cache: Dict[Region, List[int]] = {}
-        self._projected: Optional[Dict[str, Tuple[int, ...]]] = None
 
     # -- generic helpers ---------------------------------------------------
 
     def problems(self):
-        """The separation problems in order: an event/state problem per state,
-        in `states` order, and label it does not enable, then (unless
-        language-only) every unordered pair of distinct states.  Also their
-        state indices, as the separation pass reads them: per label index
-        the (problem, state) pairs, and (problem, state, state) per pair."""
-        problems: List[SeparationProblem] = []
-        pairs: List[Tuple[int, int, int]] = []
+        """The event/state problems in order, per state each label it does
+        not enable, as keys state * len(labels) + label; and per label the
+        (problem, state) index pairs.  Unless language-only, the state pairs
+        (i, j), i < j, follow in order, numbered by rank without a list."""
+        width = len(self.labels)
+        keys: List[int] = []
         by_label: List[List[Tuple[int, int]]] = [[] for _ in self.labels]
-        for i, s in enumerate(self.states):
-            for k, t in enumerate(self.labels):
-                if (s, t) not in self.enabled:
-                    by_label[k].append((len(problems), i))
-                    problems.append(SeparationProblem("essp", s, label=t))
-        if not self.props.language:
-            for i, s in enumerate(self.states):
-                for j, other in enumerate(self.states[i + 1 :], i + 1):
-                    pairs.append((len(problems), i, j))
-                    problems.append(SeparationProblem("ssp", s, other=other))
-        return problems, by_label, pairs
+        for key in range(len(self.states) * width):
+            if key not in self.enabled:
+                by_label[key % width].append((len(keys), key // width))
+                keys.append(key)
+        return keys, by_label
+
+    def problem(self, kind: str, i: int, x: int) -> SeparationProblem:
+        if kind == "essp":
+            return SeparationProblem(kind, self.states[i], label=self.labels[x])
+        return SeparationProblem(kind, self.states[i], other=self.states[x])
+
+    def listed(self, keys: List[int]):
+        """Every problem as an object, in order, from the keys of `problems`."""
+        for key in keys:
+            yield self.problem("essp", *divmod(key, len(self.labels)))
+        for i, j in combinations(range(0 if self.props.language else len(self.states)), 2):
+            yield self.problem("ssp", i, j)
+
+    def locate(self, problem: SeparationProblem) -> Tuple[str, int, int]:
+        """The kind and indices of a problem object, as the solvers take them."""
+        if problem.kind == "essp":
+            return "essp", self.index[problem.state], self.lab_index[problem.label]
+        return "ssp", self.index[problem.state], self.index[problem.other]
 
     def value_array(self, region: Region) -> List[int]:
         """The region's token count at every state, in `states` order, as
@@ -334,24 +326,28 @@ class _Engine:
     def region_values(self, region: Region) -> Dict[str, int]:
         return dict(zip(self.states, self.value_array(region)))
 
-    def solves(self, region: Region, problem: SeparationProblem) -> bool:
+    def solves(self, region: Region, kind: str, i: int, x: int) -> bool:
         values = self.value_array(region)
-        value = values[self.index[problem.state]]
-        if problem.kind == "essp":
-            return value < region.b(problem.label)
-        return value != values[self.index[problem.other]]
+        if kind == "essp":
+            return values[i] < region.backward[x]
+        return values[i] != values[x]
 
     def region(self, backward: Tuple[int, ...], forward: Tuple[int, ...]) -> Region:
         """The region with these weights and the smallest initial value that
-        keeps every state's count nonnegative and every arc enabled."""
+        keeps every state's count nonnegative and every arc enabled: the
+        largest backward weight among the labels a state enables (or 0)
+        minus its drift, its tree parent's plus its parent arc's effect."""
         effects = tuple(map(sub, forward, backward))
-        need = 0
-        for s in self.states:
-            drift = _dot(effects, self.psi[s])
-            need = max(need, -drift)
-            for arc in self.lts.arcs_from(s):
-                need = max(need, backward[self.lab_index[arc.label]] - drift)
-        return Region(self.labels, need, backward, forward)
+        drift = [0]
+        for u, k in self.parents:
+            drift.append(drift[u] + effects[k])
+        top = [0] * len(drift)
+        for b, group in zip(backward, self.enabled_states):
+            if b:
+                for i in group:
+                    if top[i] < b:
+                        top[i] = b
+        return Region(self.labels, max(0, max(map(sub, top, drift))), backward, forward)
 
     def region_from_effects(self, effects: Sequence[int]) -> Region:
         return self.region(
@@ -360,7 +356,7 @@ class _Engine:
 
     # -- location scopes ---------------------------------------------------
 
-    def _location_scopes(self, problem: SeparationProblem) -> List[Optional[Set[str]]]:
+    def _location_scopes(self, kind: str, x: int) -> List[Optional[Set[str]]]:
         """Label sets allowed to consume from the region's place.
 
         Differently-located labels must end up with disjoint presets, so the
@@ -371,31 +367,31 @@ class _Engine:
         if not locations:
             return [None]
         unlocated = {t for t in self.labels if t not in locations}
-        if problem.kind == "essp" and problem.label in locations:
-            homes = [locations[problem.label]]
+        if kind == "essp" and self.labels[x] in locations:
+            homes = [locations[self.labels[x]]]
         else:
             homes = list(dict.fromkeys(locations[t] for t in self.labels if t in locations))
         return [unlocated | {t for t in self.labels if locations.get(t) == loc} for loc in homes]
 
-    def _on_scopes(self, problem: SeparationProblem) -> List[Set[str]]:
+    def _on_scopes(self, kind: str, x: int) -> List[Set[str]]:
         """Unique synthetic location per label: at most one consumer."""
-        if problem.kind == "essp":
-            return [{problem.label}]
+        if kind == "essp":
+            return [{self.labels[x]}]
         return [{t} for t in self.labels]
 
     # -- general solver ----------------------------------------------------
 
-    def solve_general(self, problem: SeparationProblem) -> Optional[Region]:
+    def solve_general(self, kind: str, i: int, x: int) -> Optional[Region]:
         if self.props.cf:
             # output-nonbranching region first, then nonnegative effects
-            attempts = [(scope, False) for scope in self._on_scopes(problem)]
-            attempts += [(scope, True) for scope in self._location_scopes(problem)]
+            attempts = [(scope, False) for scope in self._on_scopes(kind, x)]
+            attempts += [(scope, True) for scope in self._location_scopes(kind, x)]
         elif self.props.on:
-            attempts = [(scope, False) for scope in self._on_scopes(problem)]
+            attempts = [(scope, False) for scope in self._on_scopes(kind, x)]
         else:
-            attempts = [(scope, False) for scope in self._location_scopes(problem)]
+            attempts = [(scope, False) for scope in self._location_scopes(kind, x)]
         for scope, nonneg in attempts:
-            region = self._solve_with(problem, scope, nonneg)
+            region = self._solve_with(kind, i, x, scope, nonneg)
             if region is not None:
                 return region
         return None
@@ -409,48 +405,53 @@ class _Engine:
                 coeffs[f"b_{t}"] = -c
         return coeffs
 
+    @cached_property
+    def _shared_rows(self):
+        """The rows no problem changes, built once: the cycle rows; each
+        state's count, r0 + psi(s) . effects; and the rows of a system with
+        r0 (every count >= 0, every arc enabled, under k-bounded <= k)."""
+        at = [self._effect_coeffs(row, {"r0": 1}) for row in self.psi]
+        r0_rows = [(coeffs, ">=", 0) for coeffs in at]
+        for i, k in self.arc_pairs:
+            coeffs = dict(at[i])
+            coeffs[f"b_{self.labels[k]}"] = coeffs.get(f"b_{self.labels[k]}", 0) - 1
+            r0_rows.append((coeffs, ">=", 0))
+        if self.props.k is not None:
+            r0_rows += [(coeffs, "<=", self.props.k) for coeffs in at]
+        return [(self._effect_coeffs(row), "=", 0) for row in self.cycle_rows], at, r0_rows
+
     def _solve_with(
-        self,
-        problem: SeparationProblem,
-        scope: Optional[Set[str]],
-        nonneg_effects: bool,
+        self, kind: str, i: int, x: int, scope: Optional[Set[str]], nonneg_effects: bool
     ) -> Optional[Region]:
         """One exact integer solve per orientation (two for a state pair; the
         first feasible one wins).  Variables are the initial value and the
         backward/forward weights; with `pure` the event/state inequality is
         the effect form and the solution is afterwards decomposed into its
         canonical side-condition-free weights.  Only the separating row
-        depends on the orientation; all other rows are built once."""
+        depends on the problem and orientation; `_shared_rows` builds the
+        others once per engine."""
         props = self.props
         weight_ub = 1 if props.plain else props.k
-        include_r0 = problem.kind == "essp" or props.k is not None
+        include_r0 = kind == "essp" or props.k is not None
 
-        r0_ub = self._initial_upper_bound(problem, weight_ub)
-        rows = [(self._effect_coeffs(row), "=", 0) for row in self.cycle_rows]
-        if include_r0:
-            at = {s: self._effect_coeffs(self.psi[s], {"r0": 1}) for s in self.states}
-            rows += [(at[s], ">=", 0) for s in self.states]
-            for s, t in self.arc_pairs:
-                coeffs = dict(at[s])
-                coeffs[f"b_{t}"] = coeffs.get(f"b_{t}", 0) - 1
-                rows.append((coeffs, ">=", 0))
-            if props.k is not None:
-                rows += [(at[s], "<=", props.k) for s in self.states]
+        r0_ub = self._initial_upper_bound(kind, i, weight_ub)
+        cycle, at, r0_rows = self._shared_rows
+        rows = cycle + r0_rows if include_r0 else list(cycle)
         if props.tnet:
             rows.append(({f"f_{t}": 1 for t in self.labels}, "<=", 1))
             rows.append(({f"b_{t}": 1 for t in self.labels}, "<=", 1))
         if nonneg_effects:
             rows += [({f"f_{t}": 1, f"b_{t}": -1}, ">=", 0) for t in self.labels]
 
-        if problem.kind == "essp":
-            t = problem.label
-            coeffs = dict(at[problem.state])
+        if kind == "essp":
+            t = self.labels[x]
+            coeffs = dict(at[i])
             if props.pure:
                 coeffs[f"f_{t}"] = coeffs.get(f"f_{t}", 0) + 1
             coeffs[f"b_{t}"] = coeffs.get(f"b_{t}", 0) - 1
             separating = [coeffs]
         else:  # the state's count below the other's, then above it
-            low = self._effect_coeffs(map(sub, self.psi[problem.state], self.psi[problem.other]))
+            low = self._effect_coeffs(map(sub, self.psi[i], self.psi[x]))
             separating = [low, {name: -c for name, c in low.items()}]
 
         for separation in separating:
@@ -474,24 +475,24 @@ class _Engine:
                 region = self.region_from_effects(tuple(map(sub, forward, backward)))
             else:
                 region = self.region(backward, forward)
-            return self._checked(region, problem)
+            return self._checked(region, kind, i, x)
         return None
 
-    def _initial_upper_bound(self, problem, weight_ub: Optional[int]) -> Optional[int]:
+    def _initial_upper_bound(self, kind: str, i: int, weight_ub: Optional[int]) -> Optional[int]:
         """Finite box for the initial value whenever the weights are boxed.
 
         Any solution satisfies r0 <= B(t) - 1 - E(psisep) <= wub - 1 + wub*|psi|,
         so clamping there keeps at least one solution whenever any exists.
         """
         k = self.props.k
-        if weight_ub is None or problem.kind != "essp":
+        if weight_ub is None or kind != "essp":
             return k
-        bound = weight_ub - 1 + weight_ub * sum(self.psi[problem.state])
+        bound = weight_ub - 1 + weight_ub * sum(self.psi[i])
         return bound if k is None else min(bound, k)
 
     # -- basis solver --------------------------------------------------------
 
-    def solve_basis(self, problem: SeparationProblem) -> Optional[Region]:
+    def solve_basis(self, kind: str, i: int, x: int) -> Optional[Region]:
         """Solving over basis coefficients x: effects = sum of x[j] * basis[j].
 
         Serves the property-free case and `pure`, optionally with `plain`.
@@ -513,50 +514,42 @@ class _Engine:
         if not self.basis:
             return None
         pure, plain = self.props.pure, self.props.plain
-        projection = self._projection()
-        at = projection[problem.state]
-        if problem.kind == "ssp":
-            dots = tuple(map(sub, at, projection[problem.other]))
+        projection = self._projection
+        at = projection[i]
+        if kind == "ssp":
+            dots = tuple(map(sub, at, projection[x]))
             for vector, dot in zip(self.basis, dots):
                 if dot and not (plain and any(abs(e) > 1 for e in vector)):
-                    return self._checked(self.region_from_effects(vector), problem)
+                    return self._checked(self.region_from_effects(vector), kind, i, x)
             if not (plain and any(dots)):
                 return None
             rows = [dots]
         elif pure:
-            k = self.lab_index[problem.label]
-            at = tuple([a + v[k] for a, v in zip(at, self.basis)])
-            rows = [tuple(map(sub, at, projection[other])) for other in self.states]
+            at = tuple([a + v[x] for a, v in zip(at, self.basis)])
+            rows = [tuple(map(sub, at, other)) for other in projection]
         else:
-            rows = [
-                tuple(map(sub, at, projection[enabled_state]))
-                for enabled_state in self.enabled_states[problem.label]
-            ]
+            rows = [tuple(map(sub, at, projection[e])) for e in self.enabled_states[x]]
         effects = self._basis_effects(rows, plain)
         if effects is None:
             return None
         region = self.region_from_effects(effects)
-        if problem.kind == "essp" and not pure:
-            index = self.lab_index[problem.label]
-            value = region.initial + _dot(effects, self.psi[problem.state])
-            raise_by = max(0, value - region.backward[index] + 1)
+        if kind == "essp" and not pure:
+            value = region.initial + _dot(effects, self.psi[i])
+            raise_by = max(0, value - region.backward[x] + 1)
             if raise_by:
                 backward = list(region.backward)
                 forward = list(region.forward)
-                backward[index] += raise_by
-                forward[index] += raise_by
+                backward[x] += raise_by
+                forward[x] += raise_by
                 region = Region(self.labels, region.initial, tuple(backward), tuple(forward))
-        return self._checked(region, problem)
+        return self._checked(region, kind, i, x)
 
-    def _projection(self) -> Dict[str, Tuple[int, ...]]:
-        """psi(s) projected onto the basis, per state, computed on first use.
-        Projection is linear: a path difference psi(s) - psi(e) projects to
-        the difference of the two projections."""
-        if self._projected is None:
-            self._projected = {
-                s: tuple([_dot(v, self.psi[s]) for v in self.basis]) for s in self.states
-            }
-        return self._projected
+    @cached_property
+    def _projection(self) -> List[Tuple[int, ...]]:
+        """psi(s) projected onto the basis, per state index, computed on
+        first use.  Projection is linear: a path difference psi(s) - psi(e)
+        projects to the difference of the two projections."""
+        return [tuple([_dot(v, row) for v in self.basis]) for row in self.psi]
 
     def _basis_effects(self, rows, plain: bool) -> Optional[Tuple[int, ...]]:
         """Effects of an integer x with every row's effect at most -1 and,
@@ -595,22 +588,36 @@ class _Engine:
         solution = system.solve()
         return None if solution is None else [solution[n] for n in names]
 
-    def _checked(self, region: Region, problem: SeparationProblem) -> Region:
+    def _checked(self, region: Region, kind: str, i: int, x: int) -> Region:
         """Every solver's exit: the region must be valid, pure under `pure`,
         and solve its problem.  `check_region` replays it in `states` order,
         so its values are the region's value array."""
         self._values_cache[region] = list(check_region(self.lts, region).values())
         if self.props.pure and not region.is_pure():
             raise InternalError("solver produced an impure region")
-        if not self.solves(region, problem):
-            raise InternalError(f"solver failed to separate {problem}")
+        if not self.solves(region, kind, i, x):
+            raise InternalError(f"solver failed to separate {self.problem(kind, i, x)}")
         return region
 
     # -- dispatch ------------------------------------------------------------
 
-    def solve(self, problem: SeparationProblem) -> Optional[Region]:
+    def solve(self, kind: str, i: int, x: int) -> Optional[Region]:
         """The solver `__init__` picked for this input and property set."""
-        return self.solve_general(problem) if self.general else self.solve_basis(problem)
+        return (self.solve_general if self.general else self.solve_basis)(kind, i, x)
+
+
+class _Problems:
+    """An engine's problems for `minimize_regions`: their number, and each
+    one as an object only when an error text asks for it."""
+
+    def __init__(self, engine: _Engine, keys: List[int], size: int):
+        self.engine, self.keys, self.size = engine, keys, size
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __getitem__(self, p: int) -> SeparationProblem:
+        return next(islice(self.engine.listed(self.keys), p, None))
 
 
 def _combine(basis, coefficients, dim: int) -> Tuple[int, ...]:
@@ -626,30 +633,19 @@ def _coefficient_boxes(basis) -> List[int]:
     """Box |x_j| <= sum_u |pinv[j][u]| valid for any effect with entries in
     [-1, 1]: coefficients are uniquely determined by the effect since the
     basis has full column rank, via the exact pseudo-inverse."""
-    if not basis:
-        return []
     m = len(basis)
-    n = len(basis[0])
-    gram = [[Fraction(_dot(basis[i], basis[j])) for j in range(m)] for i in range(m)]
-    rhs = [[Fraction(basis[i][u]) for u in range(n)] for i in range(m)]
-    # solve gram * X = rhs by Gauss-Jordan; gram is invertible
+    # solve gram * X = basis by Gauss-Jordan on [gram | basis]; gram is invertible
+    rows = [[Fraction(_dot(u, v)) for v in basis] + list(map(Fraction, u)) for u in basis]
     for col in range(m):
-        pivot = next(r for r in range(col, m) if gram[r][col] != 0)
-        gram[col], gram[pivot] = gram[pivot], gram[col]
-        rhs[col], rhs[pivot] = rhs[pivot], rhs[col]
-        inv = Fraction(1) / gram[col][col]
-        gram[col] = [v * inv for v in gram[col]]
-        rhs[col] = [v * inv for v in rhs[col]]
+        pivot = next(r for r in range(col, m) if rows[r][col] != 0)
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        inv = Fraction(1) / rows[col][col]
+        rows[col] = [v * inv for v in rows[col]]
         for r in range(m):
-            if r != col and gram[r][col] != 0:
-                factor = gram[r][col]
-                gram[r] = [v - factor * p for v, p in zip(gram[r], gram[col])]
-                rhs[r] = [v - factor * p for v, p in zip(rhs[r], rhs[col])]
-    boxes = []
-    for j in range(m):
-        bound = sum(abs(v) for v in rhs[j])
-        boxes.append(int(bound) if bound == int(bound) else int(bound) + 1)
-    return boxes
+            if r != col and rows[r][col] != 0:
+                factor = rows[r][col]
+                rows[r] = [v - factor * p for v, p in zip(rows[r], rows[col])]
+    return [ceil(sum(map(abs, row[m:]))) for row in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -662,7 +658,8 @@ def solve_separation(
 ) -> Optional[Region]:
     """A region of the requested properties that solves one separation
     problem, or None when there is none."""
-    return _Engine(lts, props or PropertySet()).solve(problem)
+    engine = _Engine(lts, props or PropertySet())
+    return engine.solve(*engine.locate(problem))
 
 
 def minimize_regions(
@@ -753,52 +750,65 @@ def _verify_success(lts: Lts, net: PetriNet, props: PropertySet) -> None:
 
 
 def _separation_pass(engine: _Engine) -> Tuple[
-    List[SeparationProblem], List[Tuple[Region, Set[int]]], List[SeparationProblem]
+    _Problems, List[Tuple[Region, Set[int]]], List[Tuple[str, int, int]]
 ]:
     """Solve the engine's problems in order, skipping those that a region
     found earlier solves; returns the problems, each found region with the
-    indices of the problems it solves, and the unsolvable problems.
+    indices of the problems it solves, and the unsolvable (kind, i, x).
 
-    Each found region is evaluated once, as a value array, and read at the
-    state indices `_Engine.problems` lists: it solves the (problem, state)
-    pairs of each label with backward weight b > 0 at states valued below
-    b, and the (problem, state, state) pairs whose values differ.  It
-    solves its own problem, which no earlier region solves, so it is
-    always a new one."""
-    problems, by_label, pairs = engine.problems()
+    Each found region is evaluated once, as a value array read at state
+    indices: it solves the (problem, state) pairs of each label with
+    backward weight b > 0 at states valued below b, and the state pairs
+    whose values differ; the pairs (s, j) of one s are consecutive
+    problems.  A pair is solved once its states fall in different blocks:
+    two states share one while every found region values them alike."""
+    keys, by_label = engine.problems()
+    m = 0 if engine.props.language else len(engine.states)  # states in pairs
     essp = [(k, group) for k, group in enumerate(by_label) if group]
     solved: List[Tuple[Region, Set[int]]] = []
     covered: Set[int] = set()
-    failed: List[SeparationProblem] = []
-    for i, problem in enumerate(problems):
-        if i in covered:
-            continue
-        region = engine.solve(problem)
+    failed: List[Tuple[str, int, int]] = []
+    block = [0] * m  # the found regions' values, as one id per distinct vector
+
+    def unsolved():  # lazy, so each check sees every region found before it
+        for p, key in enumerate(keys):
+            if p not in covered:
+                yield ("essp", *divmod(key, len(engine.labels)))
+        for i, j in combinations(range(m), 2):
+            if block[i] == block[j]:
+                yield "ssp", i, j
+
+    for problem in unsolved():
+        region = engine.solve(*problem)
         if region is None:
             failed.append(problem)
             continue
         values, b = engine.value_array(region), region.backward
         problem_set = {p for k, group in essp if b[k] for p, s in group if values[s] < b[k]}
-        problem_set.update([p for p, s, o in pairs if values[s] != values[o]])
+        covered.update(problem_set)
+        start, ids = len(keys), {}
+        for s in range(m - 1):
+            problem_set.update(compress(count(start), map(ne, values[s + 1 :], repeat(values[s]))))
+            start += m - 1 - s
+        block[:] = [ids.setdefault(key, len(ids)) for key in zip(block, values)]
         solved.append((region, problem_set))
-        covered |= problem_set
-    return problems, solved, failed
+    return _Problems(engine, keys, len(keys) + m * (m - 1) // 2), solved, failed
 
 
 def _run_engine(engine: _Engine) -> SynthesisOutcome:
     """Run the separation pass.  On failure, report the unsolvable problems
     with every region found; on success, keep the regions that
     `minimize_regions` picks, build their net and verify it."""
-    lts, props = engine.lts, engine.props
+    lts, props, states = engine.lts, engine.props, engine.states
     problems, solved, failed = _separation_pass(engine)
     outcome = SynthesisOutcome(success=not failed, properties=props, lts=lts)
     if failed:
         outcome.regions = [region for region, _ in solved]
-        for problem in failed:
-            if problem.kind == "ssp":
-                outcome.failed_ssp.append((problem.state, problem.other))
+        for kind, i, x in failed:
+            if kind == "ssp":
+                outcome.failed_ssp.append((states[i], states[x]))
             else:
-                outcome.failed_essp.setdefault(problem.label, []).append(problem.state)
+                outcome.failed_essp.setdefault(engine.labels[x], []).append(states[i])
         return outcome
 
     minimized = minimize_regions(problems, solved) if solved else []

@@ -19,7 +19,7 @@ from aptk import synthesis as synthesis_module
 from aptk.common import InternalError
 from aptk.linalg import solve_cone, solve_lp
 from aptk.synthesis import _Engine
-from test_synthesis import _canonical_instances
+from test_synthesis import _canonical_instances, _solve
 
 
 def primal_feasible(rows, d) -> bool:
@@ -100,7 +100,7 @@ def test_solve_cone_on_every_basis_path_problem(mode, monkeypatch):
     for lts in _canonical_instances(3, 2):
         engine = _Engine(lts, props)
         for problem in enumerate_separation_problems(lts):
-            engine.solve_basis(problem)
+            _solve(engine.solve_basis, problem)
     assert len(captured) > 100
     verdicts = {assert_agrees(rows, d) for rows, d in captured}
     assert verdicts == {True, False}

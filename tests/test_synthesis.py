@@ -92,9 +92,15 @@ def test_problem_counts_two_states():
 # -- individual solvers -------------------------------------------------------------
 
 
+def _solve(solver, problem):
+    """Call an engine's solver method on a problem object: the solvers take
+    a problem's kind and indices, which the engine's `locate` gives."""
+    return solver(*solver.__self__.locate(problem))
+
+
 def test_fast_none_word_essp():
     lts = word_lts(["a", "b"])
-    region = _Engine(lts, PropertySet()).solve_basis(SeparationProblem("essp", "s0", label="b"))
+    region = _solve(_Engine(lts, PropertySet()).solve_basis, SeparationProblem("essp", "s0", label="b"))
     assert region is not None
     assert region.effect("a") >= 1 and region.b("b") >= 1
 
@@ -108,28 +114,28 @@ def test_ssp_equal_parikh_vectors_unsolvable():
     )
     problem = SeparationProblem("ssp", "s3", other="s4")
     engine = _Engine(lts, PropertySet())
-    assert engine.solve_basis(problem) is None
-    assert engine.solve_general(problem) is None
+    assert _solve(engine.solve_basis, problem) is None
+    assert _solve(engine.solve_general, problem) is None
 
 
 def test_solve_separation_dispatches_on_properties(example_lts):
     for problem in enumerate_separation_problems(example_lts):
         for props in (None, PropertySet(pure=True), PropertySet(pure=True, plain=True)):
-            expected = _Engine(example_lts, props or PropertySet()).solve_basis(problem)
+            expected = _solve(_Engine(example_lts, props or PropertySet()).solve_basis, problem)
             assert solve_separation(example_lts, problem, props) == expected
-        expected = _Engine(example_lts, PropertySet(k=1)).solve_general(problem)
+        expected = _solve(_Engine(example_lts, PropertySet(k=1)).solve_general, problem)
         assert solve_separation(example_lts, problem, PropertySet(k=1)) == expected
 
 
 def test_safe_essp_b_s4_unsolvable(example_lts):
     problem = SeparationProblem("essp", "s4", label="b")
-    region = _Engine(example_lts, PropertySet(k=1)).solve_general(problem)
+    region = _solve(_Engine(example_lts, PropertySet(k=1)).solve_general, problem)
     assert region is None
 
 
 def test_safe_essp_c_solvable_with_canonical_region(example_lts):
     problem = SeparationProblem("essp", "s6", label="c")
-    region = _Engine(example_lts, PropertySet(k=1)).solve_general(problem)
+    region = _solve(_Engine(example_lts, PropertySet(k=1)).solve_general, problem)
     assert region is not None
     assert region.initial == 1 and region.b("c") == 1 and region.f("d") == 1
 
@@ -137,16 +143,16 @@ def test_safe_essp_c_solvable_with_canonical_region(example_lts):
 def test_general_matches_fast_none_per_problem(example_lts):
     engine = _Engine(example_lts, PropertySet())
     for problem in enumerate_separation_problems(example_lts):
-        fast = engine.solve_basis(problem)
-        general = engine.solve_general(problem)
+        fast = _solve(engine.solve_basis, problem)
+        general = _solve(engine.solve_general, problem)
         assert (fast is None) == (general is None), str(problem)
 
 
 def test_general_matches_fast_pure_per_problem(example_lts):
     engine = _Engine(example_lts, PropertySet(pure=True))
     for problem in enumerate_separation_problems(example_lts):
-        fast = engine.solve_basis(problem)
-        general = engine.solve_general(problem)
+        fast = _solve(engine.solve_basis, problem)
+        general = _solve(engine.solve_general, problem)
         assert (fast is None) == (general is None), str(problem)
 
 
@@ -195,11 +201,11 @@ def test_fast_paths_agree_with_general_on_small_systems():
         eng_pp = _Engine(lts, PropertySet(pure=True, plain=True))
         eng_p = _Engine(lts, PropertySet(pure=True))
         for problem in enumerate_separation_problems(lts):
-            fast_pp = eng_pp.solve_basis(problem)
-            general_pp = eng_pp.solve_general(problem)
+            fast_pp = _solve(eng_pp.solve_basis, problem)
+            general_pp = _solve(eng_pp.solve_general, problem)
             assert (fast_pp is None) == (general_pp is None), str(problem)
-            fast_p = eng_p.solve_basis(problem)
-            general_p = eng_p.solve_general(problem)
+            fast_p = _solve(eng_p.solve_basis, problem)
+            general_p = _solve(eng_p.solve_general, problem)
             assert (fast_p is None) == (general_p is None), str(problem)
             if fast_pp is not None:  # plain+pure solvable implies pure solvable
                 assert fast_p is not None
@@ -284,16 +290,16 @@ def test_plain_pure_effect_bound():
     # needing |effect| >= 2 on one label is unsolvable in plain+pure mode
     lts = word_lts(["a", "a", "b"])
     problem = SeparationProblem("essp", "s0", label="b")
-    unrestricted = _Engine(lts, PropertySet(pure=True)).solve_basis(problem)
+    unrestricted = _solve(_Engine(lts, PropertySet(pure=True)).solve_basis, problem)
     assert unrestricted is not None
     # brute-force oracle over plain pure regions: effects in {-1,0,1}
     engine = _Engine(lts, PropertySet(pure=True, plain=True))
     solvable = False
     for e_a, e_b in itertools.product((-1, 0, 1), repeat=2):
         region = engine.region_from_effects((e_a, e_b))
-        if engine.solves(region, problem):
+        if engine.solves(region, *engine.locate(problem)):
             solvable = True
-    restricted = engine.solve_basis(problem)
+    restricted = _solve(engine.solve_basis, problem)
     assert (restricted is not None) == solvable
 
 
@@ -337,10 +343,10 @@ def test_cone_path_solves_with_one_lp_on_d_plus_one_rows(example_lts, monkeypatc
     engine = _Engine(example_lts, PropertySet(pure=True))
     problem = SeparationProblem("essp", "s0", label="c")
     seen = _record_cone_lps(monkeypatch)
-    region = engine.solve_basis(problem)
+    region = _solve(engine.solve_basis, problem)
     assert seen == [(len(engine.basis) + 1, None)] and len(engine.basis) == 3
     check_region(example_lts, region)
-    assert region.is_pure() and engine.solves(region, problem)
+    assert region.is_pure() and engine.solves(region, *engine.locate(problem))
 
 
 def test_cone_path_failure_carries_a_checked_certificate(monkeypatch):
@@ -352,7 +358,7 @@ def test_cone_path_failure_carries_a_checked_certificate(monkeypatch):
     engine = _Engine(lts, PropertySet(pure=True))
     assert len(engine.basis) == 1
     seen = _record_cone_lps(monkeypatch)
-    assert engine.solve_basis(SeparationProblem("essp", "s0", label="a")) is None
+    assert _solve(engine.solve_basis, SeparationProblem("essp", "s0", label="a")) is None
     [(tableau_rows, y)] = seen
     assert tableau_rows == 2 and y is not None  # checked by the recorder
 
@@ -367,7 +373,7 @@ def test_cone_path_makes_one_lp_per_event_state_problem(mode, monkeypatch):
     problems = [p for p in enumerate_separation_problems(lts) if p.kind == "essp"]
     seen = _record_cone_lps(monkeypatch)
     for problem in problems:
-        assert engine.solve_basis(problem) is not None
+        assert _solve(engine.solve_basis, problem) is not None
     assert seen == [(len(engine.basis) + 1, None)] * len(problems)
     assert len(engine.basis) == 5
 
@@ -388,7 +394,7 @@ def test_empty_basis_solves_nothing_without_a_system(monkeypatch):
         engine = _Engine(lts, PropertySet.parse(mode))
         assert engine.basis == []
         for problem in problems:
-            assert engine.solve_basis(problem) is None
+            assert _solve(engine.solve_basis, problem) is None
 
 
 def test_failing_word_makes_one_cone_lp_per_problem(monkeypatch):
@@ -396,7 +402,7 @@ def test_failing_word_makes_one_cone_lp_per_problem(monkeypatch):
     # each unsolvable one is refused by its LP with a certificate
     rng = random.Random(5)
     word = [rng.choice("abc") for _ in range(160)]
-    essp, _, _ = _Engine(word_lts(word), PropertySet(language=True)).problems()
+    essp, _ = _Engine(word_lts(word), PropertySet(language=True)).problems()
     seen = _record_cone_lps(monkeypatch)
     outcome = word_synthesize(None, word)
     assert not outcome.success
@@ -410,13 +416,13 @@ def test_all_zero_region_never_solves_essp(example_lts):
     zero = Region(example_lts.labels, 0, (0, 0, 0, 0), (0, 0, 0, 0))
     for problem in enumerate_separation_problems(example_lts):
         if problem.kind == "essp":
-            assert not engine.solves(zero, problem)
+            assert not engine.solves(zero, *engine.locate(problem))
 
 
 def test_emitted_regions_are_valid(example_lts):
     engine = _Engine(example_lts, PropertySet())
     for problem in enumerate_separation_problems(example_lts):
-        region = engine.solve(problem)
+        region = _solve(engine.solve, problem)
         if region is not None:
             check_region(example_lts, region)  # raises on violation
 
@@ -605,7 +611,7 @@ def test_minimize_preserves_feasibility_example(example_lts):
     problems = enumerate_separation_problems(example_lts)
     engine = _Engine(example_lts, PropertySet())
     for problem in problems:
-        assert any(engine.solves(r, problem) for r in outcome.regions)
+        assert any(engine.solves(r, *engine.locate(problem)) for r in outcome.regions)
 
 
 def test_separation_pass_evaluates_each_region_once(example_lts, monkeypatch):
@@ -622,15 +628,15 @@ def test_separation_pass_evaluates_each_region_once(example_lts, monkeypatch):
             calls["values"] += 1
         return value_array(self, region)
 
-    def counting_solves(self, region, problem):
+    def counting_solves(self, region, *key):
         if not inside:
             calls["solves"] += 1
-        return solves(self, region, problem)
+        return solves(self, region, *key)
 
-    def marked_solve(self, problem):
-        inside.append(problem)
+    def marked_solve(self, *key):
+        inside.append(key)
         try:
-            return solve(self, problem)
+            return solve(self, *key)
         finally:
             inside.pop()
 
@@ -651,7 +657,7 @@ def test_separation_pass_evaluates_each_region_once(example_lts, monkeypatch):
     engine = _Engine(example_lts, PropertySet())
     problems = enumerate_separation_problems(example_lts)
     for region, problem_set in found:
-        assert problem_set == {j for j, p in enumerate(problems) if engine.solves(region, p)}
+        assert problem_set == {j for j, p in enumerate(problems) if engine.solves(region, *engine.locate(p))}
 
 
 # -- word synthesis ----------------------------------------------------------------
@@ -772,15 +778,16 @@ def test_language_only_failures_name_input_states():
 
 
 def test_language_only_builds_no_state_pair_problems(monkeypatch):
-    # state separation is not enforced, so no state pair is ever built
+    # state separation is not enforced, so no state pair is ever listed
+    # or solved
     kinds = []
-    build = synthesis_module.SeparationProblem
+    solve = _Engine.solve
 
-    def recording(kind, *args, **kwargs):
+    def recording(self, kind, *indices):
         kinds.append(kind)
-        return build(kind, *args, **kwargs)
+        return solve(self, kind, *indices)
 
-    monkeypatch.setattr(synthesis_module, "SeparationProblem", recording)
+    monkeypatch.setattr(_Engine, "solve", recording)
     assert word_synthesize(None, "abcabcabcabc").success
     assert not word_synthesize(None, "abbaac").success
     assert not synthesize_language_only(_diamond_chain(2), PropertySet(k=1)).success

@@ -27,10 +27,18 @@ The engine's problem list and its state indices are checked against the
 walking `enumerate_separation_problems` and `_event_state_problems` and the
 pass's re-indexing loop they replaced, on every valid input and on the
 tree unfoldings; a valid synthesis walks its input once before solving.
+
+The engine on integer indices is checked against the engine it replaced,
+kept in reference_synthesis.py with its pass: the same regions, failures
+and reports on the canonical systems, bitnet(3..5), cyclenet(16, 1) and
+the words of the `words` digest family, in five modes with and without
+`verbose`; and the same initial value for random weights.  Synthesis
+builds no `SeparationProblem`.
 """
 
 from dataclasses import replace
 from functools import partial
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
@@ -49,7 +57,7 @@ from aptk import (
 )
 from aptk import lts as lts_module
 from aptk import synthesis as synthesis_module
-from aptk.common import InternalError, PreconditionError
+from aptk.common import AptError, InternalError, PreconditionError
 from aptk.generators import bitnet, cyclenet
 from aptk.linalg import LinearSystem, integer_kernel_basis
 from aptk.synthesis import (
@@ -77,7 +85,9 @@ from reference_synthesis import spanning_tree as reference_spanning_tree
 from reference_synthesis import minimize_regions as reference_minimize
 from reference_synthesis import separation_pass as reference_pass
 from reference_synthesis import solve_fast_none, solve_fast_pure
-from test_synthesis import _canonical_instances
+from reference_synthesis import _Engine as ReferenceEngine
+from reference_synthesis import _run_engine as reference_run_engine
+from test_synthesis import _canonical_instances, _solve
 
 EXACT = {
     "pure,plain": (PropertySet(pure=True, plain=True), partial(solve_fast_pure, plain=True)),
@@ -132,6 +142,7 @@ def test_engine_setup_matches_reference():
         if isinstance(expected, str):
             verdicts.add("no tree")
             continue
+        assert tree.path_parikh == expected.path_parikh, where
         if not (is_deterministic(lts) and is_totally_reachable(lts)):
             with pytest.raises(PreconditionError):
                 _Engine(lts, PropertySet())
@@ -156,7 +167,8 @@ def test_spanning_tree_walks_once(monkeypatch):
         raise AssertionError("spanning_tree walked the input twice")
 
     monkeypatch.setattr(lts_module, "reachable_states", refuse)
-    assert spanning_tree(lts) == expected
+    tree = spanning_tree(lts)
+    assert tree == expected and tree.path_parikh == expected.path_parikh
     with pytest.raises(PreconditionError, match="state s2 is unreachable"):
         spanning_tree(Lts.from_data("s0", [("s0", "a", "s1"), ("s2", "b", "s0")]))
 
@@ -165,9 +177,9 @@ def test_spanning_tree_walks_once(monkeypatch):
 def test_solve_basis_matches_reference(mode):
     props, reference = EXACT[mode]
     for lts in _inputs():
-        engine = _Engine(lts, props)
+        engine, old = _Engine(lts, props), ReferenceEngine(lts, props)
         for problem in enumerate_separation_problems(lts):
-            assert engine.solve_basis(problem) == reference(engine, problem), (
+            assert _solve(engine.solve_basis, problem) == reference(old, problem), (
                 sorted(map(str, lts.arcs)),
                 str(problem),
             )
@@ -178,15 +190,15 @@ def test_solve_basis_verdict_matches_reference(mode):
     props, reference = VERDICT[mode]
     count = 0
     for lts in _inputs():
-        engine = _Engine(lts, props)
+        engine, old = _Engine(lts, props), ReferenceEngine(lts, props)
         for problem in enumerate_separation_problems(lts):
             count += 1
             where = (sorted(map(str, lts.arcs)), str(problem))
-            region = engine.solve_basis(problem)
-            assert (region is None) == (reference(engine, problem) is None), where
+            region = _solve(engine.solve_basis, problem)
+            assert (region is None) == (reference(old, problem) is None), where
             if region is not None:
                 check_region(lts, region)
-                assert engine.solves(region, problem), where
+                assert engine.solves(region, *engine.locate(problem)), where
                 assert region.is_pure() or not props.pure, where
     assert count == 3545
 
@@ -204,11 +216,14 @@ def test_separation_pass_matches_reference(mode):
     props = PropertySet.parse(mode)
     outcomes = set()
     for lts in _pass_inputs():
-        problems, solved, failed = _separation_pass(_Engine(lts, props))
-        expected_solved, expected_failed = reference_pass(_Engine(lts, props), reference_enumerate(lts))
+        engine = _Engine(lts, props)
+        problems, solved, failed = _separation_pass(engine)
+        expected = reference_enumerate(lts)
+        expected_solved, expected_failed = reference_pass(ReferenceEngine(lts, props), expected)
         where = sorted(map(str, lts.arcs))
+        assert [problems[p] for p in range(len(problems))] == expected, where
         assert solved == expected_solved, where
-        assert failed == expected_failed, where
+        assert [engine.problem(*key) for key in failed] == expected_failed, where
         if not failed:
             assert minimize_regions(problems, solved) == reference_minimize(problems, solved), where
         outcomes.add(bool(failed))
@@ -315,7 +330,8 @@ def test_valid_synthesis_walks_its_input_once_before_solving(monkeypatch):
     # the engine's spanning tree is the one walk of a valid input before
     # solving: no `reachable_states` (in the input check or the problem
     # list) and, for a word, no input check; only the independent
-    # verification of a found net may walk again
+    # verification of a found net may walk again.  The engine reads the
+    # tree's parent arcs, never its `ParikhVector`s
     cases = _walk_cases() + [(word_lts("abbaac"), PropertySet(plain=True))]
     expected = [format_report(synthesize(lts, props)) for lts, props in cases]
     words = ["abcabc", "abbaac", "aabab"]
@@ -342,6 +358,10 @@ def test_valid_synthesis_walks_its_input_once_before_solving(monkeypatch):
     def unchecked(lts):
         raise AssertionError("word synthesis ran the input check")
 
+    def no_vector(*args):
+        raise AssertionError("synthesis built a ParikhVector")
+
+    monkeypatch.setattr(lts_module, "ParikhVector", no_vector)
     monkeypatch.setattr(lts_module, "reachable_states", refuse)
     monkeypatch.setattr(synthesis_module, "reachable_states", refuse)
     monkeypatch.setattr(synthesis_module, "_verify_success", verified)
@@ -375,14 +395,19 @@ def test_engine_problems_match_reference():
         expected = reference_enumerate(lts)
         assert enumerate_separation_problems(lts) == expected, where
         engine = _Engine(lts, PropertySet())
-        problems, by_label, pairs = engine.problems()
-        assert problems == expected, where
+        keys, by_label = engine.problems()
+        essp = [engine.problem("essp", *divmod(key, len(lts.labels))) for key in keys]
+        assert essp == expected[: len(keys)], where
+        # pair (i, j) is numbered by its rank among the pairs, after the keys
+        ranked = combinations(range(len(engine.states)), 2)
+        pairs = [(len(keys) + rank, i, j) for rank, (i, j) in enumerate(ranked)]
         assert (by_label, pairs) == reference_index(engine, expected), where
         engine = _Engine(lts, PropertySet(language=True))
-        problems, by_label, pairs = engine.problems()
+        keys, by_label = engine.problems()
+        problems = list(engine.listed(keys))
         assert problems == reference_event_state_problems(lts, lts_module.reachable_states(lts))
-        assert (by_label, pairs) == reference_index(engine, problems), where
-        assert pairs == [] and all(p.kind == "essp" for p in problems), where
+        assert (by_label, []) == reference_index(engine, problems), where
+        assert len(problems) == len(keys) and all(p.kind == "essp" for p in problems), where
         counts[family] += 1
     assert all(counts.values()), counts
 
@@ -410,7 +435,7 @@ def test_value_arrays_are_the_check_region_values(mode):
             counts["tree" if lts in trees else "input"] += 1
             values = check_region(lts, region)
             assert list(values) == engine.states
-            expected = reference_value_array(_Engine(lts, props), region)
+            expected = reference_value_array(ReferenceEngine(lts, props), region)
             assert engine.value_array(region) == list(values.values()) == expected
             assert _Engine(lts, props).value_array(region) == expected
     assert counts["input"] and counts["tree"]
@@ -445,16 +470,107 @@ def test_general_solver_systems_match_reference(mode, monkeypatch):
     inputs = _located_inputs() if mode == "located" else _canonical_instances(3, 2)
     count = 0
     for lts in inputs:
-        engine = _Engine(lts, props)
+        engine, old = _Engine(lts, props), ReferenceEngine(lts, props)
         for problem in enumerate_separation_problems(lts):
-            scopes = engine._location_scopes(problem) + engine._on_scopes(problem)
+            kind, i, x = engine.locate(problem)
+            scopes = engine._location_scopes(kind, x) + engine._on_scopes(kind, x)
+            assert scopes == old._location_scopes(problem) + old._on_scopes(problem)
             for scope in scopes:
                 for nonneg in (False, True) if props.cf else (False,):
                     del systems[:]
-                    assert reference_solve_with(engine, problem, scope, nonneg) is None
+                    assert reference_solve_with(old, problem, scope, nonneg) is None
                     expected = list(systems)
                     del systems[:]
-                    assert engine._solve_with(problem, scope, nonneg) is None
+                    assert engine._solve_with(kind, i, x, scope, nonneg) is None
                     assert systems == expected, (sorted(map(str, lts.arcs)), str(problem))
                     count += len(expected)
     assert count > 0
+
+
+def _engine_inputs():
+    """The canonical systems, bitnet(3..5) and cyclenet(16, 1)."""
+    nets = [bitnet(3), bitnet(4), bitnet(5), cyclenet(16, 1)]
+    return _canonical_instances(3, 2) + [reachability_graph(net).lts for net in nets]
+
+
+def _words():
+    """The words of the `words` digest family: length 1 to 4 over {a, b, c}."""
+    return ["".join(w) for n in range(1, 5) for w in product("abc", repeat=n)]
+
+
+def _outcome_lines(props):
+    """Per input, the regions, failures (in order) and report lines of one
+    synthesis, or the error it raised."""
+    runs = [partial(synthesize, lts, props) for lts in _engine_inputs()]
+    runs += [partial(word_synthesize, props, word) for word in _words()]
+    lines = []
+    for run in runs:
+        try:
+            outcome = run()
+        except AptError as err:
+            lines.append(f"{type(err).__name__}: {err}")
+            continue
+        failures = (outcome.failed_ssp, list(outcome.failed_essp.items()))
+        lines.append((outcome.regions, failures, format_report(outcome)))
+    return lines
+
+
+@pytest.mark.parametrize("verbose", [False, True])
+@pytest.mark.parametrize("mode", ["none", "pure", "plain,pure", "safe", "conflict-free"])
+def test_engine_outcomes_match_the_reference_engine(mode, verbose, monkeypatch):
+    # the engine on integer indices against the engine that built one
+    # problem object per problem: the same regions, the same failures in
+    # the same order and the same report on every input
+    props = replace(PropertySet.parse(mode), verbose=verbose)
+    got = _outcome_lines(props)
+    monkeypatch.setattr(synthesis_module, "_Engine", ReferenceEngine)
+    monkeypatch.setattr(synthesis_module, "_run_engine", reference_run_engine)
+    assert got == _outcome_lines(props)
+    assert {isinstance(line, tuple) and not line[1][0] and not line[1][1] for line in got} == {
+        True, False
+    }
+
+
+def _region_inputs():
+    nets = [bitnet(3), cyclenet(3, 2)]
+    return [make_example_lts(), word_lts("aabab")] + [reachability_graph(n).lts for n in nets]
+
+
+@seed(20150601)
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_region_initial_value_matches_the_dot_products(data):
+    # the drift of each state down the tree against one dot product with
+    # its Parikh vector per state: the same smallest initial value
+    lts = data.draw(st.sampled_from(_region_inputs()))
+    weights = st.tuples(*[st.integers(0, 4)] * len(lts.labels))
+    backward, forward = data.draw(weights), data.draw(weights)
+    expected = ReferenceEngine(lts, PropertySet()).region(backward, forward)
+    assert _Engine(lts, PropertySet()).region(backward, forward) == expected
+
+
+def test_synthesis_builds_no_separation_problem(monkeypatch):
+    # synthesis lists, solves and reports its problems as indices; only the
+    # public wrappers build problem objects
+    built = []
+
+    class Counting(SeparationProblem):
+        def __init__(self, *args, **kwargs):
+            built.append(args)
+            super().__init__(*args, **kwargs)
+
+    diamond = Lts.from_data(
+        "s0", [("s0", "a", "s1"), ("s0", "b", "s2"), ("s1", "b", "s3"), ("s2", "a", "s4"),
+               ("s3", "c", "s0"), ("s4", "c", "s0")],
+    )
+    monkeypatch.setattr(synthesis_module, "SeparationProblem", Counting)
+    outcomes = [
+        synthesize(make_example_lts()),
+        synthesize(make_example_lts(), PropertySet(k=1, verbose=True)),
+        synthesize(diamond),
+        word_synthesize(None, "abbaac"),
+    ]
+    assert [outcome.success for outcome in outcomes] == [True, False, False, False]
+    assert outcomes[1].failed_essp == {"b": ["s4"]} and ("s3", "s4") in outcomes[2].failed_ssp
+    assert built == []
+    assert len(enumerate_separation_problems(diamond)) == len(built) > 0
