@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .common import BoundExceededError, InternalError
@@ -107,8 +108,8 @@ def _run_simplex(tableau, basis, cost, num_cols) -> Tuple[str, List[int]]:
 
 def _integer_row(values) -> Tuple[List[int], int]:
     """(the values, ints or Fractions, times the lcm L of their
-    denominators, L)."""
-    if all(type(v) is int for v in values):
+    denominators, L); ints are told apart by a C-level map of their types."""
+    if set(map(type, values)) <= {int}:
         return list(values), 1
     scale = math.lcm(*[v.denominator for v in values])
     return [v.numerator * (scale // v.denominator) for v in values], scale
@@ -141,7 +142,7 @@ def solve_lp(
     """
     work: List[Tuple[List[int], str, int]] = []
     for coeffs, rel, rhs in rows:
-        line, scale = _integer_row(list(coeffs) + [rhs])
+        line, scale = _integer_row([*coeffs, rhs])
         if line[-1] < 0:
             line = [-v for v in line]
             rel = {"<=": ">=", ">=": "<=", "=": "="}[rel]
@@ -151,33 +152,33 @@ def solve_lp(
     num_slack = sum(1 for _, rel, _ in work if rel != "=")
     total = num_vars + num_slack
     grand = total + sum(1 for _, rel, _ in work if rel != "<=")
+    units = m if duals else 0
+    pad = [0] * (grand - num_vars)
+    behind = [0] * units
     tableau: List[List[int]] = []
     basis: List[int] = []
     slack_idx = num_vars
     art_idx = total
-    for line, rel, scale in work:
+    for r, (line, rel, scale) in enumerate(work):
         # slack and artificial entries are +-scale, i.e. +-1 in the rational
-        # row; phase 1 weighs the artificials by these entries
-        full = line[:-1] + [0] * (grand - num_vars) + line[-1:]
+        # row; phase 1 weighs the artificials by these entries.  scale is
+        # the lcm of the row's denominators, so it and the scaled row have
+        # gcd 1 and the row needs no division
+        line[-1:] = [*pad, line[-1], *behind]
         if rel == "<=":
-            full[slack_idx] = scale
+            line[slack_idx] = scale
             basis.append(slack_idx)
             slack_idx += 1
         else:
             if rel == ">=":
-                full[slack_idx] = -scale
+                line[slack_idx] = -scale
                 slack_idx += 1
-            full[art_idx] = scale
+            line[art_idx] = scale
             basis.append(art_idx)
             art_idx += 1
-        g = math.gcd(*full)
-        tableau.append([v // g for v in full] if g > 1 else full)
-
-    units = m if duals else 0
-    if duals:  # row r's unit column, +-1 in its rational row as given
-        for r, (_, _, rhs) in enumerate(rows):
-            tableau[r] += [0] * m
-            tableau[r][grand + 1 + r] = -tableau[r][basis[r]] if rhs < 0 else tableau[r][basis[r]]
+        if duals:  # row r's unit column, +-1 in its rational row as given
+            line[grand + 1 + r] = -scale if rows[r][2] < 0 else scale
+        tableau.append(line)
 
     if grand > total:
         cost = [0] * total + [1] * (grand - total) + [0] * (1 + units)
@@ -285,16 +286,11 @@ class LinearSystem:
     """Constraint system over named integer variables.
 
     Relations are =, <= and >= with exact rational right-hand sides; strict
-    inequalities are not representable, encode a < b as a <= b - 1.  Solving
-    uses a scaling argument when the system is a zero-anchored cone (every
-    right-hand side is 0 or at most -1 and no variable has an upper bound),
-    and exact-LP branch and bound over the variable boxes otherwise.
-
-    Each solve compiles the rows once into coefficient lists over the
-    variables their box does not fix (a Fraction stays only where the input
-    is not integral).  Branch and bound scales them to integers and builds
-    the dual of its node LP from them once, with one row per free
-    variable; a node only sets the dual's costs from its box.
+    inequalities are not representable, encode a < b as a <= b - 1.  Each
+    solve compiles the named rows into coefficient lists over the variables
+    in declaration order (a >= row negated into a <= row) and solves them
+    through `RowSystem`: by scaling when the system is a zero-anchored cone,
+    else by exact-LP branch and bound over the variable boxes.
     """
 
     def __init__(self):
@@ -337,8 +333,6 @@ class LinearSystem:
     def minimize_all_variables(self) -> None:
         self.set_objective({v.name: 1 for v in self._vars})
 
-    # -- solving ----------------------------------------------------------
-
     def solve(self) -> Optional[Dict[str, int]]:
         """Feasible integer assignment, or None when provably infeasible.
 
@@ -346,88 +340,104 @@ class LinearSystem:
         some variable has no finite box, or when it passes
         DEFAULT_NODE_LIMIT nodes.
         """
-        free = [v for v in self._vars if v.lower is None or v.lower != v.upper]
-        rows, objective = self._compile(free)
-        if not free:
-            feasible = all(rhs == 0 if rel == "=" else rhs >= 0 for _, rel, rhs in rows)
-            solution = {} if feasible else None
-        elif self._is_cone(free, rows):
-            solution = self._solve_scaling(free, rows, objective)
-        else:
-            for v in free:
-                if v.lower is None or v.upper is None:
-                    raise BoundExceededError(
-                        f"variable {v.name!r} has no finite box; cannot branch and bound"
-                    )
-            solution = self._branch_and_bound(free, rows, objective)
-        if solution is None:
-            return None
-        solution.update((v.name, v.lower) for v in self._vars if v.name not in solution)
-        self._verify(solution)
-        return solution
 
-    def _compile(self, free):
-        """Rows (coefficients over free in order, rel, rhs) with the fixed
-        variables moved to the right, and the objective over free."""
-        column = {v.name: j for j, v in enumerate(free)}
-        rows = []
-        for coeffs, rel, rhs in self._rows:
-            line = [0] * len(free)
+        def line(coeffs):
+            out = [0] * len(self._vars)
             for name, c in coeffs.items():
-                j = column.get(name)
-                if j is None:
-                    rhs -= c * self._vars[self._index[name]].lower
-                else:
-                    line[j] = c
-            rows.append((line, rel, rhs))
-        objective = None
-        if self._objective is not None:
-            objective = [0] * len(free)
-            for name, c in self._objective.items():
-                j = column.get(name)
-                if j is not None:
-                    objective[j] = c
-        return rows, objective
+                out[self._index[name]] = c
+            return out
 
-    @staticmethod
-    def _is_cone(free, rows) -> bool:
-        return all(v.upper is None and v.lower in (None, 0) for v in free) and all(
-            rhs == 0 or (rel == "<=" and rhs <= -1) for _, rel, rhs in rows
-        )
+        rows = [(line(coeffs), rel, rhs) for coeffs, rel, rhs in self._rows]
+        system = RowSystem(rows, None if self._objective is None else line(self._objective))
+        point = system.solve([v.lower for v in self._vars], [v.upper for v in self._vars])
+        return None if point is None else {v.name: x for v, x in zip(self._vars, point)}
 
-    @staticmethod
-    def _solve_scaling(free, rows, objective) -> Optional[Dict[str, int]]:
+
+class RowSystem:
+    """Integer feasibility of rows over the columns 0..n-1: the row-level
+    entry under `LinearSystem` and the synthesis engine.
+
+    A row is (coefficients over every column, "<=" or "=", rhs), each
+    number an int or a Fraction; the objective, if any, weighs each column
+    and is minimised.  `solve` takes per-column bounds (None for none) and
+    rows that hold for that solve only, after these: a caller whose
+    systems differ only in their boxes and last rows builds one RowSystem.
+    A column whose box is one value is fixed and moves to the right.
+    Solving uses a scaling argument when the system is a zero-anchored
+    cone (every right-hand side is 0 or at most -1 and every free column
+    has no upper bound and a lower bound of 0 or none), and exact-LP branch
+    and bound over the boxes otherwise.  Every point is checked exactly
+    against every row and box before it is returned.
+    """
+
+    def __init__(self, rows, objective=None):
+        self.rows, self.objective = rows, objective
+        self._columns = None  # the rows scaled to integers, by column
+        self._duals: Dict[Tuple[int, ...], list] = {}
+
+    def solve(self, lower, upper, extra=()) -> Optional[List[int]]:
+        """An integer point, one value per column, or None when provably
+        infeasible.
+
+        Raises BoundExceededError when branch and bound would be needed but
+        some free column has no finite box, or when it passes
+        DEFAULT_NODE_LIMIT nodes.
+        """
+        rows = self.rows + list(extra) if extra else self.rows
+        free = [j for j, (lo, hi) in enumerate(zip(lower, upper)) if lo is None or lo != hi]
+        cone = all(upper[j] is None and lower[j] in (None, 0) for j in free)
+        if cone:  # so also when nothing is free: the rows over the free columns
+            fixed = [(j, lo) for j, (lo, hi) in enumerate(zip(lower, upper)) if lo and lo == hi]
+            compiled = [
+                ([coeffs[j] for j in free], rel, rhs - sum(coeffs[j] * lo for j, lo in fixed))
+                for coeffs, rel, rhs in rows
+            ]
+            cone = all(rhs == 0 or (rel == "<=" and rhs <= -1) for _, rel, rhs in compiled)
+        if not free:
+            feasible = all(rhs == 0 if rel == "=" else rhs >= 0 for _, rel, rhs in compiled)
+            values = [] if feasible else None
+        elif cone:
+            values = self._solve_scaling(free, lower, compiled)
+        else:
+            for j in free:
+                if lower[j] is None or upper[j] is None:
+                    raise BoundExceededError(f"column {j} has no finite box; cannot branch and bound")
+            values = self._branch_and_bound(free, lower, upper, rows)
+        if values is None:
+            return None
+        point = list(lower)
+        for j, x in zip(free, values):
+            point[j] = x
+        slack = [(sum(map(mul, coeffs, point)) - rhs, rel) for coeffs, rel, rhs in rows]
+        boxes = zip(point, lower, upper)
+        if any((lo is not None and x < lo) or (hi is not None and x > hi) for x, lo, hi in boxes) or any(
+            t != 0 if rel == "=" else t > 0 for t, rel in slack
+        ):
+            raise InternalError("solution fails a row or its box; solver bug")
+        return point
+
+    def _solve_scaling(self, free, lower, rows) -> Optional[List[int]]:
         """Cone systems: a rational point scaled by the lcm of denominators
         stays feasible, since every constraint is invariant under scaling by
         factors >= 1; rational infeasibility settles integer infeasibility.
-        A free variable is split into x+ - x- over two LP columns.
+        A column without a lower bound is split into x+ - x- over two LP
+        columns.
         """
-        split = [v.lower is None for v in free]
-
-        def columns(line):
-            out = []
-            for c, two in zip(line, split):
-                out.append(c)
-                if two:
-                    out.append(-c)
-            return out
-
+        split = [lower[j] is None for j in free]
+        columns = lambda line: [v for c, two in zip(line, split) for v in ((c, -c) if two else (c,))]
         lp_rows = [(columns(line), rel, rhs) for line, rel, rhs in rows]
-        objective = None if objective is None else columns(objective)
+        objective = None if self.objective is None else columns([self.objective[j] for j in free])
         status, point = solve_lp(len(free) + sum(split), lp_rows, objective)
         if status == "infeasible":
             return None
-        values = []
         position = iter(point)
-        for two in split:
-            x = next(position)
-            values.append(x - next(position) if two else x)
+        values = [x - next(position) if two else x for x, two in zip(position, split)]
         scale = math.lcm(*[x.denominator for x in values])
-        return {v.name: x.numerator * (scale // x.denominator) for v, x in zip(free, values)}
+        return [x.numerator * (scale // x.denominator) for x in values]
 
-    @staticmethod
-    def _branch_and_bound(free, rows, objective) -> Optional[Dict[str, int]]:
-        """DFS branch and bound over the finite boxes.
+    def _branch_and_bound(self, free, lower, upper, rows) -> Optional[List[int]]:
+        """DFS branch and bound over the finite boxes; returns the values of
+        the free columns.
 
         A node's LP over y = x - lower is  min c.y  s.t.  A y (<= or =)
         b - A.lower,  0 <= y <= upper - lower.  It is solved through one
@@ -436,46 +446,59 @@ class LinearSystem:
             min (b - A.lower).(p - q) + (upper - lower).w
             s.t.  A^T (q - p) - w <= c,   p, q, w >= 0,
 
-        with one column p per row, one more column q per = row, and one
-        column w per box: one row per free variable however many rows the
-        system has.  The dual's matrix is built once per solve; only its
-        costs follow the node's box.  The box makes the dual feasible, so
+        with one column p per row (each row scaled to integers), one more
+        column q per = row, and one column w per box: one row per free
+        column however many rows the system has.  Its entries under this
+        RowSystem's rows are built once per set of free columns, a solve
+        inserts its extra rows' columns before the box columns, and a node
+        only sets the costs.  The box makes the dual feasible, so
         "unbounded" means the node is infeasible; with c >= 0 every dual
-        row is <= with rhs >= 0, and the LP starts from its slack basis
-        with no phase 1.  y is minus the dual rows' multipliers.  It is
-        checked exactly against every row and box, in integers over one
-        common denominator, before it is used.
-
-        Branches on the lowest-index fractional variable, floor side
-        first; with an objective the first incumbent attaining the best
-        bound wins.
+        row is <= with rhs >= 0, and the LP starts from its slack basis.
+        y is minus the dual rows' multipliers, checked exactly against
+        every row and box in integers before it is used.  Branches on the
+        lowest-index fractional column, floor side first; with an
+        objective the first incumbent attaining the best bound wins.
         """
         limit = DEFAULT_NODE_LIMIT
-        n = len(free)
-        # each row times the lcm of its denominators is the same constraint;
-        # columns[j] holds variable j's coefficients, columns[n] the rhs
-        lines = [_integer_row(line + [rhs])[0] for line, _, rhs in rows]
-        columns = list(zip(*lines)) or [()] * (n + 1)
+        if self._columns is None:
+            lines = [_integer_row([*coeffs, rhs])[0] for coeffs, _, rhs in self.rows]
+            self._columns = list(zip(*lines)) or [()] * (len(lower) + 1)
+        columns = self._columns
+        lines = [_integer_row([*coeffs, rhs])[0] for coeffs, _, rhs in rows[len(self.rows) :]]
+        if lines:
+            columns = [column + added for column, added in zip(columns, zip(*lines))]
         rels = [rel for _, rel, _ in rows]
         signs = [(k, s) for k, rel in enumerate(rels) for s in ((-1, 1) if rel == "=" else (-1,))]
+        key = tuple(free)
+        if key not in self._duals:
+            own = [(k, s) for k, s in signs if k < len(self.rows)]
+            self._duals[key] = [
+                ([s * columns[j][k] for k, s in own], [-int(i == h) for h in range(len(free))],
+                 0 if self.objective is None else self.objective[j])
+                for i, j in enumerate(free)
+            ]
+        dual = self._duals[key]
+        added = signs[len(dual[0][0]) :]
         dual = [
-            (
-                [s * columns[i][k] for k, s in signs] + [-int(i == j) for j in range(n)],
-                "<=",
-                0 if objective is None else objective[i],
-            )
-            for i in range(n)
+            (head + [s * columns[j][k] for k, s in added] + tail, "<=", c)
+            for (head, tail, c), j in zip(dual, free)
         ]
+        rhs = columns[-1]  # with the fixed columns moved to it
+        for j, (lo, hi) in enumerate(zip(lower, upper)):
+            if lo and lo == hi:
+                rhs = [b - lo * c for b, c in zip(rhs, columns[j])]
+        columns = [columns[j] for j in free]
+        objective = None if self.objective is None else [self.objective[j] for j in free]
         best_value = None
-        best_point: Optional[Dict[str, int]] = None
+        best_point: Optional[List[int]] = None
         nodes = 0
-        stack = [([v.lower for v in free], [v.upper for v in free])]
+        stack = [([lower[j] for j in free], [upper[j] for j in free])]
         while stack:
             lower, upper = stack.pop()
             if nodes == limit:
                 raise BoundExceededError(f"branch and bound passed its limit of {limit} nodes")
             nodes += 1
-            shifted = columns[n]
+            shifted = rhs
             for lo, column in zip(lower, columns):
                 if lo:
                     shifted = [b - lo * c for b, c in zip(shifted, column)]
@@ -502,7 +525,7 @@ class LinearSystem:
                 if best_value is not None and value >= best_value:
                     continue
             if scale == 1:
-                candidate = {v.name: y + lo for v, y, lo in zip(free, ys, lower)}
+                candidate = [y + lo for y, lo in zip(ys, lower)]
                 if objective is None:
                     return candidate
                 best_value, best_point = value, candidate
@@ -516,19 +539,6 @@ class LinearSystem:
             stack.append((ceil_lower, upper))
             stack.append((lower, floor_upper))  # explored first
         return best_point
-
-    def _verify(self, solution: Dict[str, int]) -> None:
-        for v in self._vars:
-            x = solution[v.name]
-            if v.lower is not None and x < v.lower:
-                raise InternalError(f"solution violates lower bound of {v.name}")
-            if v.upper is not None and x > v.upper:
-                raise InternalError(f"solution violates upper bound of {v.name}")
-        for coeffs, rel, rhs in self._rows:
-            left = sum(c * solution[n] for n, c in coeffs.items())
-            ok = left == rhs if rel == "=" else left <= rhs
-            if not ok:
-                raise InternalError("solution fails a constraint; solver bug")
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from .common import (
     StateLimitExceededError,
     UnsupportedInputError,
 )
-from .linalg import LinearSystem, _dot, integer_kernel_basis, solve_cone
+from .linalg import RowSystem, _dot, integer_kernel_basis, solve_cone
 from .lts import (
     Lts,
     is_deterministic,
@@ -279,6 +279,7 @@ class _Engine:
         self.cycle_rows = [row for row in dict.fromkeys(rows) if any(row)]
         self.basis = integer_kernel_basis(self.cycle_rows, dim=len(labels))
         self._values_cache: Dict[Region, List[int]] = {}
+        self._systems: Dict[Tuple[bool, bool], RowSystem] = {}
 
     # -- generic helpers ---------------------------------------------------
 
@@ -396,29 +397,38 @@ class _Engine:
                 return region
         return None
 
-    def _effect_coeffs(self, vector: Sequence[int], extra: Optional[Dict[str, int]] = None):
-        """`extra` (no weight variables), then the effect along `vector`."""
-        coeffs: Dict[str, int] = dict(extra or {})
-        for t, c in zip(self.labels, vector):
-            if c:
-                coeffs[f"f_{t}"] = c
-                coeffs[f"b_{t}"] = -c
-        return coeffs
+    def _effect_row(self, vector: Sequence[int], r0: int = 0) -> List[int]:
+        """A row over the columns r0, then b_t and f_t per label: r0 times
+        the initial value plus the effect along `vector`."""
+        return [r0] + [v for c in vector for v in (-c, c)]
 
-    @cached_property
-    def _shared_rows(self):
-        """The rows no problem changes, built once: the cycle rows; each
-        state's count, r0 + psi(s) . effects; and the rows of a system with
-        r0 (every count >= 0, every arc enabled, under k-bounded <= k)."""
-        at = [self._effect_coeffs(row, {"r0": 1}) for row in self.psi]
-        r0_rows = [(coeffs, ">=", 0) for coeffs in at]
-        for i, k in self.arc_pairs:
-            coeffs = dict(at[i])
-            coeffs[f"b_{self.labels[k]}"] = coeffs.get(f"b_{self.labels[k]}", 0) - 1
-            r0_rows.append((coeffs, ">=", 0))
-        if self.props.k is not None:
-            r0_rows += [(coeffs, "<=", self.props.k) for coeffs in at]
-        return [(self._effect_coeffs(row), "=", 0) for row in self.cycle_rows], at, r0_rows
+    def _system(self, include_r0: bool, nonneg_effects: bool) -> RowSystem:
+        """The rows no problem changes, built once per engine for each
+        variant: the cycle rows; with r0, the rows that keep each count,
+        r0 + psi(s) . effects, >= 0 and each arc enabled (under k-bounded
+        also each count <= k); the t-net rows; the nonnegative effects.
+        Every variable is minimised; without r0 its column is fixed at 0
+        and weighs nothing."""
+        key = (include_r0, nonneg_effects)
+        system = self._systems.get(key)
+        if system is None:
+            rows = [(self._effect_row(row), "=", 0) for row in self.cycle_rows]
+            if include_r0:
+                at = [self._effect_row(row, 1) for row in self.psi]  # each state's count
+                rows += [([-c for c in row], "<=", 0) for row in at]
+                for i, k in self.arc_pairs:
+                    row = [-c for c in at[i]]
+                    row[1 + 2 * k] += 1
+                    rows.append((row, "<=", 0))
+                if self.props.k is not None:
+                    rows += [(row, "<=", self.props.k) for row in at]
+            n = len(self.labels)
+            if self.props.tnet:  # the forward weights sum to at most 1, then the backward ones
+                rows += [([0] + [0, 1] * n, "<=", 1), ([0] + [1, 0] * n, "<=", 1)]
+            if nonneg_effects:  # each effect f_t - b_t >= 0, negated
+                rows += [(self._effect_row([-int(k == t) for k in range(n)]), "<=", 0) for t in range(n)]
+            system = self._systems[key] = RowSystem(rows, [int(include_r0)] + [1] * 2 * n)
+        return system
 
     def _solve_with(
         self, kind: str, i: int, x: int, scope: Optional[Set[str]], nonneg_effects: bool
@@ -428,49 +438,32 @@ class _Engine:
         backward/forward weights; with `pure` the event/state inequality is
         the effect form and the solution is afterwards decomposed into its
         canonical side-condition-free weights.  Only the separating row
-        depends on the problem and orientation; `_shared_rows` builds the
-        others once per engine."""
+        and the boxes depend on the problem and orientation; `_system`
+        builds the other rows once per engine."""
         props = self.props
         weight_ub = 1 if props.plain else props.k
         include_r0 = kind == "essp" or props.k is not None
-
-        r0_ub = self._initial_upper_bound(kind, i, weight_ub)
-        cycle, at, r0_rows = self._shared_rows
-        rows = cycle + r0_rows if include_r0 else list(cycle)
-        if props.tnet:
-            rows.append(({f"f_{t}": 1 for t in self.labels}, "<=", 1))
-            rows.append(({f"b_{t}": 1 for t in self.labels}, "<=", 1))
-        if nonneg_effects:
-            rows += [({f"f_{t}": 1, f"b_{t}": -1}, ">=", 0) for t in self.labels]
+        upper = [self._initial_upper_bound(kind, i, weight_ub) if include_r0 else 0]
+        for t in self.labels:
+            upper += (0 if scope is not None and t not in scope else weight_ub, weight_ub)
+        lower = [0] * len(upper)
+        system = self._system(include_r0, nonneg_effects)
 
         if kind == "essp":
-            t = self.labels[x]
-            coeffs = dict(at[i])
+            row = self._effect_row(self.psi[i], 1)
             if props.pure:
-                coeffs[f"f_{t}"] = coeffs.get(f"f_{t}", 0) + 1
-            coeffs[f"b_{t}"] = coeffs.get(f"b_{t}", 0) - 1
-            separating = [coeffs]
+                row[2 + 2 * x] += 1  # f_t
+            row[1 + 2 * x] -= 1  # b_t
+            separating = [row]
         else:  # the state's count below the other's, then above it
-            low = self._effect_coeffs(map(sub, self.psi[i], self.psi[x]))
-            separating = [low, {name: -c for name, c in low.items()}]
+            low = self._effect_row(map(sub, self.psi[i], self.psi[x]))
+            separating = [low, [-c for c in low]]
 
-        for separation in separating:
-            system = LinearSystem()
-            if include_r0:
-                system.add_variable("r0", lower=0, upper=r0_ub)
-            for t in self.labels:
-                b_ub = 0 if scope is not None and t not in scope else weight_ub
-                system.add_variable(f"b_{t}", lower=0, upper=b_ub)
-                system.add_variable(f"f_{t}", lower=0, upper=weight_ub)
-            for coeffs, rel, rhs in rows:
-                system.add_constraint(coeffs, rel, rhs)
-            system.add_constraint(separation, "<=", -1)
-            system.minimize_all_variables()
-            solution = system.solve()
-            if solution is None:
+        for row in separating:
+            point = system.solve(lower, upper, [(row, "<=", -1)])
+            if point is None:
                 continue
-            backward = tuple(solution[f"b_{t}"] for t in self.labels)
-            forward = tuple(solution[f"f_{t}"] for t in self.labels)
+            backward, forward = tuple(point[1::2]), tuple(point[2::2])
             if props.pure:
                 region = self.region_from_effects(tuple(map(sub, forward, backward)))
             else:
@@ -573,20 +566,15 @@ class _Engine:
     def _coefficients(self, projected) -> Optional[List[int]]:
         """Integer basis coefficients x with p . x <= -1 for every projected
         row p, |x[j]| <= its pseudo-inverse box and every effect in [-1, 1]."""
-        system = LinearSystem()
-        names = [f"x{j}" for j in range(len(self.basis))]
-        for name, box in zip(names, _coefficient_boxes(self.basis)):
-            system.add_variable(name, lower=-box, upper=box)
-        for p in projected:
-            system.add_constraint({n: c for n, c in zip(names, p) if c}, "<=", -1)
-        for i in range(len(self.labels)):
-            coeffs = {n: v[i] for n, v in zip(names, self.basis) if v[i]}
-            if not coeffs:
-                continue
-            system.add_constraint(coeffs, "<=", 1)
-            system.add_constraint(coeffs, ">=", -1)
-        solution = system.solve()
-        return None if solution is None else [solution[n] for n in names]
+        rows = [(list(p), "<=", -1) for p in projected]
+        for effects in zip(*self.basis):  # none for a label no vector moves
+            if any(effects):
+                rows += [(list(effects), "<=", 1), ([-c for c in effects], "<=", 1)]
+        return RowSystem(rows).solve([-box for box in self._boxes], self._boxes)
+
+    @cached_property
+    def _boxes(self) -> List[int]:
+        return _coefficient_boxes(self.basis)
 
     def _checked(self, region: Region, kind: str, i: int, x: int) -> Region:
         """Every solver's exit: the region must be valid, pure under `pure`,
@@ -778,8 +766,9 @@ def _separation_pass(engine: _Engine) -> Tuple[
             if block[i] == block[j]:
                 yield "ssp", i, j
 
+    live = engine.general or engine.basis  # an empty basis solves nothing
     for problem in unsolved():
-        region = engine.solve(*problem)
+        region = engine.solve(*problem) if live else None
         if region is None:
             failed.append(problem)
             continue

@@ -1,12 +1,23 @@
-"""The LinearSystem solver that aptk.linalg replaced.
+"""The LinearSystem solvers that aptk.linalg replaced.
 
-Every branch-and-bound node here rebuilt its LP rows from the name-keyed
-constraint dicts in Fraction arithmetic; aptk.linalg compiles the rows once
-per solve into coefficient lists.  The solving methods are kept verbatim as
-the oracle of test_linalg_differential.py: both hand solve_lp rows that are
-equal as rationals, so every result (assignment, None or error type) must
-be identical.  Declarations (add_variable, add_constraint, set_objective)
-are inherited, so one set of calls builds either system.
+In `ReferenceLinearSystem` every branch-and-bound node rebuilt its LP rows
+from the name-keyed constraint dicts in Fraction arithmetic.  Both hand
+solve_lp rows that are equal as rationals, so on the cone path every
+result (assignment, None or error type) must be identical; branch and
+bound solves its nodes through their duals and is compared on the
+verdict and the optimum.
+
+`CompiledLinearSystem` is the solver that followed: each solve compiled
+the named rows into coefficient lists over the free variables, scaled
+them to integers and built the node dual of branch and bound from them,
+once per solve.  aptk.linalg now builds that dual once per set of shared
+rows and free columns (`RowSystem`), with the same pivots, so its results
+must be exactly identical: the same point, None, or the same error type.
+Its methods and `_integer_row` are kept verbatim, except that the node
+limit is read from aptk.linalg.
+
+Declarations (add_variable, add_constraint, set_objective) are inherited,
+so one set of calls builds any of these systems.
 """
 
 from __future__ import annotations
@@ -15,8 +26,9 @@ import math
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
+from aptk import linalg
 from aptk.common import BoundExceededError, InternalError
-from aptk.linalg import LinearSystem, solve_lp
+from aptk.linalg import LinearSystem, _dot, solve_lp
 
 
 class ReferenceLinearSystem(LinearSystem):
@@ -210,6 +222,210 @@ class ReferenceLinearSystem(LinearSystem):
                 raise InternalError(f"solution violates upper bound of {v.name}")
         for coeffs, rel, rhs in self._rows:
             left = sum(Fraction(c) * solution[n] for n, c in coeffs.items())
+            ok = left == rhs if rel == "=" else left <= rhs
+            if not ok:
+                raise InternalError("solution fails a constraint; solver bug")
+
+
+def _integer_row(values) -> Tuple[List[int], int]:
+    """(the values, ints or Fractions, times the lcm L of their
+    denominators, L)."""
+    if all(type(v) is int for v in values):
+        return list(values), 1
+    scale = math.lcm(*[v.denominator for v in values])
+    return [v.numerator * (scale // v.denominator) for v in values], scale
+
+
+class CompiledLinearSystem(LinearSystem):
+    # -- solving ----------------------------------------------------------
+
+    def solve(self) -> Optional[Dict[str, int]]:
+        """Feasible integer assignment, or None when provably infeasible.
+
+        Raises BoundExceededError when branch and bound would be needed but
+        some variable has no finite box, or when it passes
+        DEFAULT_NODE_LIMIT nodes.
+        """
+        free = [v for v in self._vars if v.lower is None or v.lower != v.upper]
+        rows, objective = self._compile(free)
+        if not free:
+            feasible = all(rhs == 0 if rel == "=" else rhs >= 0 for _, rel, rhs in rows)
+            solution = {} if feasible else None
+        elif self._is_cone(free, rows):
+            solution = self._solve_scaling(free, rows, objective)
+        else:
+            for v in free:
+                if v.lower is None or v.upper is None:
+                    raise BoundExceededError(
+                        f"variable {v.name!r} has no finite box; cannot branch and bound"
+                    )
+            solution = self._branch_and_bound(free, rows, objective)
+        if solution is None:
+            return None
+        solution.update((v.name, v.lower) for v in self._vars if v.name not in solution)
+        self._verify(solution)
+        return solution
+
+    def _compile(self, free):
+        """Rows (coefficients over free in order, rel, rhs) with the fixed
+        variables moved to the right, and the objective over free."""
+        column = {v.name: j for j, v in enumerate(free)}
+        rows = []
+        for coeffs, rel, rhs in self._rows:
+            line = [0] * len(free)
+            for name, c in coeffs.items():
+                j = column.get(name)
+                if j is None:
+                    rhs -= c * self._vars[self._index[name]].lower
+                else:
+                    line[j] = c
+            rows.append((line, rel, rhs))
+        objective = None
+        if self._objective is not None:
+            objective = [0] * len(free)
+            for name, c in self._objective.items():
+                j = column.get(name)
+                if j is not None:
+                    objective[j] = c
+        return rows, objective
+
+    @staticmethod
+    def _is_cone(free, rows) -> bool:
+        return all(v.upper is None and v.lower in (None, 0) for v in free) and all(
+            rhs == 0 or (rel == "<=" and rhs <= -1) for _, rel, rhs in rows
+        )
+
+    @staticmethod
+    def _solve_scaling(free, rows, objective) -> Optional[Dict[str, int]]:
+        """Cone systems: a rational point scaled by the lcm of denominators
+        stays feasible, since every constraint is invariant under scaling by
+        factors >= 1; rational infeasibility settles integer infeasibility.
+        A free variable is split into x+ - x- over two LP columns.
+        """
+        split = [v.lower is None for v in free]
+
+        def columns(line):
+            out = []
+            for c, two in zip(line, split):
+                out.append(c)
+                if two:
+                    out.append(-c)
+            return out
+
+        lp_rows = [(columns(line), rel, rhs) for line, rel, rhs in rows]
+        objective = None if objective is None else columns(objective)
+        status, point = solve_lp(len(free) + sum(split), lp_rows, objective)
+        if status == "infeasible":
+            return None
+        values = []
+        position = iter(point)
+        for two in split:
+            x = next(position)
+            values.append(x - next(position) if two else x)
+        scale = math.lcm(*[x.denominator for x in values])
+        return {v.name: x.numerator * (scale // x.denominator) for v, x in zip(free, values)}
+
+    @staticmethod
+    def _branch_and_bound(free, rows, objective) -> Optional[Dict[str, int]]:
+        """DFS branch and bound over the finite boxes.
+
+        A node's LP over y = x - lower is  min c.y  s.t.  A y (<= or =)
+        b - A.lower,  0 <= y <= upper - lower.  It is solved through one
+        `solve_lp(..., duals=True)` call on its dual
+
+            min (b - A.lower).(p - q) + (upper - lower).w
+            s.t.  A^T (q - p) - w <= c,   p, q, w >= 0,
+
+        with one column p per row, one more column q per = row, and one
+        column w per box: one row per free variable however many rows the
+        system has.  The dual's matrix is built once per solve; only its
+        costs follow the node's box.  The box makes the dual feasible, so
+        "unbounded" means the node is infeasible; with c >= 0 every dual
+        row is <= with rhs >= 0, and the LP starts from its slack basis
+        with no phase 1.  y is minus the dual rows' multipliers.  It is
+        checked exactly against every row and box, in integers over one
+        common denominator, before it is used.
+
+        Branches on the lowest-index fractional variable, floor side
+        first; with an objective the first incumbent attaining the best
+        bound wins.
+        """
+        limit = linalg.DEFAULT_NODE_LIMIT
+        n = len(free)
+        # each row times the lcm of its denominators is the same constraint;
+        # columns[j] holds variable j's coefficients, columns[n] the rhs
+        lines = [_integer_row(line + [rhs])[0] for line, _, rhs in rows]
+        columns = list(zip(*lines)) or [()] * (n + 1)
+        rels = [rel for _, rel, _ in rows]
+        signs = [(k, s) for k, rel in enumerate(rels) for s in ((-1, 1) if rel == "=" else (-1,))]
+        dual = [
+            (
+                [s * columns[i][k] for k, s in signs] + [-int(i == j) for j in range(n)],
+                "<=",
+                0 if objective is None else objective[i],
+            )
+            for i in range(n)
+        ]
+        best_value = None
+        best_point: Optional[Dict[str, int]] = None
+        nodes = 0
+        stack = [([v.lower for v in free], [v.upper for v in free])]
+        while stack:
+            lower, upper = stack.pop()
+            if nodes == limit:
+                raise BoundExceededError(f"branch and bound passed its limit of {limit} nodes")
+            nodes += 1
+            shifted = columns[n]
+            for lo, column in zip(lower, columns):
+                if lo:
+                    shifted = [b - lo * c for b, c in zip(shifted, column)]
+            widths = [hi - lo for lo, hi in zip(lower, upper)]
+            costs = [-s * shifted[k] for k, s in signs] + widths
+            status, _, multipliers = solve_lp(len(costs), dual, costs, duals=True)
+            if status == "unbounded":
+                continue
+            if status != "optimal":
+                raise InternalError(
+                    f"node dual reported {status}, but the box makes it feasible; solver bug"
+                )
+            ys, scale = _integer_row([-u for u in multipliers])
+            slack = [scale * b for b in shifted]
+            for y, column in zip(ys, columns):
+                if y:
+                    slack = [t - y * c for t, c in zip(slack, column)]
+            if any(y < 0 or y > scale * w for y, w in zip(ys, widths)) or any(
+                t != 0 if rel == "=" else t < 0 for t, rel in zip(slack, rels)
+            ):
+                raise InternalError("node point fails a row or its box; solver bug")
+            if objective is not None:
+                value = Fraction(_dot(objective, ys), scale) + _dot(objective, lower)
+                if best_value is not None and value >= best_value:
+                    continue
+            if scale == 1:
+                candidate = {v.name: y + lo for v, y, lo in zip(free, ys, lower)}
+                if objective is None:
+                    return candidate
+                best_value, best_point = value, candidate
+                continue
+            j = next(j for j, y in enumerate(ys) if y % scale)
+            floor = ys[j] // scale + lower[j]
+            floor_upper = upper[:]
+            floor_upper[j] = floor
+            ceil_lower = lower[:]
+            ceil_lower[j] = floor + 1
+            stack.append((ceil_lower, upper))
+            stack.append((lower, floor_upper))  # explored first
+        return best_point
+
+    def _verify(self, solution: Dict[str, int]) -> None:
+        for v in self._vars:
+            x = solution[v.name]
+            if v.lower is not None and x < v.lower:
+                raise InternalError(f"solution violates lower bound of {v.name}")
+            if v.upper is not None and x > v.upper:
+                raise InternalError(f"solution violates upper bound of {v.name}")
+        for coeffs, rel, rhs in self._rows:
+            left = sum(c * solution[n] for n, c in coeffs.items())
             ok = left == rhs if rel == "=" else left <= rhs
             if not ok:
                 raise InternalError("solution fails a constraint; solver bug")

@@ -25,7 +25,8 @@ walk; the engine must still raise its messages, and in its order.
 vectors; the values `check_region` returns must equal it.  `_solve_with`
 built every row of its system again for each orientation, through a local
 `effect_coeffs`, and called `_initial_upper_bound` (here a function of the
-engine); the systems handed to `LinearSystem.solve` must be the same.
+engine); the systems it handed to `LinearSystem.solve` must be the ones
+the engine hands to `RowSystem.solve`, written over its columns.
 
 `enumerate_separation_problems` and `_event_state_problems` listed the
 problems on a walk of their own, through `reachable_states` and

@@ -1,5 +1,6 @@
-"""Differential tests: aptk.linalg.LinearSystem against the per-node
-Fraction solver kept in reference_linalg.py.
+"""Differential tests: aptk.linalg.LinearSystem and RowSystem against the
+solvers kept in reference_linalg.py, the per-node Fraction solver and the
+solver that compiled its rows and built its node dual once per solve.
 
 On the cone path both hand solve_lp rows that are equal as rationals, so
 Bland's rule takes the same pivots in both and every result must be
@@ -13,17 +14,24 @@ point.  On the 1,500 random boxed systems, 1,485 results are identical,
 12 are another point with the same value and 3 another point of a system
 without objective.  The systems the synthesis engine builds keep exact
 equality.
+
+Against the compiled solver every result is exactly identical: RowSystem
+builds the same node duals, once per set of shared rows and free columns
+instead of once per solve, and takes the same pivots.
 """
 
 import random
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
+
+import pytest
 
 from aptk import synthesis
 from aptk.common import AptError, BoundExceededError
-from aptk.linalg import LinearSystem
+from aptk.linalg import LinearSystem, RowSystem
 from aptk.synthesis import PropertySet, enumerate_separation_problems
-from reference_linalg import ReferenceLinearSystem
+from reference_linalg import CompiledLinearSystem, ReferenceLinearSystem
 from test_synthesis import _canonical_instances, _solve
 
 F = Fraction
@@ -187,32 +195,81 @@ def test_unboxed_systems_raise_like_reference():
 ENGINE_MODES = ["safe", "2-bounded", "plain,pure", "conflict-free"]
 
 
-def test_engine_systems_match_reference(monkeypatch):
-    # every system the general solver builds on the small canonical inputs,
-    # plus the boxed basis-coefficient systems of plain,pure; all of them are
-    # boxed, so neither solver may raise.  A third of the systems repeat one
-    # built before and are answered from the first result.
+def _named(point):
+    """A RowSystem result as a LinearSystem over the names c0, c1, ..."""
+    return {f"c{j}": x for j, x in enumerate(point)} if isinstance(point, list) else point
+
+
+def _row_spec(shared, extra, lower, upper, objective):
+    """The RowSystem rows as a LinearSystem spec over c0, c1, ..."""
+    rows = shared + extra
+    variables = [(f"c{j}", lo, hi) for j, (lo, hi) in enumerate(zip(lower, upper))]
+    constraints = [({f"c{j}": c for j, c in enumerate(coeffs) if c}, rel, rhs) for coeffs, rel, rhs in rows]
+    weights = None if objective is None else {f"c{j}": c for j, c in enumerate(objective) if c}
+    return variables, constraints, weights
+
+
+@lru_cache(maxsize=None)
+def _engine_systems():
+    """Every distinct system the engine hands its row-level entry, as the
+    arguments of `_row_spec`, with the entry's result on it (a RowSystem's
+    own rows are shared, not copied): the general solver's
+    systems on the small canonical inputs, plus the boxed basis-coefficient
+    systems of plain,pure.  All of them are boxed, so the entry may not
+    raise.  A third of the systems repeat one built before.  As when they
+    were LinearSystems with named variables, a system of the general
+    solver is told apart by its input's labels too, which name its
+    columns r0, b_t and f_t; a coefficient system's columns are x0, x1, ..."""
     results = {}
+    names = [None]
 
-    class Recording(LinearSystem):
-        def solve(self):
-            key = repr((self._vars, self._rows, self._objective))
+    class Recording(RowSystem):
+        def solve(self, lower, upper, extra=()):
+            extra = list(extra)
+            key = repr((names[0], self.rows + extra, lower, upper, self.objective))
             if key not in results:
-                reference = ReferenceLinearSystem()
-                vars(reference).update(vars(self))
-                results[key] = (super().solve(), reference.solve())
-            return results[key][0]
+                point = super().solve(lower, upper, extra)
+                results[key] = ((self.rows, extra, lower, upper, self.objective), _named(point))
+            got = results[key][1]
+            return None if got is None else list(got.values())
 
-    monkeypatch.setattr(synthesis, "LinearSystem", Recording)
-    for lts in _canonical_instances(3, 2):
-        problems = enumerate_separation_problems(lts)
-        for mode in ENGINE_MODES:
-            engine = synthesis._Engine(lts, PropertySet.parse(mode))
-            for problem in problems:
-                _solve(engine.solve_general, problem)
-                if mode == "plain,pure":
-                    _solve(engine.solve_basis, problem)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(synthesis, "RowSystem", Recording)
+        for lts in _canonical_instances(3, 2):
+            problems = enumerate_separation_problems(lts)
+            for mode in ENGINE_MODES:
+                engine = synthesis._Engine(lts, PropertySet.parse(mode))
+                for problem in problems:
+                    names[0] = lts.labels
+                    _solve(engine.solve_general, problem)
+                    if mode == "plain,pure":
+                        names[0] = None
+                        _solve(engine.solve_basis, problem)
+    return list(results.values())
+
+
+def test_engine_systems_match_reference():
+    # recorded at the engine's row-level entry, RowSystem.solve
+    results = [
+        (got, _build(ReferenceLinearSystem, _row_spec(*system)).solve()) for system, got in _engine_systems()
+    ]
     assert len(results) > 20000
-    assert sum(isinstance(got, dict) for got, _ in results.values()) > 900
-    for got, expected in results.values():
+    assert sum(isinstance(got, dict) for got, _ in results) > 900
+    for got, expected in results:
         assert got == expected
+
+
+def test_row_entry_matches_the_compiled_solver():
+    # the exact result, not only the verdict: the same point, None or
+    # error type, on every engine system and every random boxed system
+    for system, got in _engine_systems():
+        spec = _row_spec(*system)
+        assert got == _outcome(_build(CompiledLinearSystem, spec).solve), spec
+    rng = random.Random(20260701)
+    kinds = Counter()
+    for _ in range(1500):
+        spec = _boxed_spec(rng)
+        expected = _outcome(_build(CompiledLinearSystem, spec).solve)
+        assert _outcome(_build(LinearSystem, spec).solve) == expected, spec
+        kinds[_kind(expected)] += 1
+    assert set(kinds) == {"dict", "NoneType"} and min(kinds.values()) > 300

@@ -5,6 +5,7 @@ import pytest
 
 from aptk import (
     AptError,
+    BoundExceededError,
     Document,
     Lts,
     PreconditionError,
@@ -385,7 +386,7 @@ def test_empty_basis_solves_nothing_without_a_system(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("an empty basis built a system or made an LP call")
 
-    monkeypatch.setattr(synthesis_module, "LinearSystem", refuse)
+    monkeypatch.setattr(synthesis_module, "RowSystem", refuse)
     monkeypatch.setattr(synthesis_module, "solve_cone", refuse)
     monkeypatch.setattr(linalg, "solve_lp", refuse)
     problems = enumerate_separation_problems(lts)
@@ -395,6 +396,24 @@ def test_empty_basis_solves_nothing_without_a_system(monkeypatch):
         assert engine.basis == []
         for problem in problems:
             assert _solve(engine.solve_basis, problem) is None
+
+
+def test_engine_systems_stop_at_the_node_limit(example_lts, monkeypatch):
+    # a safe region for this state pair takes five node LPs in the engine's
+    # one system of the row-level entry; one fewer allowed stops it
+    engine = _Engine(example_lts, PropertySet(k=1))
+    problem = SeparationProblem("ssp", "s0", other="s6")
+    nodes = []
+    solve_lp = linalg.solve_lp
+    monkeypatch.setattr(linalg, "solve_lp", lambda *a, **k: nodes.append(1) or solve_lp(*a, **k))
+    region = _solve(engine.solve, problem)
+    needed = len(nodes)
+    assert region is not None and needed == 5
+    monkeypatch.setattr(linalg, "DEFAULT_NODE_LIMIT", needed)
+    assert _solve(_Engine(example_lts, PropertySet(k=1)).solve, problem) == region
+    monkeypatch.setattr(linalg, "DEFAULT_NODE_LIMIT", needed - 1)
+    with pytest.raises(BoundExceededError, match=f"limit of {needed - 1} nodes"):
+        _solve(_Engine(example_lts, PropertySet(k=1)).solve, problem)
 
 
 def test_failing_word_makes_one_cone_lp_per_problem(monkeypatch):

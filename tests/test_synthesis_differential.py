@@ -20,8 +20,9 @@ the same tree or error, the same cycle rows and basis, the same verdict.
 The engine's input check, its value arrays and its general solver are
 checked against the two-walk `_check_synthesis_input`, the Parikh-vector
 `value_array` and the per-orientation `_solve_with` they replaced: the
-same error message, the same values, and the same variables, rows and
-objective handed to `LinearSystem.solve`.
+same error message, the same values, and the same boxes, rows and
+objective: the reference hands them to `LinearSystem.solve` over named
+variables, the engine to `RowSystem.solve` over the columns r0, b_t, f_t.
 
 The engine's problem list and its state indices are checked against the
 walking `enumerate_separation_problems` and `_event_state_problems` and the
@@ -59,7 +60,7 @@ from aptk import lts as lts_module
 from aptk import synthesis as synthesis_module
 from aptk.common import AptError, InternalError, PreconditionError
 from aptk.generators import bitnet, cyclenet
-from aptk.linalg import LinearSystem, integer_kernel_basis
+from aptk.linalg import LinearSystem, RowSystem, integer_kernel_basis
 from aptk.synthesis import (
     Region,
     SeparationProblem,
@@ -458,18 +459,31 @@ GENERAL = ["safe", "2-bounded", "plain", "t-net", "output-nonbranching", "confli
 
 @pytest.mark.parametrize("mode", GENERAL + ["located"])
 def test_general_solver_systems_match_reference(mode, monkeypatch):
-    systems = []
+    # the reference engine's LinearSystems, written as rows over the columns
+    # r0, then b_t and f_t per label (r0 fixed at 0 and weighing nothing in
+    # a system without it), against the rows the engine hands its
+    # row-level entry, RowSystem.solve
+    systems, columns = [], []
 
-    def record(self):
-        rows = [(list(coeffs.items()), rel, rhs) for coeffs, rel, rhs in self._rows]
-        systems.append((list(self._vars), rows, self._objective))
+    def record_named(self):
+        boxes = {v.name: (v.lower, v.upper) for v in self._vars}
+        dense = lambda coeffs: [coeffs.get(name, 0) for name in columns]
+        lower, upper = map(list, zip(*(boxes.get(name, (0, 0)) for name in columns)))
+        rows = [(dense(coeffs), rel, rhs) for coeffs, rel, rhs in self._rows]
+        systems.append((rows, lower, upper, dense(self._objective)))
         return None  # infeasible: every orientation gets its system
 
-    monkeypatch.setattr(LinearSystem, "solve", record)
+    def record_rows(self, lower, upper, extra=()):
+        systems.append((self.rows + list(extra), lower, upper, self.objective))
+        return None
+
+    monkeypatch.setattr(LinearSystem, "solve", record_named)
+    monkeypatch.setattr(RowSystem, "solve", record_rows)
     props = PropertySet.parse("none" if mode == "located" else mode)
     inputs = _located_inputs() if mode == "located" else _canonical_instances(3, 2)
     count = 0
     for lts in inputs:
+        columns[:] = ["r0"] + [f"{side}_{t}" for t in lts.labels for side in "bf"]
         engine, old = _Engine(lts, props), ReferenceEngine(lts, props)
         for problem in enumerate_separation_problems(lts):
             kind, i, x = engine.locate(problem)
@@ -485,6 +499,24 @@ def test_general_solver_systems_match_reference(mode, monkeypatch):
                     assert systems == expected, (sorted(map(str, lts.arcs)), str(problem))
                     count += len(expected)
     assert count > 0
+
+
+@pytest.mark.parametrize("mode", ["none", "pure"])
+def test_empty_basis_fails_every_problem_without_solving(mode, monkeypatch):
+    # the basis solver solves nothing on an empty basis, so the pass lists
+    # every problem as failed, in order, and asks the engine for none
+    props = PropertySet.parse(mode)
+    inputs = [lts for lts in _canonical_instances(3, 2) if not _Engine(lts, props).basis]
+    expected = [reference_run_engine(ReferenceEngine(lts, props)) for lts in inputs]
+    calls = []
+    solve = _Engine.solve
+    monkeypatch.setattr(_Engine, "solve", lambda self, *problem: calls.append(problem) or solve(self, *problem))
+    outcomes = [synthesize(lts, props) for lts in inputs]
+    assert len(inputs) > 100 and calls == []
+    for outcome, reference in zip(outcomes, expected):
+        assert (outcome.failed_ssp, outcome.failed_essp) == (reference.failed_ssp, reference.failed_essp)
+        assert format_report(outcome) == format_report(reference)
+    assert sum(not outcome.success for outcome in outcomes) > 100
 
 
 def _engine_inputs():
