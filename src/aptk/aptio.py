@@ -29,10 +29,6 @@ class Document:
     lts: Optional[Lts] = None
     state_markings: Optional[Dict[str, Marking]] = None
 
-    @property
-    def payload(self):
-        return self.net if self.kind == "LPN" else self.lts
-
 
 # ---------------------------------------------------------------------------
 # Lexer.

@@ -128,8 +128,9 @@ def solve_lp(
     the unbounded case x is still a feasible point.  With duals, a third
     item follows: at an optimum, multipliers u, one per row, with
     u . rhs = the optimum and objective - u^T A >= 0 on every column (u <= 0
-    on <= rows, u >= 0 on >= rows); else None.  Asking for them changes no
-    pivot.
+    on <= rows, u >= 0 on >= rows), as integer numerators over their least
+    positive common denominator: (numerators, denominator); else None.
+    Asking for them changes no pivot.
 
     The tableau is fraction-free: row r holds integers and stands for the
     rational row tableau[r] / tableau[r][basis[r]], whose basic coefficient
@@ -216,7 +217,8 @@ def solve_lp(
         return status, solution
     if status != "optimal":
         return status, solution, None
-    return status, solution, [Fraction(-v, cost[-1]) for v in cost[total + 1 : -1]]
+    g = math.gcd(*cost[total + 1 :])  # of the numerators and the cost row's factor
+    return status, solution, ([-v // g for v in cost[total + 1 : -1]], cost[-1] // g)
 
 
 def solve_cone(
@@ -241,7 +243,7 @@ def solve_cone(
             f"cone dual reported {status}, but y = 0 is feasible and 1.y <= 1 bounds it; solver bug"
         )
     if not any(y):
-        x, _ = _integer_row(multipliers[:d])
+        x = multipliers[0][:d]
         g = math.gcd(*x)
         x = [v // g for v in x] if g > 1 else x
         if any(_dot(p, x) > -1 for p in rows):
@@ -511,7 +513,7 @@ class RowSystem:
                 raise InternalError(
                     f"node dual reported {status}, but the box makes it feasible; solver bug"
                 )
-            ys, scale = _integer_row([-u for u in multipliers])
+            ys, scale = [-u for u in multipliers[0]], multipliers[1]
             slack = [scale * b for b in shifted]
             for y, column in zip(ys, columns):
                 if y:

@@ -183,12 +183,6 @@ class PetriNet:
         self._transitions[transition] = label
         self._version += 1
 
-    def set_location(self, transition: str, location: str) -> None:
-        if transition not in self._transitions:
-            raise AptError(f"unknown transition {transition!r}")
-        self._locations[transition] = location
-        self._version += 1
-
     # -- read access ------------------------------------------------------
 
     @property

@@ -14,9 +14,9 @@ from collections import Counter, deque
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, compress, count, islice, repeat
+from itertools import combinations
 from math import ceil
-from operator import ne, sub
+from operator import sub
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .common import (
@@ -594,20 +594,6 @@ class _Engine:
         return (self.solve_general if self.general else self.solve_basis)(kind, i, x)
 
 
-class _Problems:
-    """An engine's problems for `minimize_regions`: their number, and each
-    one as an object only when an error text asks for it."""
-
-    def __init__(self, engine: _Engine, keys: List[int], size: int):
-        self.engine, self.keys, self.size = engine, keys, size
-
-    def __len__(self) -> int:
-        return self.size
-
-    def __getitem__(self, p: int) -> SeparationProblem:
-        return next(islice(self.engine.listed(self.keys), p, None))
-
-
 def _combine(basis, coefficients, dim: int) -> Tuple[int, ...]:
     out = [0] * dim
     for coeff, vector in zip(coefficients, basis):
@@ -651,47 +637,62 @@ def solve_separation(
 
 
 def minimize_regions(
-    problems: Sequence[SeparationProblem],
-    solved: Sequence[Tuple[Region, Set[int]]],
+    engine: _Engine, found: Sequence[Tuple[Region, List[int], Set[int]]], keys: List[int]
 ) -> List[Region]:
     """Heuristic place reduction: a region uniquely solving some problem is
     required; problems covered by required regions are discarded; remaining
     problems, in order, greedily take the lowest-indexed region that solves
-    them.  The kept regions come back in their order in `solved`.
+    them.  `found` holds each region with its value array and the indices
+    into `keys` of the event/state problems it solves; the kept regions
+    come back in that order.
 
-    Each solved set becomes an int bitmask over problem indices.  `ones`
-    collects the bits set in at least one mask, `twos` those set in at
-    least two; a region is required when its mask has a bit outside `twos`,
-    a problem that no other region solves.
-    """
-    masks = [_mask(problem_set, len(problems)) for _, problem_set in solved]
-    ones = twos = 0
-    for mask in masks:
-        twos |= ones & mask
-        ones |= mask
-    keep = [j for j, mask in enumerate(masks) if mask & ~twos]
-    uncovered = (1 << len(problems)) - 1
-    for j in keep:
-        uncovered &= ~masks[j]
-    while uncovered:
-        i = (uncovered & -uncovered).bit_length() - 1
-        j = next((j for j, mask in enumerate(masks) if mask >> i & 1), None)
+    `twos` collects the event/state problems solved at least twice.  A
+    state pair is read off blocks of equal values: region j alone solves
+    it iff its states share a block under every other region and j splits
+    it.  Uncovered pairs are walked in (i, j) order inside the blocks."""
+    m = 0 if engine.props.language else len(engine.states)  # states in pairs
+    ones, twos = set(), set()
+    prefix = [[0] * m]  # the blocks of the regions before j, for each j
+    for _, values, problem_set in found:
+        twos |= ones & problem_set
+        ones |= problem_set
+        prefix.append(_refine(prefix[-1], values))
+    keep, suffix = [], [0] * m
+    for j in reversed(range(len(found))):
+        others = _refine(prefix[j], suffix)
+        if found[j][2] - twos or _refine(others, found[j][1]) != others:
+            keep.append(j)
+        suffix = _refine(suffix, found[j][1])
+    covered = set().union(*[found[j][2] for j in keep])
+    for p in (p for p in range(len(keys)) if p not in covered):
+        j = next((j for j, (_, _, problem_set) in enumerate(found) if p in problem_set), None)
         if j is None:
-            raise InternalError(f"problem {problems[i]} solved by no region")
+            problem = engine.problem("essp", *divmod(keys[p], len(engine.labels)))
+            raise InternalError(f"problem {problem} solved by no region")
         keep.append(j)
-        uncovered &= ~masks[j]
+        covered |= found[j][2]
+    block = prefix[0]
+    for j in keep:
+        block = _refine(block, found[j][1])
+    sizes = Counter(block)
+    for i in range(m):  # every pair of an earlier state is split: i is first in its block
+        while sizes[block[i]] > 1:
+            x = block.index(block[i], i + 1)
+            j = next((j for j, (_, values, _) in enumerate(found) if values[i] != values[x]), None)
+            if j is None:
+                raise InternalError(f"problem {engine.problem('ssp', i, x)} solved by no region")
+            keep.append(j)
+            block = _refine(block, found[j][1])
+            sizes = Counter(block)
     keep.sort()
-    return [solved[j][0] for j in keep]
+    return [found[j][0] for j in keep]
 
 
-def _mask(indices: Set[int], size: int) -> int:
-    """The int with bit i set for every i in indices (all below size), read
-    from a string of binary digits: setting one bit per index on the int
-    would copy all of it every time."""
-    bits = bytearray(b"0" * size)
-    for i in indices:
-        bits[i] = 49  # ord("1")
-    return int(bits[::-1] or b"0", 2)
+def _refine(block: Sequence[int], values: Sequence[int]) -> List[int]:
+    """The blocks split by the values (read up to the blocks' length), with
+    ids in order of first appearance, so equal partitions give equal lists."""
+    ids: Dict[Tuple[int, int], int] = {}
+    return [ids.setdefault(key, len(ids)) for key in zip(block, values)]
 
 
 def _build_net(lts: Lts, regions: Sequence[Region], name: str = "") -> PetriNet:
@@ -738,25 +739,26 @@ def _verify_success(lts: Lts, net: PetriNet, props: PropertySet) -> None:
 
 
 def _separation_pass(engine: _Engine) -> Tuple[
-    _Problems, List[Tuple[Region, Set[int]]], List[Tuple[str, int, int]]
+    List[int], List[Tuple[Region, List[int], Set[int]]], List[Tuple[str, int, int]]
 ]:
     """Solve the engine's problems in order, skipping those that a region
-    found earlier solves; returns the problems, each found region with the
-    indices of the problems it solves, and the unsolvable (kind, i, x).
+    found earlier solves; returns the event/state problem keys, each found
+    region with its value array and the indices of the event/state
+    problems it solves, and the unsolvable (kind, i, x).
 
     Each found region is evaluated once, as a value array read at state
     indices: it solves the (problem, state) pairs of each label with
     backward weight b > 0 at states valued below b, and the state pairs
-    whose values differ; the pairs (s, j) of one s are consecutive
-    problems.  A pair is solved once its states fall in different blocks:
-    two states share one while every found region values them alike."""
+    whose values differ.  A pair is solved once its states fall in
+    different blocks: two states share one while every found region values
+    them alike."""
     keys, by_label = engine.problems()
     m = 0 if engine.props.language else len(engine.states)  # states in pairs
     essp = [(k, group) for k, group in enumerate(by_label) if group]
-    solved: List[Tuple[Region, Set[int]]] = []
+    found: List[Tuple[Region, List[int], Set[int]]] = []
     covered: Set[int] = set()
     failed: List[Tuple[str, int, int]] = []
-    block = [0] * m  # the found regions' values, as one id per distinct vector
+    block = [0] * m  # the found regions' blocks
 
     def unsolved():  # lazy, so each check sees every region found before it
         for p, key in enumerate(keys):
@@ -775,13 +777,9 @@ def _separation_pass(engine: _Engine) -> Tuple[
         values, b = engine.value_array(region), region.backward
         problem_set = {p for k, group in essp if b[k] for p, s in group if values[s] < b[k]}
         covered.update(problem_set)
-        start, ids = len(keys), {}
-        for s in range(m - 1):
-            problem_set.update(compress(count(start), map(ne, values[s + 1 :], repeat(values[s]))))
-            start += m - 1 - s
-        block[:] = [ids.setdefault(key, len(ids)) for key in zip(block, values)]
-        solved.append((region, problem_set))
-    return _Problems(engine, keys, len(keys) + m * (m - 1) // 2), solved, failed
+        block[:] = _refine(block, values)
+        found.append((region, values, problem_set))
+    return keys, found, failed
 
 
 def _run_engine(engine: _Engine) -> SynthesisOutcome:
@@ -789,10 +787,10 @@ def _run_engine(engine: _Engine) -> SynthesisOutcome:
     with every region found; on success, keep the regions that
     `minimize_regions` picks, build their net and verify it."""
     lts, props, states = engine.lts, engine.props, engine.states
-    problems, solved, failed = _separation_pass(engine)
+    keys, found, failed = _separation_pass(engine)
     outcome = SynthesisOutcome(success=not failed, properties=props, lts=lts)
     if failed:
-        outcome.regions = [region for region, _ in solved]
+        outcome.regions = [region for region, _, _ in found]
         for kind, i, x in failed:
             if kind == "ssp":
                 outcome.failed_ssp.append((states[i], states[x]))
@@ -800,7 +798,7 @@ def _run_engine(engine: _Engine) -> SynthesisOutcome:
                 outcome.failed_essp.setdefault(engine.labels[x], []).append(states[i])
         return outcome
 
-    minimized = minimize_regions(problems, solved) if solved else []
+    minimized = minimize_regions(engine, found, keys) if found else []
     name = f"synthesized from {lts.name}" if lts.name else "synthesized"
     net = _build_net(lts, minimized, name=name)
     outcome.regions = minimized

@@ -14,7 +14,9 @@ once per solve.  aptk.linalg now builds that dual once per set of shared
 rows and free columns (`RowSystem`), with the same pivots, so its results
 must be exactly identical: the same point, None, or the same error type.
 Its methods and `_integer_row` are kept verbatim, except that the node
-limit is read from aptk.linalg.
+limit is read from aptk.linalg and that the node multipliers, which
+`solve_lp` now returns as integer numerators over one denominator, are
+turned back into the Fractions it returned then.
 
 Declarations (add_variable, add_constraint, set_objective) are inherited,
 so one set of calls builds any of these systems.
@@ -388,7 +390,8 @@ class CompiledLinearSystem(LinearSystem):
                 raise InternalError(
                     f"node dual reported {status}, but the box makes it feasible; solver bug"
                 )
-            ys, scale = _integer_row([-u for u in multipliers])
+            numerators, denominator = multipliers  # back to the Fractions it got
+            ys, scale = _integer_row([-Fraction(u, denominator) for u in numerators])
             slack = [scale * b for b in shifted]
             for y, column in zip(ys, columns):
                 if y:

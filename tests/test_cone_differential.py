@@ -115,8 +115,8 @@ def test_solve_cone_refuses_a_result_that_does_not_check(monkeypatch):
     zero = [Fraction(0)] * 2
     forged = [
         ("unbounded", zero, None),
-        ("optimal", zero, zero + [Fraction(0)]),  # x = 0 meets no row
-        ("optimal", zero, [Fraction(1), Fraction(-1), Fraction(0)]),  # fails the second row
+        ("optimal", zero, ([0, 0, 0], 1)),  # x = 0 meets no row
+        ("optimal", zero, ([1, -1, 0], 1)),  # fails the second row
         ("optimal", [Fraction(1), Fraction(0)], None),  # y . P = (1, 0), not 0
         ("optimal", [Fraction(1, 2), Fraction(1, 4)], None),  # sum(y) = 3/4
     ]

@@ -5,6 +5,7 @@ Both pivot by Bland's rule on the same rational tableau, so they must agree
 exactly: the same status and the same point, not just the same optimum.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -131,6 +132,9 @@ def assert_duals_certify(num_vars, rows, objective):
     if status != "optimal":
         assert u is None
         return status
+    numerators, denominator = u  # in lowest terms over one positive denominator
+    assert denominator > 0 and math.gcd(*numerators, denominator) == 1
+    u = [Fraction(v, denominator) for v in numerators]
     c = objective if objective is not None else [0] * num_vars
     assert len(u) == len(rows)
     assert sum(ui * rhs for ui, (_, _, rhs) in zip(u, rows)) == sum(a * b for a, b in zip(c, x))

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -603,26 +604,55 @@ def test_failure_report_is_complete():
 # -- region minimization ----------------------------------------------------------
 
 
+def _chain():
+    """s0 -a-> s1 -a-> s2: one event/state problem (a at s2) and three
+    state pairs, for `minimize_regions`."""
+    engine = _Engine(word_lts("aa"), PropertySet())
+    return engine, engine.problems()[0]
+
+
 def test_minimize_drops_duplicate():
-    labels = ("a",)
-    r1 = Region(labels, 1, (1,), (0,))
-    r2 = Region(labels, 2, (1,), (0,))
-    problems = [SeparationProblem("essp", "s1", label="a")]
-    kept = minimize_regions(problems, [(r1, {0}), (r2, {0})])
+    engine, keys = _chain()
+    r1 = Region(("a",), 2, (1,), (0,))
+    r2 = Region(("a",), 4, (2,), (0,))
+    # both solve every problem: the first is kept
+    kept = minimize_regions(engine, [(r1, [2, 1, 0], {0}), (r2, [4, 2, 0], {0})], keys)
     assert kept == [r1]
 
 
 def test_minimize_required_region_wins():
-    labels = ("a",)
-    r_a = Region(labels, 1, (1,), (0,))
-    r_b = Region(labels, 2, (2,), (0,))
-    problems = [
-        SeparationProblem("essp", "s1", label="a"),
-        SeparationProblem("essp", "s2", label="a"),
-    ]
-    # r_b uniquely solves problem 1 and also covers problem 0: r_a is dropped
-    kept = minimize_regions(problems, [(r_a, {0}), (r_b, {0, 1})])
+    engine, keys = _chain()
+    r_a = Region(("a",), 1, (1,), (0,))
+    r_b = Region(("a",), 2, (1,), (0,))
+    # r_b uniquely solves the pair (s0, s1) and also covers every problem
+    # r_a solves: r_a is dropped
+    kept = minimize_regions(engine, [(r_a, [1, 1, 0], {0}), (r_b, [2, 1, 0], {0})], keys)
     assert kept == [r_b]
+
+
+def test_minimize_walks_state_pairs_in_order():
+    engine, keys = _chain()
+    regions = [Region(("a",), j, (0,), (0,)) for j in range(4)]
+    arrays = [[0, 0, 0], [0, 0, 1], [0, 1, 2], [0, 1, 0]]
+    # the first region alone solves the event/state problem, and every
+    # state pair has two solvers or more.  The pair (s0, s1) comes first and
+    # takes the third region, which splits every pair: the second, the
+    # lowest solver of (s0, s2), is not needed
+    found = [(r, values, {0} if j == 0 else set()) for j, (r, values) in enumerate(zip(regions, arrays))]
+    assert minimize_regions(engine, found, keys) == [regions[0], regions[2]]
+
+
+def test_synthesis_memory_grows_with_regions_times_states():
+    # the pass and the minimisation keep one value array per found region,
+    # no set of the state pairs each one splits
+    lts = reachability_graph(bitnet(8)).lts  # 256 states, 32,640 state pairs
+    tracemalloc.start()
+    try:
+        assert synthesize(lts).success
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_minimize_preserves_feasibility_example(example_lts):
@@ -659,24 +689,28 @@ def test_separation_pass_evaluates_each_region_once(example_lts, monkeypatch):
         finally:
             inside.pop()
 
-    def recording_minimize(problems, solved):
+    def recording_minimize(engine, solved, keys):
         found.extend(solved)
-        return minimize(problems, solved)
+        return minimize(engine, solved, keys)
 
     monkeypatch.setattr(_Engine, "value_array", counting_values)
     monkeypatch.setattr(_Engine, "solves", counting_solves)
     monkeypatch.setattr(_Engine, "solve", marked_solve)
     monkeypatch.setattr(synthesis_module, "minimize_regions", recording_minimize)
     assert synthesize(example_lts).success
-    regions = [region for region, _ in found]
+    regions = [region for region, _, _ in found]
     assert len(set(regions)) == len(regions) > 0
     assert calls == {"values": len(regions), "solves": 0}
-    # the one evaluation gives each region exactly the problems it solves
+    # the one evaluation gives each region exactly the event/state problems
+    # it solves, and its value array splits exactly the state pairs it solves
     monkeypatch.undo()
     engine = _Engine(example_lts, PropertySet())
-    problems = enumerate_separation_problems(example_lts)
-    for region, problem_set in found:
-        assert problem_set == {j for j, p in enumerate(problems) if engine.solves(region, *engine.locate(p))}
+    keys, width = engine.problems()[0], len(engine.labels)
+    for region, values, problem_set in found:
+        essp = [divmod(key, width) for key in keys]
+        assert problem_set == {p for p, (i, x) in enumerate(essp) if engine.solves(region, "essp", i, x)}
+        for i, j in itertools.combinations(range(len(engine.states)), 2):
+            assert (values[i] != values[j]) == engine.solves(region, "ssp", i, j)
 
 
 # -- word synthesis ----------------------------------------------------------------

@@ -10,8 +10,9 @@ problem and, under `pure`, be pure.
 
 The separation pass and `minimize_regions` are checked against the
 per-(region, problem) loop and the set-based minimisation they replaced:
-the same solved set for every found region, the same failures and the
-same kept regions.
+the same solved set for every found region (its event/state problems and
+the state pairs its value array splits), the same failures and the same
+kept regions, also on drawn value arrays and event/state sets.
 
 The engine's set-up is checked against the two-walk `spanning_tree`, the
 Parikh-vector `_cycle_rows` and the Kahn-loop `_is_acyclic` it replaced:
@@ -212,51 +213,79 @@ def _pass_inputs():
     )
 
 
+def _expanded(engine, keys, values, problem_set):
+    """A found region's problems as the set-based minimisation takes them:
+    its event/state problems, then the state pairs its values split,
+    numbered by rank after them."""
+    pairs = combinations(range(0 if engine.props.language else len(engine.states)), 2)
+    return problem_set | {len(keys) + r for r, (i, j) in enumerate(pairs) if values[i] != values[j]}
+
+
 @pytest.mark.parametrize("mode", ["none", "pure", "plain,pure", "safe", "conflict-free"])
 def test_separation_pass_matches_reference(mode):
     props = PropertySet.parse(mode)
     outcomes = set()
     for lts in _pass_inputs():
         engine = _Engine(lts, props)
-        problems, solved, failed = _separation_pass(engine)
+        keys, found, failed = _separation_pass(engine)
         expected = reference_enumerate(lts)
         expected_solved, expected_failed = reference_pass(ReferenceEngine(lts, props), expected)
         where = sorted(map(str, lts.arcs))
-        assert [problems[p] for p in range(len(problems))] == expected, where
+        assert list(engine.listed(keys)) == expected, where
+        solved = [(region, _expanded(engine, keys, *rest)) for region, *rest in found]
         assert solved == expected_solved, where
         assert [engine.problem(*key) for key in failed] == expected_failed, where
         if not failed:
-            assert minimize_regions(problems, solved) == reference_minimize(problems, solved), where
+            assert minimize_regions(engine, found, keys) == reference_minimize(expected, solved), where
         outcomes.add(bool(failed))
     assert outcomes == {True, False}  # both branches of the pass are exercised
 
 
-@st.composite
-def covering_families(draw):
-    """Problem count and solved sets in which every problem is solved."""
-    size = draw(st.integers(1, 40))
-    sets = draw(st.lists(st.sets(st.integers(0, size - 1)), min_size=1, max_size=8))
-    for i in range(size):
-        if not any(i in s for s in sets):
-            sets[draw(st.integers(0, len(sets) - 1))].add(i)
-    return size, sets
-
-
 @seed(20150601)
 @settings(max_examples=300, deadline=None)
-@given(covering_families(), st.data())
-def test_minimize_regions_matches_reference(family, data):
-    size, sets = family
-    problems = [SeparationProblem("essp", f"s{i}", label="a") for i in range(size)]
-    solved = [(Region(("a",), j, (0,), (0,)), s) for j, s in enumerate(sets)]
-    assert minimize_regions(problems, solved) == reference_minimize(problems, solved)
+@given(st.text("abc", min_size=1, max_size=8), st.booleans(), st.data())
+def test_minimize_regions_matches_reference(word, language, data):
+    # an engine on a word lists the problems; the found regions' value
+    # arrays and event/state sets are drawn so that every problem is solved
+    engine = _Engine(word_lts(word), PropertySet(language=language))
+    keys, n = engine.problems()[0], len(engine.states)
+    m = 0 if language else n
+    size = data.draw(st.integers(1, 8))
+    arrays = [data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)) for _ in range(size)]
+    sets = [data.draw(st.sets(st.integers(0, len(keys) - 1))) for _ in range(size)]
+    for p in range(len(keys)):
+        if not any(p in s for s in sets):
+            sets[data.draw(st.integers(0, size - 1))].add(p)
+    # the states no array tells apart get distinct values in one array: the
+    # first keeps its value, the others go up by 3, 6, ..., past every drawn one
+    groups = {}
+    for i in range(m):
+        groups.setdefault(tuple(values[i] for values in arrays), []).append(i)
+    for group in groups.values():
+        values = arrays[data.draw(st.integers(0, size - 1))]
+        for rank, i in enumerate(group[1:], start=1):
+            values[i] += 3 * rank
+    regions = [Region(("a",), j, (0,), (0,)) for j in range(size)]
+    problems = list(engine.listed(keys))
+
+    def found_and_solved():
+        found = list(zip(regions, arrays, sets))
+        return found, [(region, _expanded(engine, keys, *rest)) for region, *rest in found]
+
+    found, solved = found_and_solved()
+    assert minimize_regions(engine, found, keys) == reference_minimize(problems, solved)
     # with one problem solved by no region, both raise the same error
-    hole = data.draw(st.integers(0, size - 1))
-    solved = [(region, s - {hole}) for region, s in solved]
+    hole = data.draw(st.integers(0, len(problems) - 1))
+    if hole < len(keys):
+        sets = [s - {hole} for s in sets]
+    else:  # every array values the pair's states alike; every other pair stays split
+        i, j = list(combinations(range(m), 2))[hole - len(keys)]
+        arrays = [values[:j] + [values[i]] + values[j + 1 :] for values in arrays]
+    found, solved = found_and_solved()
     with pytest.raises(InternalError) as expected:
         reference_minimize(problems, solved)
     with pytest.raises(InternalError) as raised:
-        minimize_regions(problems, solved)
+        minimize_regions(engine, found, keys)
     assert str(raised.value) == str(expected.value) == f"problem {problems[hole]} solved by no region"
 
 
@@ -431,13 +460,13 @@ def test_value_arrays_are_the_check_region_values(mode):
     for lts in _inputs() + trees:
         # on a tree unfolding, language-only synthesis lists no state pairs
         engine = _Engine(lts, replace(props, language=lts in trees))
-        _, solved, _ = _separation_pass(engine)
-        for region, _ in solved:
+        _, found, _ = _separation_pass(engine)
+        for region, array, _ in found:
             counts["tree" if lts in trees else "input"] += 1
             values = check_region(lts, region)
             assert list(values) == engine.states
             expected = reference_value_array(ReferenceEngine(lts, props), region)
-            assert engine.value_array(region) == list(values.values()) == expected
+            assert array == engine.value_array(region) == list(values.values()) == expected
             assert _Engine(lts, props).value_array(region) == expected
     assert counts["input"] and counts["tree"]
     # the diamond among them unfolds into more states than it has
