@@ -19,7 +19,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .common import AptError, ParseError
 from .lts import Lts
-from .petri import OMEGA, Marking, PetriNet
+from .petri import Marking, PetriNet
 
 
 @dataclass
@@ -48,7 +48,7 @@ class _Token(NamedTuple):
 # at once and the skipped prefix never backtracks.  _token_regex fills in
 # %(odd)s and %(digits)s.
 _TOKEN = (
-    r"(?:[ \t\r\n]+|//[^\n]*|/\*.*?\*/)*"
+    r"[ \t\r\n]*(?:(?://[^\n]*|/\*.*?\*/)[ \t\r\n]*)*"
     r"(?:(?P<ID>[^\W\d%(odd)s]\w*)"
     r"|(?P<SECTION>\.\w*)"
     r'|(?P<STR>"[^"\\]*(?:\\["\\][^"\\]*)*")'
@@ -438,13 +438,6 @@ def _multiset_text(counts: List[Tuple[str, int]]) -> str:
     return "{ " + ", ".join(parts) + " }" if parts else "{ }"
 
 
-def _marking_comment(marking: Marking) -> str:
-    inner = " ".join(
-        f"[{p}:{'OMEGA' if c is OMEGA else c}]" for p, c in marking.items()
-    )
-    return f"/* [ {inner} ] */"
-
-
 # Names joined by single spaces, each an ASCII identifier.
 _ASCII_IDS = re.compile(r"[A-Za-z_]\w*(?: [A-Za-z_]\w*)*", re.ASCII)
 
@@ -504,10 +497,12 @@ def _render_net(net: PetriNet) -> str:
 def _render_lts(lts: Lts, markings: Optional[Dict[str, Marking]] = None) -> str:
     _check_names("state", lts.states)
     _check_names("label", lts.labels)
-    if markings:
-        # the places of the marking comments, once per distinct place tuple
-        for places in {id(m.places): m.places for m in markings.values()}.values():
-            _check_names("place", places)
+    # one marking-comment template per place tuple; the checked names hold
+    # no brace, and OMEGA formats as its repr
+    templates = {id(m.places): m.places for m in (markings or {}).values()}
+    for key, places in templates.items():
+        _check_names("place", places)
+        templates[key] = "/* [ " + " ".join(f"[{p}:{{}}]" for p in places) + " ] */"
     lines = [f".name {_quote(lts.name)}"]
     if lts.description:
         lines.append(f".description {_quote(lts.description)}")
@@ -516,7 +511,8 @@ def _render_lts(lts: Lts, markings: Optional[Dict[str, Marking]] = None) -> str:
     for s in lts.states:
         entry = f"{s}[initial]" if s == lts.initial else s
         if markings and s in markings:
-            entry = f"{entry} {_marking_comment(markings[s])}"
+            marking = markings[s]
+            entry = f"{entry} {templates[id(marking.places)].format(*marking.counts)}"
         lines.append(entry)
     lines.append(".labels")
     if lts.labels:

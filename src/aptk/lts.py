@@ -133,6 +133,19 @@ class Lts:
         self._out[source].append(arc)
         self._in[target].append(arc)
 
+    def _append_arcs(self, triples: Iterable[Tuple[str, str, str]]) -> None:
+        """add_arc for each (source, label, target) tuple of `triples`, in
+        order, for a caller that declared their states and labels itself:
+        only a repeated arc is dropped."""
+        arc_set, arcs, out, into = self._arc_set, self._arcs, self._out, self._in
+        for triple in triples:
+            if triple not in arc_set:  # an Arc equals and hashes as its tuple
+                arc = tuple.__new__(Arc, triple)
+                arc_set.add(arc)
+                arcs.append(arc)
+                out[triple[0]].append(arc)
+                into[triple[2]].append(arc)
+
     @classmethod
     def from_data(
         cls,

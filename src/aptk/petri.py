@@ -9,7 +9,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import cache, reduce
 from math import inf
-from operator import ge
+from operator import ge, itemgetter
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from .common import (
@@ -352,19 +352,33 @@ def _weight(counts: Tuple) -> Tuple[int, int]:
     return omegas, sum(c for c in counts if c != inf) if omegas else sum(counts)
 
 
-def _accelerate(tree: List[Tuple], k: int, counts: Tuple) -> Tuple:
+def _accelerate(path: List[Tuple], k: int, counts: Tuple) -> Tuple:
     """Karp-Miller acceleration of `counts`, a successor of state k: while it
     strictly covers a marking on the BFS-tree path to state k, the strictly
-    increased places jump to OMEGA.  tree[j] is (counts, weight, least weight
-    on the path from s0, parent, name) of state j; only a lighter ancestor
-    can be strictly covered, so no other one is tested."""
+    increased places jump to OMEGA.  path[j] is (counts, weight, least weight
+    on the path from s0, parent, zeros) of state j, where zeros[i] is the
+    nearest ancestor-or-self of j with no token at place i, or -1.  Only a
+    lighter ancestor with no token wherever `counts` has none can be strictly
+    covered, so the walk stops where no lighter one is left and jumps to the
+    least pointer at those places while it lies above.  A jump to OMEGA keeps
+    the zero places, so the same ancestors are tested as in a full walk."""
+    weight = _weight(counts)
+    if path[k][2] >= weight:
+        return counts
+    zero = [i for i, c in enumerate(counts) if not c]
+    # the first zero place repeated, so that one zero place still gives a tuple
+    pick = itemgetter(*zero, zero[0]) if zero else None
     changed = True
     while changed:
         changed = False
-        weight = _weight(counts)
         cursor = k
         while cursor >= 0:
-            anc, anc_weight, lightest, parent, _ = tree[cursor]
+            if pick is not None:
+                up = min(pick(path[cursor][4]))
+                if up < cursor:
+                    cursor = up
+                    continue
+            anc, anc_weight, lightest, parent, _ = path[cursor]
             if lightest >= weight:
                 break
             if anc_weight < weight and all(map(ge, counts, anc)):
@@ -382,12 +396,15 @@ def _explore(
     construction of this module.
 
     Yields (graph, state) for each state as it is discovered, so a caller
-    can stop early; the graph then holds what was found so far.  States are
-    named s0, s1, ... in discovery order by `lts.state_name`, and each arc,
-    labelled with its transition's label, is added as soon as it is found.
-    With `accelerate`, every successor marking goes through Karp-Miller
-    acceleration, which makes the search finite.  Raises StateLimitExceededError, naming the
-    graph being built, before a state past `state_limit` is added.
+    can stop early; the graph then holds what was found so far, the arc into
+    `state` included.  States are named s0, s1, ... in discovery order by
+    `lts.state_name`.  The search declares every state and label itself, so
+    it appends the arcs of a state, labelled with their transitions' labels,
+    in bulk and in transition order.  With `accelerate`, every successor
+    marking goes through Karp-Miller acceleration, which makes the search
+    finite; only then are the path entries it reads built.  Raises
+    StateLimitExceededError, naming the graph being built, before a state
+    past `state_limit` is added.
     """
     table = tuple(net._compiled().items())
     lts = Lts(name="", description="")
@@ -400,15 +417,18 @@ def _explore(
     lts.add_state(first, initial=True)
     graph = StateGraph(lts, {first: initial})
     yield graph, first
-    weight = _weight(initial.counts)
-    tree = [(initial.counts, weight, weight, -1, first)]
-    for k, (counts, _, _, _, state) in enumerate(tree):  # grows behind k: breadth first
+    queue = [(initial.counts, first)]
+    if accelerate:
+        weight = _weight(initial.counts)
+        path = [(initial.counts, weight, weight, -1, tuple(-1 if c else 0 for c in initial.counts))]
+    for k, (counts, state) in enumerate(queue):  # grows behind k: breadth first
+        arcs = []
         for t, (label, pre, delta) in table:
             nxt = _successor(pre, delta, counts)
             if nxt is None:
                 continue
             if accelerate:
-                nxt = _accelerate(tree, k, nxt)
+                nxt = _accelerate(path, k, nxt)
             name = names.get(nxt)
             fresh = name is None
             if fresh:
@@ -424,12 +444,19 @@ def _explore(
                 lts.add_state(name)
                 graph.markings[name] = _marking(initial.places, nxt)
                 graph.parent[name] = (state, t)
-                weight = _weight(nxt)
-                tree.append((nxt, weight, min(weight, tree[k][2]), k, name))
+                if accelerate:
+                    j, weight = len(queue), _weight(nxt)
+                    _, _, lightest, _, zeros = path[k]
+                    zeros = tuple(z if c else j for c, z in zip(nxt, zeros))
+                    path.append((nxt, weight, min(weight, lightest), k, zeros))
+                queue.append((nxt, name))
             graph.fired_transitions.add(t)
-            lts.add_arc(state, label, name)
+            arcs.append((state, label, name))
             if fresh:
+                lts._append_arcs(arcs)
+                arcs.clear()
                 yield graph, name
+        lts._append_arcs(arcs)
 
 
 def _graph(net: PetriNet, state_limit: int, accelerate: bool) -> StateGraph:

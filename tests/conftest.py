@@ -4,6 +4,7 @@ transition system) and three nets that solve it."""
 import pytest
 
 from aptk import Lts, PetriNet
+from aptk.generators import bitnet
 
 EXAMPLE_ARCS = [
     ("s0", "a", "s1"),
@@ -121,3 +122,13 @@ def n2() -> PetriNet:
 @pytest.fixture
 def n3() -> PetriNet:
     return make_n3()
+
+
+def accumulator_bitnet(n: int) -> PetriNet:
+    """bitnet(n) in which every set transition also feeds a place acc: the
+    coverability graph then accelerates acc along deep tree paths."""
+    net = bitnet(n)
+    net.add_place("acc")
+    for i in range(n):
+        net.add_flow(f"set{i}", "acc")
+    return net

@@ -1,12 +1,17 @@
-"""The character-by-character lexer that aptk.aptio replaced, kept verbatim
-as the reference for the differential tests of aptio._tokenize."""
+"""Code that aptk.aptio replaced, kept verbatim as the reference for its
+differential tests: the character-by-character lexer (against
+aptio._tokenize) and the LTS renderer that built one marking comment per
+state (against aptio.render)."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import Dict, List, Optional
 
+from aptk.aptio import _check_names, _quote
 from aptk.common import ParseError
+from aptk.lts import Lts
+from aptk.petri import OMEGA, Marking
 
 _PUNCT = {
     "{": "LBRACE",
@@ -120,3 +125,40 @@ def _tokenize(text: str) -> List[_Token]:
         raise ParseError(f"unexpected character {ch!r}", start_line, start_col)
     tokens.append(_Token("EOF", "", line, col))
     return tokens
+
+
+def _marking_comment(marking: Marking) -> str:
+    inner = " ".join(
+        f"[{p}:{'OMEGA' if c is OMEGA else c}]" for p, c in marking.items()
+    )
+    return f"/* [ {inner} ] */"
+
+
+def _render_lts(lts: Lts, markings: Optional[Dict[str, Marking]] = None) -> str:
+    _check_names("state", lts.states)
+    _check_names("label", lts.labels)
+    if markings:
+        # the places of the marking comments, once per distinct place tuple
+        for places in {id(m.places): m.places for m in markings.values()}.values():
+            _check_names("place", places)
+    lines = [f".name {_quote(lts.name)}"]
+    if lts.description:
+        lines.append(f".description {_quote(lts.description)}")
+    lines.append(".type LTS")
+    lines.append(".states")
+    for s in lts.states:
+        entry = f"{s}[initial]" if s == lts.initial else s
+        if markings and s in markings:
+            entry = f"{entry} {_marking_comment(markings[s])}"
+        lines.append(entry)
+    lines.append(".labels")
+    if lts.labels:
+        entries = []
+        for t in lts.labels:
+            location = lts.location(t)
+            entries.append(t if location is None else f'{t}[location={_quote(location)}]')
+        lines.append(" ".join(entries))
+    lines.append(".arcs")
+    for arc in lts.arcs:
+        lines.append(f"{arc.source} {arc.label} {arc.target}")
+    return "\n".join(lines) + "\n"

@@ -1,7 +1,9 @@
 """The regex lexer of aptk.aptio against the character-by-character lexer it
 replaced (tests/reference_aptio.py): the same tokens, or the same
 ParseError message at the same line and column.  aptio's tokens carry an
-offset, which aptio._position turns into the line and column compared."""
+offset, which aptio._position turns into the line and column compared.
+aptio.render of a state graph must match, byte for byte, the renderer that
+built one marking comment per state."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,6 +23,7 @@ from aptk.generators import bitnet, cyclenet, philnet_bistate
 from aptk.synthesis import word_lts
 
 from conftest import N1_TEXT, make_example_lts, make_n1, make_n2, make_n3
+from test_petri_differential import cases as petri_cases
 
 
 def lex(tokenize, position, text):
@@ -142,3 +145,24 @@ def rendered_documents():
 def test_rendered_documents_match_reference():
     for text in rendered_documents():
         assert_same_tokens(text)
+
+
+def test_rendered_graphs_match_per_state_marking_comments():
+    # the coverability graphs of the petri differential cases, with and
+    # without OMEGA, then state markings from three nets, two of them over
+    # equal place tuples, and a graph without markings
+    with_omega = 0
+    for net in petri_cases():
+        graph = coverability_graph(net)
+        doc = aptio.Document(kind="LTS", lts=graph.lts, state_markings=graph.markings)
+        assert aptio.render(doc) == reference_aptio._render_lts(graph.lts, graph.markings)
+        with_omega += any(m.has_omega() for m in graph.markings.values())
+    assert with_omega > 10
+    graph = reachability_graph(bitnet(2))
+    markings = dict(graph.markings)
+    markings["s2"] = reachability_graph(bitnet(1)).markings["s1"]
+    markings["s3"] = reachability_graph(bitnet(2)).markings["s1"]
+    doc = aptio.Document(kind="LTS", lts=graph.lts, state_markings=markings)
+    assert aptio.render(doc) == reference_aptio._render_lts(graph.lts, markings)
+    doc = aptio.Document(kind="LTS", lts=graph.lts)
+    assert aptio.render(doc) == reference_aptio._render_lts(graph.lts)

@@ -41,7 +41,7 @@ from aptk import (
 from aptk import petri
 from aptk.generators import bitnet, cyclenet, philnet_bistate
 
-from conftest import make_example_lts
+from conftest import accumulator_bitnet, make_example_lts
 from reference_petri import bounded as reference_bounded
 
 
@@ -299,6 +299,70 @@ def test_k_bounded_builds_no_coverability_graph(monkeypatch):
 
     monkeypatch.setattr(petri, "coverability_graph", refuse)
     assert bounded(unbounded_net(), 2).witness == ("p", ["t", "t", "t"])
+
+
+def test_bounded_witnesses_on_accumulator_bitnet():
+    # the shortest witnesses in BFS order, as the explorer gave them when
+    # it added every arc through Lts.add_arc
+    net = accumulator_bitnet(6)
+    assert bounded(net).witness == ("acc", ["set0", "unset0"])
+    assert bounded(net, 0).witness == ("off0", [])
+    for k in (1, 2, 3):
+        check = bounded(net, k)
+        assert check.witness == ("acc", [f"set{i}" for i in range(k + 1)])
+        assert check.detail == f"place acc reaches {k + 1} > {k} tokens"
+    assert bounded(accumulator_bitnet(3), 3).witness == (
+        "acc", ["set0", "unset0", "set0", "set1", "set2"]
+    )
+
+
+def test_acceleration_tests_few_ancestors(monkeypatch):
+    # each ancestor tested for a strict cover is one all() call in
+    # aptk.petri; a walk over every lighter ancestor made 189,546 of them
+    # here, one that skips the ancestors no successor can cover 3,786
+    tests = 0
+
+    def counting_all(iterable):
+        nonlocal tests
+        tests += 1
+        return all(iterable)
+
+    monkeypatch.setattr(petri, "all", counting_all, raising=False)
+    graph = coverability_graph(accumulator_bitnet(6))
+    assert len(graph.lts.states) == 1040
+    assert 0 < tests < 10_000
+
+
+def test_same_label_transitions_to_one_marking_give_one_arc():
+    # t and u share label a and reach the same marking from each state
+    net = PetriNet()
+    net.add_place("p", tokens=1)
+    net.add_place("q")
+    for t in "tu":
+        net.add_transition(t, label="a")
+        net.add_flow("p", t)
+        net.add_flow(t, "q")
+    for graph in (reachability_graph(net), coverability_graph(net)):
+        assert graph.lts.arcs == (("s0", "a", "s1"),)
+        assert graph.lts.arcs_from("s0") == graph.lts.arcs_to("s1") == graph.lts.arcs
+        assert graph.fired_transitions == {"t", "u"}
+    # unbounded: one arc into the fresh OMEGA state, one self-loop on it
+    for t in "tu":
+        net.add_flow(t, "p")
+    graph = coverability_graph(net)
+    assert graph.lts.arcs == (("s0", "a", "s1"), ("s1", "a", "s1"))
+    assert repr(graph.markings["s1"]) == "[ [p:1] [q:OMEGA] ]"
+
+
+def test_explorer_yields_each_state_with_its_arcs_in():
+    # a caller that stops at a yielded state sees every arc found so far,
+    # the one into that state among them, in the finished graph's order
+    for net, accelerate in ((bitnet(3), False), (accumulator_bitnet(3), True)):
+        whole = petri._graph(net, 100, accelerate).lts.arcs
+        for graph, state in petri._explore(net, 100, accelerate):
+            arcs = graph.lts.arcs
+            assert arcs == whole[: len(arcs)]
+            assert state == "s0" or arcs[-1].target == state
 
 
 def test_state_limit_names_the_construction(monkeypatch):

@@ -15,6 +15,8 @@ import reference_petri as ref
 from aptk import AptError, PetriNet, petri
 from aptk.generators import bitnet, cyclenet
 
+from conftest import accumulator_bitnet
+
 LABELS = ("a", "b", "c")
 
 
@@ -89,9 +91,48 @@ def up_down_up() -> PetriNet:
     return net
 
 
+def zeros_above() -> PetriNet:
+    """s0 = (p:1) -a-> (q:1) -b-> (r:1) -c-> (p:1, acc:1): the last marking
+    strictly covers s0 only, and the lighter ancestors between hold a token
+    at q or at r, where it has none, so acceleration jumps over them."""
+    net = PetriNet()
+    for p in ("p", "q", "r", "acc"):
+        net.add_place(p, tokens=int(p == "p"))
+    for t in "abc":
+        net.add_transition(t)
+    net.add_flow("p", "a")
+    net.add_flow("a", "q")
+    net.add_flow("q", "b")
+    net.add_flow("b", "r")
+    net.add_flow("r", "c")
+    net.add_flow("c", "p")
+    net.add_flow("c", "acc")
+    return net
+
+
+def second_cover() -> PetriNet:
+    """s0 = (x:3) -a-> (x:1, y:1, z:1) -c-> (x:1, y:1) -b-> (x:2, y:1): the
+    last marking strictly covers its parent, so x jumps to OMEGA; the walk
+    then jumps over (x:1, y:1, z:1), which holds a token at z, to s0, which
+    only the OMEGA covers, and y jumps to OMEGA too."""
+    net = PetriNet()
+    net.add_place("x", tokens=3)
+    net.add_place("y")
+    net.add_place("z")
+    for t in "abc":
+        net.add_transition(t)
+    net.add_flow("x", "a", 3)
+    for p in "xyz":
+        net.add_flow("a", p)
+    net.add_flow("z", "c")
+    net.add_flow("b", "x")
+    return net
+
+
 def cases():
     nets = random_nets(20260, 300)
-    return nets + [bitnet(3), cyclenet(3, 2), up_down_up()]
+    deep = [accumulator_bitnet(n) for n in (3, 4, 5)] + [zeros_above(), second_cover()]
+    return nets + [bitnet(3), cyclenet(3, 2), up_down_up()] + deep
 
 
 def test_random_nets_cover_both_kinds():
