@@ -2,20 +2,23 @@
 
 A document is a `.type LPN` (labelled Petri net) or `.type LTS` file made of
 dot-keyword sections in any order; `/*..*/` and `//` comments are allowed
-between any two tokens.  The lexer makes one regular-expression match per
-token, which takes the whitespace and comments in front of the token with
-it; a token keeps only its offset, and line and column are computed only
-for errors.  The parser splits the sections in one scan over the tokens.
-The writer emits a canonical form: parsing its output yields a structurally
-identical model, printing is idempotent, and a name that would not read
-back as one identifier is refused.
+between any two tokens.  The lexer reads a document with one `findall`, a
+match per token and the whitespace and comments before it, into parallel
+lists of token kinds and values.  No token keeps its position: an error
+scans the text again up to its token for the line and column.  The parser
+splits the sections in one scan over the kinds, and appends the arcs of an
+LTS at once after checking all of them.  The writer emits a canonical form:
+parsing its output yields a structurally identical model, printing is
+idempotent, and a name that would not read back as one identifier is
+refused.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from itertools import islice
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .common import AptError, ParseError
 from .lts import Lts
@@ -35,30 +38,22 @@ class Document:
 # ---------------------------------------------------------------------------
 
 
-class _Token(NamedTuple):
-    kind: str  # a group name of _TOKEN: ID SECTION STR NUM ARROW, punctuation, EOF
-    value: str
-    offset: int  # of the token's first character; _position turns it into line/column
-
-
 # One match per token: the whitespace and comments in front of it, then the
-# token.  No two token alternatives start on the same character, so their
-# order changes no token; ID, the commonest, comes first.  EOF ends the scan,
-# and ERROR is any character that starts no token, so every match succeeds
-# at once and the skipped prefix never backtracks.  _token_regex fills in
-# %(odd)s and %(digits)s.
+# token in one of three groups, ID, NUM or any other token, whose kind its
+# first character gives (_KINDS).  No two token alternatives start on the
+# same character, so their order changes no token; ID, the commonest, comes
+# first.  \Z (EOF, every group empty) ends the scan, and the last
+# alternative takes a character that starts no token, so every match
+# succeeds at once and the skipped prefix never backtracks.  _token_regex
+# fills in %(odd)s and %(digits)s.
 _TOKEN = (
     r"[ \t\r\n]*(?:(?://[^\n]*|/\*.*?\*/)[ \t\r\n]*)*"
-    r"(?:(?P<ID>[^\W\d%(odd)s]\w*)"
-    r"|(?P<SECTION>\.\w*)"
-    r'|(?P<STR>"[^"\\]*(?:\\["\\][^"\\]*)*")'
-    r"|(?P<ARROW>->)"
-    r"|(?P<LBRACE>\{)|(?P<RBRACE>\})|(?P<LBRACK>\[)|(?P<RBRACK>\])"
-    r"|(?P<COMMA>,)|(?P<COLON>:)|(?P<STAR>\*)|(?P<EQUALS>=)"
-    r"|(?P<NUM>[\d%(digits)s]+)"
-    r"|(?P<EOF>\Z)"
-    r"|(?P<ERROR>.))"
+    r"(?:([^\W\d%(odd)s]\w*)"
+    r"|([\d%(digits)s]+)"
+    r'|(\.\w*|"[^"\\]*(?:\\["\\][^"\\]*)*"|->|[{}\[\],:*=]|\Z|.))'
 )
+_KINDS = {".": "SECTION", '"': "STR", "-": "ARROW", "{": "LBRACE", "}": "RBRACE", "[": "LBRACK",
+          "]": "RBRACK", ",": "COMMA", ":": "COLON", "*": "STAR", "=": "EQUALS", "": "EOF"}
 _STRING_BODY = re.compile(r'[^"\\]*(?:\\["\\][^"\\]*)*')
 
 
@@ -74,15 +69,24 @@ def _token_regex(text: str) -> re.Pattern:
     return re.compile(_TOKEN % {"odd": re.escape(odd), "digits": re.escape(digits)}, re.DOTALL)
 
 
+def _offset(text: str, k: int) -> int:
+    """The offset of token k of `text`, which the lexer does not keep: the
+    text is scanned again up to match k."""
+    match = next(islice(_token_regex(text).finditer(text), k, None))
+    return match.start(match.lastindex)
+
+
 def _position(text: str, offset: int) -> Tuple[int, int]:
     """(line, column) of `offset` in `text`, both counted from 1."""
     return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
 def _lex_error(text: str, i: int) -> ParseError:
-    """The error at `i`, where no token starts."""
+    """The error at `i`, where no token starts or a lone '.' stands."""
     at, message = i, f"unexpected character {text[i]!r}"
-    if text.startswith("/*", i):
+    if text[i] == ".":
+        message = "lone '.'"
+    elif text.startswith("/*", i):
         message = "unterminated comment"
     elif text[i] == '"':
         j = _STRING_BODY.match(text, i + 1).end()
@@ -94,28 +98,28 @@ def _lex_error(text: str, i: int) -> ParseError:
     return ParseError(message, *_position(text, at))
 
 
-def _tokenize(text: str) -> List[_Token]:
-    """The tokens of `text`, ending in EOF; raises the first lexical error."""
-    make = tuple.__new__  # skips _Token's Python-level __new__
-    tokens = [
-        make(_Token, (m.lastgroup, m[m.lastindex], m.start(m.lastindex)))
-        for m in _token_regex(text).finditer(text)
-    ]
-    for i, (kind, value, offset) in enumerate(tokens):
+def _tokenize(text: str) -> Tuple[List[str], List[str]]:
+    """The kinds and values of the tokens of `text`, ending in EOF; raises
+    the first lexical error."""
+    kinds, values = [], []
+    add_kind, add_value = kinds.append, values.append
+    for ident, num, other in _token_regex(text).findall(text):
+        if ident:
+            add_kind("ID")
+            add_value(ident)
+            continue
+        kind = "NUM" if num else _KINDS.get(other[:1], "ERROR")
+        if kind == "ERROR" or other in ('"', "-", "."):  # no string, arrow or section
+            raise _lex_error(text, _offset(text, len(kinds)))
         if kind == "SECTION":
-            if value == ".":
-                raise ParseError("lone '.'", *_position(text, offset))
-            tokens[i] = _Token(kind, value[1:], offset)
+            other = other[1:]
         elif kind == "STR":
-            tokens[i] = _Token(kind, re.sub(r"\\(.)", r"\1", value[1:-1], flags=re.DOTALL), offset)
-        elif kind == "ERROR":
-            raise _lex_error(text, offset)
-        elif kind == "EOF":
-            # after a match that ends at the end of the text, finditer
-            # matches EOF once more, empty
-            del tokens[i + 1 :]
+            other = re.sub(r"\\(.)", r"\1", other[1:-1], flags=re.DOTALL)
+        add_kind(kind)
+        add_value(num or other)
+        if kind == "EOF":  # findall matches it once more after a match ending the text
             break
-    return tokens
+    return kinds, values
 
 
 # ---------------------------------------------------------------------------
@@ -124,41 +128,48 @@ def _tokenize(text: str) -> List[_Token]:
 
 
 class _Parser:
+    """A parser over the token lists of one text; token k is kinds[k] and
+    values[k], and a section is (h, end): its head h and the body h+1..end-1."""
+
     def __init__(self, text: str):
         self.text = text
-        self.tokens = _tokenize(text)
+        self.kinds, self.values = _tokenize(text)
 
-    def fail(self, message: str, tok: _Token):
-        raise ParseError(message, *_position(self.text, tok.offset)) from None
+    def fail(self, message: str, k: int):
+        raise ParseError(message, *_position(self.text, _offset(self.text, k))) from None
+
+    def _add(self, k: int, add, *args, **kwargs) -> None:
+        """add(*args, **kwargs), failing at token k on an AptError."""
+        try:
+            add(*args, **kwargs)
+        except AptError as err:
+            self.fail(str(err), k)
 
     # -- grammar ------------------------------------------------------------
 
     def parse(self) -> Document:
-        tokens = self.tokens
-        if tokens[0].kind not in ("SECTION", "EOF"):
-            self.fail(f"expected SECTION, found {tokens[0].value!r}", tokens[0])
-        heads = [i for i, tok in enumerate(tokens) if tok.kind == "SECTION"]
-        ends = heads[1:] + [len(tokens) - 1]
-        sections = [(tokens[i], tokens[i + 1 : j]) for i, j in zip(heads, ends)]
+        kinds, values = self.kinds, self.values
+        if kinds[0] not in ("SECTION", "EOF"):
+            self.fail(f"expected SECTION, found {values[0]!r}", 0)
+        heads = [k for k, kind in enumerate(kinds) if kind == "SECTION"]
+        sections = list(zip(heads, heads[1:] + [len(kinds) - 1]))
 
         doc_type: Optional[str] = None
-        for head, body in sections:
-            if head.value == "type":
+        for h, end in sections:
+            if values[h] == "type":
                 if doc_type is not None:
-                    self.fail("multiple .type sections", head)
-                if len(body) != 1 or body[0].kind != "ID" or body[0].value not in ("LPN", "LTS"):
-                    self.fail(".type must be LPN or LTS", head)
-                doc_type = body[0].value
+                    self.fail("multiple .type sections", h)
+                if end - h != 2 or kinds[h + 1] != "ID" or values[h + 1] not in ("LPN", "LTS"):
+                    self.fail(".type must be LPN or LTS", h)
+                doc_type = values[h + 1]
         if doc_type is None:
-            self.fail("missing .type section", tokens[0])
+            self.fail("missing .type section", 0)
 
-        seen: Dict[str, _Token] = {}
-        for head, _ in sections:
-            if head.value == "type":
-                continue
-            if head.value in seen:
-                self.fail(f"duplicate .{head.value} section", head)
-            seen[head.value] = head
+        seen = set()  # holds one "type" at most, checked above
+        for h, _ in sections:
+            if values[h] in seen:
+                self.fail(f"duplicate .{values[h]} section", h)
+            seen.add(values[h])
 
         if doc_type == "LPN":
             return self._build_net(sections)
@@ -166,152 +177,143 @@ class _Parser:
 
     # -- shared helpers -----------------------------------------------------
 
-    def _string_section(self, body: List[_Token], head: _Token) -> str:
-        if len(body) != 1 or body[0].kind != "STR":
-            self.fail(f".{head.value} takes one quoted string", head)
-        return body[0].value
+    def _string_section(self, h: int, end: int) -> str:
+        if end - h != 2 or self.kinds[h + 1] != "STR":
+            self.fail(f".{self.values[h]} takes one quoted string", h)
+        return self.values[h + 1]
 
-    def _ids_with_attrs(self, body: List[_Token], head: _Token):
-        """Parse `id [attr, attr=...]...` lists; returns [(token, attrs)]."""
+    def _ids_with_attrs(self, h: int, end: int):
+        """Parse `id [attr, attr=...]...` lists: [(k, [(name k, value k or None)])]."""
+        kinds = self.kinds
         out = []
-        k = 0
-        while k < len(body):
-            tok = body[k]
-            if tok.kind != "ID":
-                self.fail(f"expected an identifier in .{head.value}", tok)
+        k = h + 1
+        while k < end:
+            tok = k
+            if kinds[k] != "ID":
+                self.fail(f"expected an identifier in .{self.values[h]}", k)
             k += 1
-            attrs: List[Tuple[_Token, Optional[_Token]]] = []
-            if k < len(body) and body[k].kind == "LBRACK":
+            attrs: List[Tuple[int, Optional[int]]] = []
+            if k < end and kinds[k] == "LBRACK":
                 k += 1
                 while True:
-                    if k >= len(body):
+                    if k >= end:
                         self.fail("unterminated attribute list", tok)
-                    name = body[k]
-                    if name.kind != "ID":
+                    name = k
+                    if kinds[k] != "ID":
                         self.fail("expected an attribute name", name)
                     k += 1
                     value = None
-                    if k < len(body) and body[k].kind == "EQUALS":
+                    if k < end and kinds[k] == "EQUALS":
                         k += 1
-                        if k >= len(body) or body[k].kind not in ("STR", "NUM", "ID"):
+                        if k >= end or kinds[k] not in ("STR", "NUM", "ID"):
                             self.fail("expected an attribute value", name)
-                        value = body[k]
+                        value = k
                         k += 1
                     attrs.append((name, value))
-                    if k < len(body) and body[k].kind == "COMMA":
-                        k += 1
-                        continue
-                    if k < len(body) and body[k].kind == "RBRACK":
-                        k += 1
+                    if k >= end or kinds[k] not in ("COMMA", "RBRACK"):
+                        self.fail("expected ',' or ']' in attribute list", name)
+                    k += 1
+                    if kinds[k - 1] == "RBRACK":
                         break
-                    self.fail("expected ',' or ']' in attribute list", name)
             out.append((tok, attrs))
         return out
 
-    def _multiset(self, body: List[_Token], k: int, head: _Token):
-        """Parse a `{ [n *] id, ... }` multiset starting at body[k]."""
-        if k >= len(body) or body[k].kind != "LBRACE":
-            self.fail("expected '{'", body[k] if k < len(body) else head)
+    def _multiset(self, k: int, end: int, h: int):
+        """Parse a `{ [n *] id, ... }` multiset starting at token k."""
+        kinds, values = self.kinds, self.values
+        if k >= end or kinds[k] != "LBRACE":
+            self.fail("expected '{'", k if k < end else h)
         k += 1
         counts: Dict[str, int] = {}
         order: List[str] = []
-        if k < len(body) and body[k].kind == "RBRACE":
+        if k < end and kinds[k] == "RBRACE":
             return counts, order, k + 1
         while True:
             mult = 1
-            if k < len(body) and body[k].kind == "NUM":
-                if not body[k].value.isdecimal():  # NUM also takes digits like '²'
-                    self.fail(f"bad multiplicity {body[k].value!r}", body[k])
-                mult = int(body[k].value)
+            if k < end and kinds[k] == "NUM":
+                if not values[k].isdecimal():  # NUM also takes digits like '²'
+                    self.fail(f"bad multiplicity {values[k]!r}", k)
+                mult = int(values[k])
                 if mult == 0:
-                    self.fail("zero multiplicity", body[k])
+                    self.fail("zero multiplicity", k)
                 k += 1
-                if k >= len(body) or body[k].kind != "STAR":
-                    self.fail("expected '*' after a multiplicity", body[k - 1])
+                if k >= end or kinds[k] != "STAR":
+                    self.fail("expected '*' after a multiplicity", k - 1)
                 k += 1
-            if k >= len(body) or body[k].kind != "ID":
-                self.fail("expected a place name", body[k] if k < len(body) else head)
-            name = body[k].value
+            if k >= end or kinds[k] != "ID":
+                self.fail("expected a place name", k if k < end else h)
+            name = values[k]
             if name not in counts:
                 counts[name] = 0
                 order.append(name)
             counts[name] += mult
             k += 1
-            if k < len(body) and body[k].kind == "COMMA":
-                k += 1
-                continue
-            if k < len(body) and body[k].kind == "RBRACE":
+            if k < end and kinds[k] == "RBRACE":
                 return counts, order, k + 1
-            self.fail("expected ',' or '}' in multiset", body[k] if k < len(body) else head)
+            if k >= end or kinds[k] != "COMMA":
+                self.fail("expected ',' or '}' in multiset", k if k < end else h)
+            k += 1
 
     # -- LPN ----------------------------------------------------------------
 
     def _build_net(self, sections) -> Document:
+        kinds, values = self.kinds, self.values
         net = PetriNet()
-        place_toks: List[_Token] = []
+        place_toks: List[int] = []
         transition_entries = []
-        flow_section = None
-        marking_section = None
-        for head, body in sections:
-            if head.value == "type":
+        flow_section = marking_section = None
+        for h, end in sections:
+            if values[h] == "type":
                 continue
-            elif head.value == "name":
-                net.name = self._string_section(body, head)
-            elif head.value == "description":
-                net.description = self._string_section(body, head)
-            elif head.value == "places":
-                for tok, attrs in self._ids_with_attrs(body, head):
+            elif values[h] in ("name", "description"):
+                setattr(net, values[h], self._string_section(h, end))
+            elif values[h] == "places":
+                for tok, attrs in self._ids_with_attrs(h, end):
                     if attrs:
                         self.fail("places take no attributes", tok)
                     place_toks.append(tok)
-            elif head.value == "transitions":
-                transition_entries = self._ids_with_attrs(body, head)
-            elif head.value == "flows":
-                flow_section = (head, body)
-            elif head.value == "initial_marking":
-                marking_section = (head, body)
+            elif values[h] == "transitions":
+                transition_entries = self._ids_with_attrs(h, end)
+            elif values[h] == "flows":
+                flow_section = (h, end)
+            elif values[h] == "initial_marking":
+                marking_section = (h, end)
             else:
-                self.fail(f"unknown section .{head.value} in an LPN file", head)
+                self.fail(f"unknown section .{values[h]} in an LPN file", h)
 
         for tok in place_toks:
-            try:
-                net.add_place(tok.value)
-            except AptError as err:
-                self.fail(str(err), tok)
+            self._add(tok, net.add_place, values[tok])
         for tok, attrs in transition_entries:
             label = None
             for name, value in attrs:
-                if name.value != "label" or value is None or value.kind != "STR":
+                if values[name] != "label" or value is None or kinds[value] != "STR":
                     self.fail("transitions only take label=\"...\"", name)
-                label = value.value
-            try:
-                net.add_transition(tok.value, label=label)
-            except AptError as err:
-                self.fail(str(err), tok)
+                label = values[value]
+            self._add(tok, net.add_transition, values[tok], label=label)
 
         if flow_section is not None:
-            head, body = flow_section
+            h, end = flow_section
             defined = set()
-            k = 0
-            while k < len(body):
-                tok = body[k]
-                if tok.kind != "ID":
+            k = h + 1
+            while k < end:
+                tok = k
+                if kinds[tok] != "ID":
                     self.fail("expected a transition name", tok)
-                t = tok.value
+                t = values[tok]
                 if t not in net.transitions:
                     self.fail(f"unknown transition {t!r}", tok)
                 if t in defined:
                     self.fail(f"duplicate flow definition for {t!r}", tok)
                 defined.add(t)
                 k += 1
-                if k >= len(body) or body[k].kind != "COLON":
+                if k >= end or kinds[k] != "COLON":
                     self.fail("expected ':'", tok)
                 k += 1
-                pre, pre_order, k = self._multiset(body, k, head)
-                if k >= len(body) or body[k].kind != "ARROW":
+                pre, pre_order, k = self._multiset(k, end, h)
+                if k >= end or kinds[k] != "ARROW":
                     self.fail("expected '->'", tok)
                 k += 1
-                post, post_order, k = self._multiset(body, k, head)
+                post, post_order, k = self._multiset(k, end, h)
                 for name in pre_order:
                     if name not in net.places:
                         self.fail(f"unknown place {name!r}", tok)
@@ -322,81 +324,78 @@ class _Parser:
                     net.add_flow(t, name, post[name])
 
         if marking_section is not None:
-            head, body = marking_section
-            counts, order, k = self._multiset(body, 0, head)
-            if k != len(body):
-                self.fail("trailing tokens after the initial marking", body[k])
+            h, end = marking_section
+            counts, order, k = self._multiset(h + 1, end, h)
+            if k != end:
+                self.fail("trailing tokens after the initial marking", k)
             for name in order:
                 if name not in net.places:
-                    self.fail(f"unknown place {name!r} in the initial marking", head)
+                    self.fail(f"unknown place {name!r} in the initial marking", h)
                 net.set_tokens(name, counts[name])
         return Document(kind="LPN", net=net)
 
     # -- LTS ----------------------------------------------------------------
 
     def _build_lts(self, sections) -> Document:
+        kinds, values = self.kinds, self.values
         lts = Lts()
         state_entries = []
         label_entries = []
         arc_section = None
-        for head, body in sections:
-            if head.value == "type":
+        for h, end in sections:
+            if values[h] == "type":
                 continue
-            elif head.value == "name":
-                lts.name = self._string_section(body, head)
-            elif head.value == "description":
-                lts.description = self._string_section(body, head)
-            elif head.value == "states":
-                state_entries = self._ids_with_attrs(body, head)
-            elif head.value == "labels":
-                label_entries = self._ids_with_attrs(body, head)
-            elif head.value == "arcs":
-                arc_section = (head, body)
+            elif values[h] in ("name", "description"):
+                setattr(lts, values[h], self._string_section(h, end))
+            elif values[h] == "states":
+                state_entries = self._ids_with_attrs(h, end)
+            elif values[h] == "labels":
+                label_entries = self._ids_with_attrs(h, end)
+            elif values[h] == "arcs":
+                arc_section = (h, end)
             else:
-                self.fail(f"unknown section .{head.value} in an LTS file", head)
+                self.fail(f"unknown section .{values[h]} in an LTS file", h)
 
         initial_seen = None
         for tok, attrs in state_entries:
             initial = False
             for name, value in attrs:
-                if name.value != "initial" or value is not None:
+                if values[name] != "initial" or value is not None:
                     self.fail("states only take the bare attribute 'initial'", name)
                 initial = True
             if initial:
                 if initial_seen is not None:
                     self.fail(f"second [initial] state (first was {initial_seen!r})", tok)
-                initial_seen = tok.value
-            try:
-                lts.add_state(tok.value, initial=initial)
-            except AptError as err:
-                self.fail(str(err), tok)
+                initial_seen = values[tok]
+            self._add(tok, lts.add_state, values[tok], initial=initial)
         if initial_seen is None:
             self.fail("no state is marked [initial]", sections[0][0])
 
         for tok, attrs in label_entries:
             location = None
             for name, value in attrs:
-                if name.value != "location" or value is None or value.kind != "STR":
+                if values[name] != "location" or value is None or kinds[value] != "STR":
                     self.fail("labels only take location=\"...\"", name)
-                location = value.value
-            try:
-                lts.add_label(tok.value, location=location)
-            except AptError as err:
-                self.fail(str(err), tok)
+                location = values[value]
+            self._add(tok, lts.add_label, values[tok], location=location)
 
         if arc_section is not None:
-            head, body = arc_section
-            if len(body) % 3 != 0:
-                self.fail(".arcs needs 'source label target' triples", head)
-            triples = iter(body)
-            for src, lab, tgt in zip(triples, triples, triples):
-                if src.kind != "ID" or lab.kind != "ID" or tgt.kind != "ID":
-                    bad = next(tok for tok in (src, lab, tgt) if tok.kind != "ID")
-                    self.fail("expected an identifier in .arcs", bad)
-                try:
-                    lts.add_arc(src.value, lab.value, tgt.value)
-                except AptError as err:
-                    self.fail(str(err), src)
+            h, end = arc_section
+            if (end - h - 1) % 3 != 0:
+                self.fail(".arcs needs 'source label target' triples", h)
+            body = values[h + 1 : end]
+            sources, labels, targets = body[0::3], body[1::3], body[2::3]
+            states = set(lts.states)
+            if kinds[h + 1 : end].count("ID") < len(body) or not (
+                states.issuperset(sources) and states.issuperset(targets) and set(lts.labels).issuperset(labels)
+            ):
+                # a bad triple: add_arc on each in turn raises at the first
+                for k in range(h + 1, end, 3):
+                    bad = next((j for j in range(k, k + 3) if kinds[j] != "ID"), None)
+                    if bad is not None:
+                        self.fail("expected an identifier in .arcs", bad)
+                    self._add(k, lts.add_arc, *values[k : k + 3])
+            lts._append_arcs(zip(sources, labels, targets))
         return Document(kind="LTS", lts=lts)
 
 
@@ -450,10 +449,10 @@ def _check_names(what: str, names: Sequence[str]) -> None:
         return
     for name in names:
         try:
-            tokens = _tokenize(name)
+            kinds, values = _tokenize(name)
         except ParseError:
-            tokens = []
-        if len(tokens) != 2 or tokens[0].kind != "ID" or tokens[0].value != name:
+            kinds = values = []
+        if kinds != ["ID", "EOF"] or values[0] != name:
             raise AptError(f"cannot write {what} {name!r}: it would not read back as one identifier")
 
 

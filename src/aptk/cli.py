@@ -45,7 +45,7 @@ def _load(path: str) -> aptio.Document:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return aptio.parse(handle.read())
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise UsageError(f"cannot read {path}: {err}") from None
 
 

@@ -1,10 +1,43 @@
 """Shared fixtures: the running example (a 7-state persistent reversible
-transition system) and three nets that solve it."""
+transition system) and three nets that solve it; and a time budget for each
+test call, so that a search that never ends fails its test instead of
+hanging the suite."""
+
+import signal
 
 import pytest
 
 from aptk import Lts, PetriNet
 from aptk.generators import bitnet
+
+# seconds per test call; the slowest test takes under 20 s
+TEST_BUDGET_S = 120
+
+
+class _OverBudget(BaseException):
+    """Raised by the alarm; a BaseException, so that hypothesis does not take
+    it for a failing example and replay it with the alarm spent."""
+
+
+@pytest.hookimpl(wrapper=True)
+def pytest_runtest_call():
+    """Fail the test when its call runs over TEST_BUDGET_S (where SIGALRM exists)."""
+    if not hasattr(signal, "SIGALRM"):
+        return (yield)
+
+    def expire(signum, frame):
+        raise _OverBudget
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, TEST_BUDGET_S)
+    try:
+        return (yield)
+    except _OverBudget:
+        pytest.fail(f"the test ran over its time budget of {TEST_BUDGET_S} s", pytrace=False)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
 
 EXAMPLE_ARCS = [
     ("s0", "a", "s1"),

@@ -288,6 +288,15 @@ def test_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_non_utf8_file_is_a_usage_error(tmp_path, capsys):
+    bad = tmp_path / "bad.apt"
+    bad.write_bytes(b"\xff\xfe.type LTS")
+    assert main(["persistent", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"cannot read {bad}: 'utf-8' codec can't decode byte 0xff")
+    assert "Traceback" not in err
+
+
 def test_non_decimal_bound_is_an_unknown_property(lts_file, capsys):
     assert main(["synthesize", "²-bounded", lts_file]) == main(["synthesize", "shiny", lts_file]) == 2
     assert "unknown property '²-bounded'" in capsys.readouterr().err
