@@ -291,6 +291,7 @@ class _Parser:
                 label = values[value]
             self._add(tok, net.add_transition, values[tok], label=label)
 
+        places, transitions = set(net.places), set(net.transitions)
         if flow_section is not None:
             h, end = flow_section
             defined = set()
@@ -300,7 +301,7 @@ class _Parser:
                 if kinds[tok] != "ID":
                     self.fail("expected a transition name", tok)
                 t = values[tok]
-                if t not in net.transitions:
+                if t not in transitions:
                     self.fail(f"unknown transition {t!r}", tok)
                 if t in defined:
                     self.fail(f"duplicate flow definition for {t!r}", tok)
@@ -315,11 +316,11 @@ class _Parser:
                 k += 1
                 post, post_order, k = self._multiset(k, end, h)
                 for name in pre_order:
-                    if name not in net.places:
+                    if name not in places:
                         self.fail(f"unknown place {name!r}", tok)
                     net.add_flow(name, t, pre[name])
                 for name in post_order:
-                    if name not in net.places:
+                    if name not in places:
                         self.fail(f"unknown place {name!r}", tok)
                     net.add_flow(t, name, post[name])
 
@@ -329,7 +330,7 @@ class _Parser:
             if k != end:
                 self.fail("trailing tokens after the initial marking", k)
             for name in order:
-                if name not in net.places:
+                if name not in places:
                     self.fail(f"unknown place {name!r} in the initial marking", h)
                 net.set_tokens(name, counts[name])
         return Document(kind="LPN", net=net)
@@ -483,9 +484,10 @@ def _render_net(net: PetriNet) -> str:
             entries.append(t if label == t else f'{t}[label={_quote(label)}]')
         lines.append(" ".join(entries))
     lines.append(".flows")
+    index = {p: i for i, p in enumerate(net.places)}
     for t in net.transitions:
-        pre = [(p, net.flow(p, t)) for p in net.places if net.flow(p, t)]
-        post = [(p, net.flow(t, p)) for p in net.places if net.flow(t, p)]
+        pre = sorted(net.preset(t).items(), key=lambda arc: index[arc[0]])
+        post = sorted(net.postset(t).items(), key=lambda arc: index[arc[0]])
         if pre or post:
             lines.append(f"{t}: {_multiset_text(pre)} -> {_multiset_text(post)}")
     marking = [(p, c) for p, c in net.initial_marking().items() if c]
@@ -545,9 +547,7 @@ def to_dot(doc: Document) -> str:
         return "\n".join(lines) + "\n"
     net = doc.net
     lines = ["digraph net {"]
-    marking = net.initial_marking()
-    for p in net.places:
-        tokens = marking.get(p)
+    for p, tokens in net.initial_marking().items():
         label = f"{p}\\n{tokens}" if tokens else p
         lines.append(f'  "{p}" [shape=circle, label="{label}"];')
     for t in net.transitions:

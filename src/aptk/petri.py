@@ -5,7 +5,7 @@ and the behavioural and structural predicates defined on them.
 from __future__ import annotations
 
 import math
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from functools import cache, reduce
 from math import inf
@@ -110,10 +110,13 @@ class Marking:
 class PetriNet:
     """Arc-weighted place/transition net with initial marking and labelling.
 
-    All structural changes go through the net object itself; per-node
-    pre/post-set views are cached and the caches are invalidated explicitly
-    on every mutation.  Analyses never mutate a net, so a net that is no
-    longer being built can be shared freely.
+    All structural changes go through the net object itself.  Every node
+    keeps its preset and postset, which `add_flow` updates together with
+    the flow relation, so each structural reader visits only the arcs it
+    needs.  The firing table of `_compiled` is built from those sets on
+    first use and dropped by any change that can alter it: a new
+    transition, a new flow or a new label.  Analyses never mutate a net,
+    so a net that is no longer being built can be shared freely.
     """
 
     def __init__(self, name: str = "", description: str = ""):
@@ -123,10 +126,9 @@ class PetriNet:
         self._transitions: Dict[str, str] = {}
         self._locations: Dict[str, str] = {}
         self._flow: Dict[Tuple[str, str], int] = {}
-        self._version = 0
-        self._cache_version = -1
-        self._preset_cache: Dict[str, Dict[str, int]] = {}
-        self._postset_cache: Dict[str, Dict[str, int]] = {}
+        self._pre: Dict[str, Dict[str, int]] = {}
+        self._post: Dict[str, Dict[str, int]] = {}
+        self._table: Optional[Dict[str, Tuple]] = None
 
     # -- construction -----------------------------------------------------
 
@@ -138,7 +140,7 @@ class PetriNet:
         if tokens < 0:
             raise AptError("token counts are nonnegative")
         self._places[name] = tokens
-        self._version += 1
+        self._pre[name], self._post[name] = {}, {}
 
     def add_transition(
         self, name: str, label: Optional[str] = None, location: Optional[str] = None
@@ -150,7 +152,8 @@ class PetriNet:
         self._transitions[name] = label if label is not None else name
         if location is not None:
             self._locations[name] = location
-        self._version += 1
+        self._pre[name], self._post[name] = {}, {}
+        self._table = None
 
     def add_flow(self, source: str, target: str, weight: int = 1) -> None:
         """Add weight to the flow from source to target; one end must be a
@@ -166,8 +169,9 @@ class PetriNet:
         if not tgt_place and target not in self._transitions:
             raise AptError(f"unknown node {target!r}")
         key = (source, target)
-        self._flow[key] = self._flow.get(key, 0) + weight
-        self._version += 1
+        weight += self._flow.get(key, 0)
+        self._flow[key] = self._post[source][target] = self._pre[target][source] = weight
+        self._table = None
 
     def set_tokens(self, place: str, tokens: int) -> None:
         if place not in self._places:
@@ -175,13 +179,12 @@ class PetriNet:
         if tokens < 0:
             raise AptError("token counts are nonnegative")
         self._places[place] = tokens
-        self._version += 1
 
     def set_label(self, transition: str, label: str) -> None:
         if transition not in self._transitions:
             raise AptError(f"unknown transition {transition!r}")
         self._transitions[transition] = label
-        self._version += 1
+        self._table = None
 
     # -- read access ------------------------------------------------------
 
@@ -221,41 +224,35 @@ class PetriNet:
             raise AptError(f"unknown place {unknown[0]!r}")
         return Marking(self.places, tuple(tokens.get(p, 0) for p in self._places))
 
-    def _refresh_caches(self) -> None:
-        if self._cache_version == self._version:
-            return
-        pre: Dict[str, Dict[str, int]] = {n: {} for n in (*self._places, *self._transitions)}
-        post: Dict[str, Dict[str, int]] = {n: {} for n in (*self._places, *self._transitions)}
-        for (src, tgt), w in self._flow.items():
-            post[src][tgt] = w
-            pre[tgt][src] = w
-        index = {p: i for i, p in enumerate(self._places)}
-        self._table = {
-            t: (
-                label,
-                tuple((index[p], w) for p, w in pre[t].items()),
-                tuple((i, d) for p, i in index.items() if (d := post[t].get(p, 0) - pre[t].get(p, 0))),
-            )
-            for t, label in self._transitions.items()
-        }
-        self._preset_cache = pre
-        self._postset_cache = post
-        self._cache_version = self._version
-
     def _compiled(self) -> Dict[str, Tuple]:
         """Transition -> (label, (place index, weight) of its preset in preset
-        order, nonzero (place index, effect) of its firing), in net order."""
-        self._refresh_caches()
+        order, nonzero (place index, effect) of its firing in place order),
+        in net order."""
+        if self._table is None:
+            index = {p: i for i, p in enumerate(self._places)}
+            self._table = {}
+            for t, label in self._transitions.items():
+                pre, post = self._pre[t], self._post[t]
+                touched = sorted({*pre, *post}, key=index.__getitem__)
+                self._table[t] = (
+                    label,
+                    tuple((index[p], w) for p, w in pre.items()),
+                    tuple((index[p], d) for p in touched if (d := post.get(p, 0) - pre.get(p, 0))),
+                )
         return self._table
 
     def preset(self, node: str) -> Dict[str, int]:
         """Nodes with flow into `node`, mapped to the arc weight."""
-        self._refresh_caches()
-        return dict(self._preset_cache[node])
+        return self._arcs(self._pre, node)
 
     def postset(self, node: str) -> Dict[str, int]:
-        self._refresh_caches()
-        return dict(self._postset_cache[node])
+        return self._arcs(self._post, node)
+
+    def _arcs(self, sets: Dict[str, Dict[str, int]], node: str) -> Dict[str, int]:
+        """A copy of `node`'s entry in `sets`, `_pre` or `_post`."""
+        if node not in sets:
+            raise AptError(f"unknown node {node!r}")
+        return dict(sets[node])
 
     def __repr__(self) -> str:
         return (
@@ -292,20 +289,24 @@ def _successor(pre: Tuple, delta: Tuple, counts: Tuple) -> Optional[Tuple]:
     return tuple(out)
 
 
-def _transition(net: PetriNet, transition: str) -> Tuple:
+def _transition(net: PetriNet, marking: Marking, transition: str) -> Tuple:
+    """The compiled `transition`, which fires on `marking`'s counts by place
+    index: so `marking` must be over the net's places, in its order."""
     if transition not in net._compiled():
         raise AptError(f"unknown transition {transition!r}")
+    if marking.places != net.places:
+        raise AptError("marking over different places than the net")
     return net._table[transition]
 
 
 def enabled(net: PetriNet, marking: Marking, transition: str) -> bool:
-    _, pre, delta = _transition(net, transition)
+    _, pre, delta = _transition(net, marking, transition)
     return _successor(pre, delta, _counts(marking)) is not None
 
 
 def fire(net: PetriNet, marking: Marking, transition: str) -> Marking:
     """Successor marking; firing a disabled transition names a deficient place."""
-    _, pre, delta = _transition(net, transition)
+    _, pre, delta = _transition(net, marking, transition)
     counts = _counts(marking)
     nxt = _successor(pre, delta, counts)
     if nxt is None:
@@ -581,22 +582,20 @@ def is_plain(net: PetriNet) -> Check:
 
 
 def side_conditions(net: PetriNet) -> List[Tuple[str, str]]:
-    """All (place, transition) pairs connected in both directions."""
+    """All (place, transition) pairs connected in both directions, by place
+    and then by transition in net order."""
+    order = {t: i for i, t in enumerate(net.transitions)}
     out = []
     for p in net.places:
-        for t in net.transitions:
-            if net.flow(p, t) > 0 and net.flow(t, p) > 0:
-                out.append((p, t))
+        loops = net.preset(p).keys() & net.postset(p).keys()
+        out.extend((p, t) for t in sorted(loops, key=order.__getitem__))
     return out
 
 
 def non_plain_side_conditions(net: PetriNet) -> List[Tuple[str, str]]:
     """Side conditions where at least one of the two arcs has weight > 1."""
-    return [
-        (p, t)
-        for p, t in side_conditions(net)
-        if net.flow(p, t) > 1 or net.flow(t, p) > 1
-    ]
+    flows = net.flows
+    return [(p, t) for p, t in side_conditions(net) if flows[p, t] > 1 or flows[t, p] > 1]
 
 
 def is_pure(net: PetriNet) -> Check:
@@ -609,7 +608,7 @@ def is_pure(net: PetriNet) -> Check:
 
 def is_output_nonbranching(net: PetriNet) -> Check:
     for p in net.places:
-        post = [t for t in net.transitions if net.flow(p, t) > 0]
+        post = net.postset(p)
         if len(post) > 1:
             return Check(False, p, f"place {p} feeds {len(post)} transitions")
     return Check(True)
@@ -620,9 +619,8 @@ def is_conflict_free(net: PetriNet) -> Check:
     if not plain:
         return Check(False, plain.witness, "not plain: " + plain.detail)
     for p in net.places:
-        post = {t for t in net.transitions if net.flow(p, t) > 0}
-        pre = {t for t in net.transitions if net.flow(t, p) > 0}
-        if len(post) > 1 and not post <= pre:
+        post = net.postset(p).keys()
+        if len(post) > 1 and not post <= net.preset(p).keys():
             return Check(False, p, f"place {p} branches outside its preset")
     return Check(True)
 
@@ -632,8 +630,7 @@ def is_tnet(net: PetriNet) -> Check:
     if not plain:
         return Check(False, plain.witness, "not plain: " + plain.detail)
     for p in net.places:
-        post = [t for t in net.transitions if net.flow(p, t) > 0]
-        pre = [t for t in net.transitions if net.flow(t, p) > 0]
+        post, pre = net.postset(p), net.preset(p)
         if len(post) > 1 or len(pre) > 1:
             return Check(False, p, f"place {p} has |pre|={len(pre)}, |post|={len(post)}")
     return Check(True)
@@ -644,8 +641,7 @@ def is_marked_graph(net: PetriNet) -> Check:
     if not tnet:
         return tnet
     for p in net.places:
-        post = [t for t in net.transitions if net.flow(p, t) > 0]
-        pre = [t for t in net.transitions if net.flow(t, p) > 0]
+        post, pre = net.postset(p), net.preset(p)
         if len(post) != 1 or len(pre) != 1:
             return Check(False, p, f"place {p} has |pre|={len(pre)}, |post|={len(post)}")
     return Check(True)
@@ -722,22 +718,23 @@ def _conflict_scan(net: PetriNet, binary: bool) -> Check:
     if not plain:
         return Check(False, plain.witness, "not plain")
     table = net._compiled().items()
+    places = net.places
     graph = _bounded_graph(net, "the check")
     for state in graph.lts.states:
-        marking = graph.markings[state]
-        live = [
-            t for t, (_, pre, delta) in table if _successor(pre, delta, marking.counts) is not None
-        ]
-        for i, t in enumerate(live):
-            for u in live[i + 1 :]:
+        counts = graph.markings[state].counts
+        live = [(t, pre) for t, (_, pre, delta) in table if _successor(pre, delta, counts) is not None]
+        for i, (t, t_pre) in enumerate(live):
+            for u, u_pre in live[i + 1 :]:
                 if binary:
-                    for p in net.places:
-                        if marking.get(p) < net.flow(p, t) + net.flow(p, u):
-                            return Check(
-                                False,
-                                (state, t, u, p),
-                                f"{t} and {u} compete for {p} at {state}",
-                            )
+                    demand = Counter(dict(t_pre)) + Counter(dict(u_pre))
+                    short = [j for j, w in demand.items() if counts[j] < w]
+                    if short:
+                        p = places[min(short)]
+                        return Check(
+                            False,
+                            (state, t, u, p),
+                            f"{t} and {u} compete for {p} at {state}",
+                        )
                 else:
                     shared = set(net.preset(t)) & set(net.preset(u))
                     if shared:

@@ -1,8 +1,10 @@
 """Code that aptk.aptio replaced, kept verbatim as the reference for its
 differential tests: the character-by-character lexer (against
 aptio._tokenize; renamed _char_tokenize here), the LTS renderer that built
-one marking comment per state (against aptio.render), and the parser over
-one offset-carrying token object per token (against aptio.parse)."""
+one marking comment per state (against aptio.render), the parser over
+one offset-carrying token object per token (against aptio.parse), and the
+net renderer and net branch of to_dot that scanned every place for each
+transition (against aptio.render and aptio.to_dot)."""
 
 from __future__ import annotations
 
@@ -10,7 +12,7 @@ import re
 from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from aptk.aptio import Document, _check_names, _quote
+from aptk.aptio import Document, _check_names, _multiset_text, _quote
 from aptk.common import AptError, ParseError
 from aptk.lts import Lts
 from aptk.petri import OMEGA, Marking, PetriNet
@@ -539,3 +541,52 @@ class _Parser:
 def parse(text: str) -> Document:
     """Parse a document; all errors carry a line/column position."""
     return _Parser(text).parse()
+
+
+# The net renderer and the net branch of to_dot, which looked every arc up
+# through net.flow and every place's tokens up by name.
+
+
+def _render_net(net: PetriNet) -> str:
+    _check_names("place", net.places)
+    _check_names("transition", net.transitions)
+    lines = [f".name {_quote(net.name)}"]
+    if net.description:
+        lines.append(f".description {_quote(net.description)}")
+    lines.append(".type LPN")
+    lines.append(".places")
+    if net.places:
+        lines.append(" ".join(net.places))
+    lines.append(".transitions")
+    if net.transitions:
+        entries = []
+        for t in net.transitions:
+            label = net.label(t)
+            entries.append(t if label == t else f'{t}[label={_quote(label)}]')
+        lines.append(" ".join(entries))
+    lines.append(".flows")
+    for t in net.transitions:
+        pre = [(p, net.flow(p, t)) for p in net.places if net.flow(p, t)]
+        post = [(p, net.flow(t, p)) for p in net.places if net.flow(t, p)]
+        if pre or post:
+            lines.append(f"{t}: {_multiset_text(pre)} -> {_multiset_text(post)}")
+    marking = [(p, c) for p, c in net.initial_marking().items() if c]
+    lines.append(f".initial_marking {_multiset_text(marking)}")
+    return "\n".join(lines) + "\n"
+
+
+def net_to_dot(doc: Document) -> str:
+    net = doc.net
+    lines = ["digraph net {"]
+    marking = net.initial_marking()
+    for p in net.places:
+        tokens = marking.get(p)
+        label = f"{p}\\n{tokens}" if tokens else p
+        lines.append(f'  "{p}" [shape=circle, label="{label}"];')
+    for t in net.transitions:
+        lines.append(f'  "{t}" [shape=box];')
+    for (src, tgt), w in net.flows.items():
+        suffix = f' [label="{w}"]' if w > 1 else ""
+        lines.append(f'  "{src}" -> "{tgt}"{suffix};')
+    lines.append("}")
+    return "\n".join(lines) + "\n"

@@ -10,7 +10,8 @@ reachability graph or a breadth-first search of its own over concrete
 markings), the conflict scans of `is_bcf`/`is_bicf`, `word_in_language`
 and `separable` (whose weak decomposition is not memoised).  The compiled
 searches of aptk.petri must return the same results and raise the same
-errors.
+errors.  So must its structural predicates, which read pre- and postsets,
+against the scans over every (place, transition) pair kept here.
 """
 
 from __future__ import annotations
@@ -425,3 +426,61 @@ def bounded(net: PetriNet, k: Optional[int] = None) -> Check:
                     parent[nxt] = (marking, t)
                     queue.append(nxt)
     raise AptError("unreachable: an unbounded net always exceeds k somewhere")
+
+
+# The structural predicates, which scanned every (place, transition) pair
+# through net.flow; the rewritten ones read each place's pre- and postset.
+
+
+def side_conditions(net: PetriNet) -> List[Tuple[str, str]]:
+    """All (place, transition) pairs connected in both directions."""
+    out = []
+    for p in net.places:
+        for t in net.transitions:
+            if net.flow(p, t) > 0 and net.flow(t, p) > 0:
+                out.append((p, t))
+    return out
+
+
+def is_output_nonbranching(net: PetriNet) -> Check:
+    for p in net.places:
+        post = [t for t in net.transitions if net.flow(p, t) > 0]
+        if len(post) > 1:
+            return Check(False, p, f"place {p} feeds {len(post)} transitions")
+    return Check(True)
+
+
+def is_conflict_free(net: PetriNet) -> Check:
+    plain = is_plain(net)
+    if not plain:
+        return Check(False, plain.witness, "not plain: " + plain.detail)
+    for p in net.places:
+        post = {t for t in net.transitions if net.flow(p, t) > 0}
+        pre = {t for t in net.transitions if net.flow(t, p) > 0}
+        if len(post) > 1 and not post <= pre:
+            return Check(False, p, f"place {p} branches outside its preset")
+    return Check(True)
+
+
+def is_tnet(net: PetriNet) -> Check:
+    plain = is_plain(net)
+    if not plain:
+        return Check(False, plain.witness, "not plain: " + plain.detail)
+    for p in net.places:
+        post = [t for t in net.transitions if net.flow(p, t) > 0]
+        pre = [t for t in net.transitions if net.flow(t, p) > 0]
+        if len(post) > 1 or len(pre) > 1:
+            return Check(False, p, f"place {p} has |pre|={len(pre)}, |post|={len(post)}")
+    return Check(True)
+
+
+def is_marked_graph(net: PetriNet) -> Check:
+    tnet = is_tnet(net)
+    if not tnet:
+        return tnet
+    for p in net.places:
+        post = [t for t in net.transitions if net.flow(p, t) > 0]
+        pre = [t for t in net.transitions if net.flow(t, p) > 0]
+        if len(post) != 1 or len(pre) != 1:
+            return Check(False, p, f"place {p} has |pre|={len(pre)}, |post|={len(post)}")
+    return Check(True)

@@ -6,7 +6,8 @@ aptio._position turns into the line and column compared.  aptio.parse
 against the parser over one token object per token that it replaced: the
 same document, or the same ParseError.  aptio.render of a state graph must
 match, byte for byte, the renderer that built one marking comment per
-state."""
+state, and its net text and to_dot the ones that scanned every place for
+each transition."""
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
@@ -27,7 +28,7 @@ from aptk.synthesis import word_lts
 
 from conftest import N1_TEXT, make_example_lts, make_n1, make_n2, make_n3
 from test_output_digests import _aptio_corpus, _mutants
-from test_petri_differential import cases as petri_cases
+from test_petri_differential import cases as petri_cases, outcome, structural_cases
 
 
 def lex(tokenize, text):
@@ -316,3 +317,15 @@ def test_rendered_graphs_match_per_state_marking_comments():
     assert aptio.render(doc) == reference_aptio._render_lts(graph.lts, markings)
     doc = aptio.Document(kind="LTS", lts=graph.lts)
     assert aptio.render(doc) == reference_aptio._render_lts(graph.lts)
+
+
+def test_net_renders_match_reference():
+    # nets whose flows were added out of place order, repeated flows and
+    # isolated places among them, and a place name that cannot be written
+    unwritable = PetriNet()
+    unwritable.add_place("two words", tokens=1)
+    for net in [*structural_cases(), unwritable]:
+        doc = aptio.Document(kind="LPN", net=net)
+        assert outcome(aptio.render, doc) == outcome(reference_aptio._render_net, net)
+        assert aptio.to_dot(doc) == reference_aptio.net_to_dot(doc)
+    assert outcome(aptio.render, aptio.Document(kind="LPN", net=unwritable))[0] == "error"

@@ -673,6 +673,77 @@ def test_preset_cache_invalidated_on_mutation():
     assert net.postset("t") == {"r": 1}
 
 
+def _two_tokens_net() -> PetriNet:
+    net = PetriNet()
+    net.add_place("p", tokens=2)
+    net.add_transition("t")
+    net.add_flow("p", "t")
+    return net
+
+
+def _add_place_r(net):
+    net.add_place("r")
+    net.add_flow("t", "r")
+
+
+@pytest.mark.parametrize("first_use", ["graph", "fire"])
+@pytest.mark.parametrize(
+    "change, arcs, markings",
+    [
+        (lambda net: net.add_flow("p", "t"), ["s0 t s1"], ["[ [p:2] ]", "[ [p:0] ]"]),
+        (
+            lambda net: net.add_transition("u"),
+            ["s0 t s1", "s0 u s0", "s1 t s2", "s1 u s1", "s2 u s2"],
+            ["[ [p:2] ]", "[ [p:1] ]", "[ [p:0] ]"],
+        ),
+        (
+            lambda net: net.set_label("t", "x"),
+            ["s0 x s1", "s1 x s2"],
+            ["[ [p:2] ]", "[ [p:1] ]", "[ [p:0] ]"],
+        ),
+        (
+            _add_place_r,
+            ["s0 t s1", "s1 t s2"],
+            ["[ [p:2] [r:0] ]", "[ [p:1] [r:1] ]", "[ [p:0] [r:2] ]"],
+        ),
+        (lambda net: net.set_tokens("p", 1), ["s0 t s1"], ["[ [p:1] ]", "[ [p:0] ]"]),
+    ],
+    ids=["add_flow", "add_transition", "set_label", "add_place", "set_tokens"],
+)
+def test_firing_table_follows_change_after_first_use(first_use, change, arcs, markings):
+    net = _two_tokens_net()
+    if first_use == "graph":
+        assert len(reachability_graph(net).lts.states) == 3
+    else:
+        assert fire(net, net.initial_marking(), "t") == net.marking({"p": 1})
+    change(net)
+    graph = reachability_graph(net)
+    assert [f"{a.source} {a.label} {a.target}" for a in graph.lts.arcs] == arcs
+    assert [repr(m) for m in graph.markings.values()] == markings
+
+
+def test_preset_and_postset_of_unknown_node_raise():
+    net = _two_tokens_net()
+    for read in (net.preset, net.postset):
+        with pytest.raises(AptError, match="^unknown node 'nope'$"):
+            read("nope")
+
+
+def test_firing_refuses_a_marking_of_another_net():
+    net = _two_tokens_net()
+    wider = Marking(("p", "q"), (1, 0))
+    for marking in (wider, Marking((), ()), Marking(("q",), (2,))):
+        with pytest.raises(AptError, match="marking over different places than the net"):
+            enabled(net, marking, "t")
+        with pytest.raises(AptError, match="marking over different places than the net"):
+            fire(net, marking, "t")
+        with pytest.raises(AptError, match="marking over different places than the net"):
+            fire_sequence(net, marking, ["t"])
+    # an unknown transition is named first, as before
+    with pytest.raises(AptError, match="unknown transition 'nope'"):
+        fire(net, wider, "nope")
+
+
 def test_omega_marking_comparisons():
     m1 = Marking(("p",), (OMEGA,))
     m2 = Marking(("p",), (5,))

@@ -129,10 +129,60 @@ def second_cover() -> PetriNet:
     return net
 
 
+def competing_pair() -> PetriNet:
+    """t and u both enabled on one token at each of a and b, and each short
+    at both; t's preset lists b first, but BiCF names a, first in net order."""
+    net = PetriNet()
+    net.add_place("a", tokens=1)
+    net.add_place("b", tokens=1)
+    net.add_transition("t")
+    net.add_transition("u")
+    for src, tgt in (("b", "t"), ("a", "t"), ("a", "u"), ("b", "u")):
+        net.add_flow(src, tgt)
+    return net
+
+
+def side_condition_net() -> PetriNet:
+    """Side conditions of p with u and with t, in the reverse of net order
+    in p's preset, one of weight 3 built by a repeated flow; a second place
+    and an isolated one."""
+    net = PetriNet()
+    for p in ("lone", "q", "p"):
+        net.add_place(p, tokens=2 if p == "p" else 0)
+    for t in ("u", "t"):
+        net.add_transition(t)
+    net.add_flow("t", "p", 2)
+    net.add_flow("p", "u")
+    net.add_flow("u", "q")
+    net.add_flow("p", "t")
+    net.add_flow("t", "p")
+    net.add_flow("u", "p")
+    return net
+
+
+def plain_copy(net: PetriNet) -> PetriNet:
+    """`net` with every flow weight set to 1."""
+    plain = PetriNet()
+    for p in net.places:
+        plain.add_place(p, tokens=net.initial_marking().get(p))
+    for t in net.transitions:
+        plain.add_transition(t, label=net.label(t))
+    for (src, tgt) in net.flows:
+        plain.add_flow(src, tgt)
+    return plain
+
+
 def cases():
     nets = random_nets(20260, 300)
     deep = [accumulator_bitnet(n) for n in (3, 4, 5)] + [zeros_above(), second_cover()]
-    return nets + [bitnet(3), cyclenet(3, 2), up_down_up()] + deep
+    return nets + [bitnet(3), cyclenet(3, 2), up_down_up(), competing_pair()] + deep
+
+
+def structural_cases():
+    """The cases, a net with side conditions, and plain copies of them all,
+    on which the predicates that require plainness look further."""
+    nets = cases() + [side_condition_net()]
+    return nets + [plain_copy(net) for net in nets]
 
 
 def test_random_nets_cover_both_kinds():
@@ -167,15 +217,7 @@ def test_conflict_freeness_matches_reference(monkeypatch):
     for net in cases():
         for name in ("is_bcf", "is_bicf"):
             same(name, net)
-        plain = PetriNet()
-        for p in net.places:
-            plain.add_place(p, tokens=net.initial_marking().get(p))
-        for t in net.transitions:
-            plain.add_transition(t, label=net.label(t))
-        for (src, tgt) in net.flows:
-            plain.add_flow(src, tgt)
-        for name in ("is_bcf", "is_bicf"):
-            same(name, plain)
+            same(name, plain_copy(net))
     # the scans read the module's state limit at call time; the reference
     # took it as an argument
     monkeypatch.setattr(petri, "DEFAULT_STATE_LIMIT", 3)
@@ -201,6 +243,19 @@ def test_enabled_and_fire_match_reference():
             for t in (*net.transitions, "nope"):
                 same("enabled", net, marking, t)
                 same("fire", net, marking, t)
+
+
+def test_structural_predicates_match_reference():
+    # the pre- and postset readers against the scans over every pair
+    names = ("side_conditions", "is_output_nonbranching", "is_conflict_free", "is_tnet",
+             "is_marked_graph")
+    verdicts = {name: set() for name in names}
+    for net in structural_cases():
+        for name in names:
+            same(name, net)
+            verdicts[name].add(bool(getattr(ref, name)(net)))
+    assert all(seen == {True, False} for seen in verdicts.values())
+    assert petri.side_conditions(side_condition_net()) == [("p", "u"), ("p", "t")]
 
 
 @pytest.mark.parametrize("k", [2, 3])
