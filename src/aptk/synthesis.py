@@ -31,8 +31,7 @@ from .lts import (
     Lts,
     is_deterministic,
     is_totally_reachable,
-    isomorphic,
-    language_equivalent,
+    isomorphic,  # uncalled, as are bounded and reachability_graph: tracers patch them here
     reachable_states,
     spanning_tree,
     state_name,
@@ -246,23 +245,24 @@ class _Engine:
             raise
         states, parent = self.tree.order, self.tree.parent_arc
         self.states, self.index = states, {s: i for i, s in enumerate(states)}
-        # states enabling each label and the (state, label) pair of each arc;
-        # a parent arc is also its target's `parents` entry, and gives its
-        # Parikh vector as the parent's plus that label's unit.  A repeated
-        # pair (equal arcs are one arc) is a nondeterministic state, and a
-        # label no state enables is unused
-        enabled_states, arc_pairs = self.enabled_states, self.arc_pairs = [[] for _ in labels], []
+        # states enabling each label and, per state, the (label, target) pair
+        # of each arc; a parent arc is also its target's `parents` entry, and
+        # gives its Parikh vector as the parent's plus that label's unit.  A
+        # (state, label) key, as `problems` lists them, on two arcs is a
+        # nondeterministic state, and a label no state enables is unused
+        enabled_states, successors = self.enabled_states, self.successors = [[] for _ in labels], []
         parents, psi = self.parents, self.psi = [], [(0,) * len(labels)]
         for i, s in enumerate(states):
+            successors.append(arcs := [])
             for arc in lts.arcs_from(s):
                 k = lab[arc.label]
                 enabled_states[k].append(i)
-                arc_pairs.append((i, k))
+                arcs.append((k, self.index[arc.target]))
                 if parent.get(arc.target) is arc:
                     parents.append((i, k))
                     psi.append(psi[i][:k] + (psi[i][k] + 1,) + psi[i][k + 1 :])
-        self.enabled = {i * len(labels) + k for i, k in arc_pairs}  # keys, as `problems` lists
-        if len(self.enabled) < len(arc_pairs) or not all(enabled_states):
+        self.enabled = {i * len(labels) + k for i, arcs in enumerate(successors) for k, _ in arcs}
+        if len(self.enabled) < sum(map(len, successors)) or not all(enabled_states):
             _check_synthesis_input(lts)
         # the basis solver serves no property, `pure` and `plain,pure`
         # without locations; the general solver everything else
@@ -320,9 +320,33 @@ class _Engine:
         `check_region` returns it; `_checked` keeps it for found regions."""
         cached = self._values_cache.get(region)
         if cached is None:
-            cached = list(check_region(self.lts, region).values())
-            self._values_cache[region] = cached
+            cached = self._values_cache[region] = self._replay(region)
         return cached
+
+    def _replay(self, region: Region) -> List[int]:
+        """`check_region` on indices, with its errors in its order: the value
+        array of the region replayed over every arc of `successors`.  A
+        state's tree parent comes first, so it is valued before its arcs."""
+        if region.initial < 0:
+            raise InternalError("region has negative initial value")
+        states, labels = self.states, self.labels
+        weights = list(zip(region.backward, region.effects()))
+        values: List[Optional[int]] = [region.initial] + [None] * (len(states) - 1)
+        for i, arcs in enumerate(self.successors):
+            value = values[i]
+            for k, j in arcs:
+                b, effect = weights[k]
+                if value < b:
+                    raise InternalError(f"region blocks {labels[k]} at {states[i]}: {value} < {b}")
+                nxt = value + effect
+                if nxt < 0:
+                    raise InternalError(f"region goes negative at {states[j]}")
+                known = values[j]
+                if known is None:
+                    values[j] = nxt
+                elif known != nxt:
+                    raise InternalError(f"region value at {states[j]} is path-dependent")
+        return values
 
     def region_values(self, region: Region) -> Dict[str, int]:
         return dict(zip(self.states, self.value_array(region)))
@@ -416,10 +440,11 @@ class _Engine:
             if include_r0:
                 at = [self._effect_row(row, 1) for row in self.psi]  # each state's count
                 rows += [([-c for c in row], "<=", 0) for row in at]
-                for i, k in self.arc_pairs:
-                    row = [-c for c in at[i]]
-                    row[1 + 2 * k] += 1
-                    rows.append((row, "<=", 0))
+                for i, arcs in enumerate(self.successors):
+                    for k, _ in arcs:
+                        row = [-c for c in at[i]]
+                        row[1 + 2 * k] += 1
+                        rows.append((row, "<=", 0))
                 if self.props.k is not None:
                     rows += [(row, "<=", self.props.k) for row in at]
             n = len(self.labels)
@@ -578,9 +603,9 @@ class _Engine:
 
     def _checked(self, region: Region, kind: str, i: int, x: int) -> Region:
         """Every solver's exit: the region must be valid, pure under `pure`,
-        and solve its problem.  `check_region` replays it in `states` order,
-        so its values are the region's value array."""
-        self._values_cache[region] = list(check_region(self.lts, region).values())
+        and solve its problem.  The replay's values are the region's value
+        array."""
+        self._values_cache[region] = self._replay(region)
         if self.props.pure and not region.is_pure():
             raise InternalError("solver produced an impure region")
         if not self.solves(region, kind, i, x):
@@ -713,17 +738,37 @@ def _build_net(lts: Lts, regions: Sequence[Region], name: str = "") -> PetriNet:
     return net
 
 
-def _verify_success(lts: Lts, net: PetriNet, props: PropertySet) -> None:
-    limit = max(256, 8 * len(lts.states) + 64)
-    graph = reachability_graph(net, state_limit=limit)
-    if props.language:
-        check = language_equivalent(lts, graph.lts)
-        if not check:
-            raise InternalError(f"synthesized net is not language-equivalent: {check.detail}")
-    else:
-        check = isomorphic(graph.lts, lts)
-        if not check:
-            raise InternalError(f"synthesized net does not solve the input: {check.detail}")
+def _verify_success(engine: _Engine, net: PetriNet) -> None:
+    """Raise InternalError unless the net's reachability graph is isomorphic
+    to the engine's input (under `language`, has its language) and the net
+    has every requested property.  One breadth-first replay of the net
+    alongside the input gives each state the marking its parent arc fires
+    to.  Each state's labels must be the ones the net enables there, each
+    arc must fire to its target's marking, and distinct states must get
+    distinct markings: the input is deterministic and the net labels
+    injectively, so these are then the reachable markings.  Under
+    `language` the input is a tree, and equal enabled labels suffice."""
+    props, states, labels = engine.props, engine.states, engine.labels
+    what = "is not language-equivalent" if props.language else "does not solve the input"
+    firing = {label: (pre, delta) for label, pre, delta in net._compiled().values()}
+    if len(firing) < len(net.transitions) or firing.keys() != set(labels):
+        raise InternalError(f"synthesized net {what}: it has not one transition per label")
+    firing = [firing[t] for t in labels]
+    markings: List[Optional[Tuple]] = [net.initial_marking().counts] + [None] * (len(states) - 1)
+    first = {markings[0]: 0}  # the first state given each marking
+    for i, arcs in enumerate(engine.successors):
+        fired = [_petri._successor(pre, delta, markings[i]) for pre, delta in firing]
+        enabled = [k for k, counts in enumerate(fired) if counts is not None]
+        if enabled != sorted(k for k, _ in arcs):
+            raise InternalError(f"synthesized net {what}: its enabled labels differ at {states[i]}")
+        for k, j in arcs:
+            counts = fired[k]
+            if markings[j] is None:
+                if not props.language and first.setdefault(counts, j) != j:
+                    raise InternalError(f"synthesized net {what}: {states[j]} repeats a marking")
+                markings[j] = counts
+            elif markings[j] != counts:
+                raise InternalError(f"synthesized net {what}: {states[j]} is reached with two markings")
     if props.pure and not _petri.is_pure(net):
         raise InternalError("requested pure, produced an impure net")
     if props.plain and not _petri.is_plain(net):
@@ -734,7 +779,7 @@ def _verify_success(lts: Lts, net: PetriNet, props: PropertySet) -> None:
         raise InternalError("requested t-net, constraint violated")
     if props.cf and not _petri.is_conflict_free(net):
         raise InternalError("requested conflict-free, constraint violated")
-    if props.k is not None and not bounded(net, props.k):
+    if props.k is not None and any(c > props.k for counts in markings for c in counts):
         raise InternalError(f"requested {props.k}-bounded, bound exceeded")
 
 
@@ -803,7 +848,7 @@ def _run_engine(engine: _Engine) -> SynthesisOutcome:
     net = _build_net(lts, minimized, name=name)
     outcome.regions = minimized
     outcome.net = net
-    _verify_success(lts, net, props)
+    _verify_success(engine, net)
     return outcome
 
 

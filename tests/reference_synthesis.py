@@ -43,6 +43,13 @@ functions above take this engine as `self`; inside it, `spanning_tree`,
 `_check_synthesis_input` and `minimize_regions` are the versions above,
 checked to give the same results.  The engine on integer indices must give
 the same regions, failures and reports on every input.
+
+`_verify_success` checked a synthesized net by building its reachability
+graph, within a state budget, and searching for an isomorphism to the
+input (under `language`, comparing the languages), then `bounded` for a
+k-bounded request; `_run_engine` above calls it.  The lockstep replay of
+aptk.synthesis must give the same verdict on every synthesized net and
+reject the same mutated nets.
 """
 
 from __future__ import annotations
@@ -53,14 +60,18 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from aptk.common import InternalError, PreconditionError
 from aptk.linalg import LinearSystem, integer_kernel_basis, solve_cone
+from aptk import petri as _petri
 from aptk.lts import (
     Lts,
     ParikhVector,
     SpanningTree,
     is_deterministic,
     is_totally_reachable,
+    isomorphic,
+    language_equivalent,
     reachable_states,
 )
+from aptk.petri import PetriNet, bounded, reachability_graph
 from aptk.synthesis import (
     PropertySet,
     Region,
@@ -70,9 +81,33 @@ from aptk.synthesis import (
     _coefficient_boxes,
     _combine,
     _dot,
-    _verify_success,
     check_region,
 )
+
+
+def _verify_success(lts: Lts, net: PetriNet, props: PropertySet) -> None:
+    limit = max(256, 8 * len(lts.states) + 64)
+    graph = reachability_graph(net, state_limit=limit)
+    if props.language:
+        check = language_equivalent(lts, graph.lts)
+        if not check:
+            raise InternalError(f"synthesized net is not language-equivalent: {check.detail}")
+    else:
+        check = isomorphic(graph.lts, lts)
+        if not check:
+            raise InternalError(f"synthesized net does not solve the input: {check.detail}")
+    if props.pure and not _petri.is_pure(net):
+        raise InternalError("requested pure, produced an impure net")
+    if props.plain and not _petri.is_plain(net):
+        raise InternalError("requested plain, produced a weighted net")
+    if props.on and not _petri.is_output_nonbranching(net):
+        raise InternalError("requested output-nonbranching, got branching place")
+    if props.tnet and not _petri.is_tnet(net):
+        raise InternalError("requested t-net, constraint violated")
+    if props.cf and not _petri.is_conflict_free(net):
+        raise InternalError("requested conflict-free, constraint violated")
+    if props.k is not None and not bounded(net, props.k):
+        raise InternalError(f"requested {props.k}-bounded, bound exceeded")
 
 
 def solve_fast_none(self, problem: SeparationProblem) -> Optional[Region]:
