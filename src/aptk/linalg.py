@@ -590,8 +590,6 @@ def integer_kernel_basis(rows: Sequence[Sequence[int]], dim: Optional[int] = Non
             live = [c for c in live if cols[c][0][r] != 0]
         if live:
             active.remove(live[0])
-            if not active:  # full rank: the later rows can change no column
-                break
 
     basis: List[Tuple[int, ...]] = []
     for c in active:

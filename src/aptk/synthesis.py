@@ -31,7 +31,7 @@ from .lts import (
     Lts,
     is_deterministic,
     is_totally_reachable,
-    isomorphic,  # uncalled, as are bounded and reachability_graph: tracers patch them here
+    isomorphic,  # uncalled, as is bounded: tracers patch them here
     reachable_states,
     spanning_tree,
     state_name,
@@ -250,19 +250,20 @@ class _Engine:
         # gives its Parikh vector as the parent's plus that label's unit.  A
         # (state, label) key, as `problems` lists them, on two arcs is a
         # nondeterministic state, and a label no state enables is unused
+        n, index = len(labels), self.index
         enabled_states, successors = self.enabled_states, self.successors = [[] for _ in labels], []
-        parents, psi = self.parents, self.psi = [], [(0,) * len(labels)]
+        parents, psi = self.parents, self.psi = [], [(0,) * n]
         for i, s in enumerate(states):
             successors.append(arcs := [])
             for arc in lts.arcs_from(s):
                 k = lab[arc.label]
                 enabled_states[k].append(i)
-                arcs.append((k, self.index[arc.target]))
+                arcs.append((k, index[arc.target]))
                 if parent.get(arc.target) is arc:
                     parents.append((i, k))
                     psi.append(psi[i][:k] + (psi[i][k] + 1,) + psi[i][k + 1 :])
-        self.enabled = {i * len(labels) + k for i, arcs in enumerate(successors) for k, _ in arcs}
-        if len(self.enabled) < sum(map(len, successors)) or not all(enabled_states):
+        self.enabled = {i * n + k for i, arcs in enumerate(successors) for k, _ in arcs}
+        if len(self.enabled) < len(lts.arcs) or not all(enabled_states):
             _check_synthesis_input(lts)
         # the basis solver serves no property, `pure` and `plain,pure`
         # without locations; the general solver everything else
@@ -741,33 +742,32 @@ def _build_net(lts: Lts, regions: Sequence[Region], name: str = "") -> PetriNet:
 def _verify_success(engine: _Engine, net: PetriNet) -> None:
     """Raise InternalError unless the net's reachability graph is isomorphic
     to the engine's input (under `language`, has its language) and the net
-    has every requested property.  One breadth-first replay of the net
-    alongside the input gives each state the marking its parent arc fires
-    to.  Each state's labels must be the ones the net enables there, each
-    arc must fire to its target's marking, and distinct states must get
-    distinct markings: the input is deterministic and the net labels
-    injectively, so these are then the reachable markings.  Under
-    `language` the input is a tree, and equal enabled labels suffice."""
+    has every requested property.  A matching graph has no more states than
+    the input, and the input is deterministic, so one breadth-first walk of
+    the input matches them: each state's labels must be those of its graph
+    state's arcs, one arc each, each arc must lead to its target's graph
+    state, and distinct states must get distinct graph states.  Under
+    `language` the input is a tree, and equal labels suffice."""
     props, states, labels = engine.props, engine.states, engine.labels
     what = "is not language-equivalent" if props.language else "does not solve the input"
-    firing = {label: (pre, delta) for label, pre, delta in net._compiled().values()}
-    if len(firing) < len(net.transitions) or firing.keys() != set(labels):
-        raise InternalError(f"synthesized net {what}: it has not one transition per label")
-    firing = [firing[t] for t in labels]
-    markings: List[Optional[Tuple]] = [net.initial_marking().counts] + [None] * (len(states) - 1)
-    first = {markings[0]: 0}  # the first state given each marking
+    try:
+        graph = reachability_graph(net, state_limit=len(states))
+    except StateLimitExceededError:
+        raise InternalError(f"synthesized net {what}: it reaches more markings than the input has states")
+    matched: List[Optional[str]] = [graph.lts.initial] + [None] * (len(states) - 1)
+    first = {matched[0]: 0}  # the first state matched to each graph state
     for i, arcs in enumerate(engine.successors):
-        fired = [_petri._successor(pre, delta, markings[i]) for pre, delta in firing]
-        enabled = [k for k, counts in enumerate(fired) if counts is not None]
-        if enabled != sorted(k for k, _ in arcs):
+        out = graph.lts.arcs_from(matched[i])
+        target = {arc.label: arc.target for arc in out}
+        if len(target) < len(out) or target.keys() != {labels[k] for k, _ in arcs}:
             raise InternalError(f"synthesized net {what}: its enabled labels differ at {states[i]}")
         for k, j in arcs:
-            counts = fired[k]
-            if markings[j] is None:
-                if not props.language and first.setdefault(counts, j) != j:
+            reached = target[labels[k]]
+            if matched[j] is None:
+                if not props.language and first.setdefault(reached, j) != j:
                     raise InternalError(f"synthesized net {what}: {states[j]} repeats a marking")
-                markings[j] = counts
-            elif markings[j] != counts:
+                matched[j] = reached
+            elif matched[j] != reached:
                 raise InternalError(f"synthesized net {what}: {states[j]} is reached with two markings")
     if props.pure and not _petri.is_pure(net):
         raise InternalError("requested pure, produced an impure net")
@@ -779,7 +779,7 @@ def _verify_success(engine: _Engine, net: PetriNet) -> None:
         raise InternalError("requested t-net, constraint violated")
     if props.cf and not _petri.is_conflict_free(net):
         raise InternalError("requested conflict-free, constraint violated")
-    if props.k is not None and any(c > props.k for counts in markings for c in counts):
+    if props.k is not None and any(c > props.k for m in graph.markings.values() for c in m.counts):
         raise InternalError(f"requested {props.k}-bounded, bound exceeded")
 
 

@@ -20,17 +20,13 @@ turned back into the Fractions it returned then.
 
 Declarations (add_variable, add_constraint, set_objective) are inherited,
 so one set of calls builds any of these systems.
-
-`integer_kernel_basis` is kept verbatim from before aptk.linalg's version
-stopped reducing rows once no active column is left; both must return the
-same basis.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from aptk import linalg
 from aptk.common import BoundExceededError, InternalError
@@ -436,56 +432,3 @@ class CompiledLinearSystem(LinearSystem):
             ok = left == rhs if rel == "=" else left <= rhs
             if not ok:
                 raise InternalError("solution fails a constraint; solver bug")
-
-
-def integer_kernel_basis(rows: Sequence[Sequence[int]], dim: Optional[int] = None) -> List[Tuple[int, ...]]:
-    """Basis of the integer kernel lattice {x : row . x = 0 for all rows}.
-
-    Computed by unimodular column reduction, so the result is not just a
-    rational basis of the nullspace: every integer kernel vector is an
-    integer combination of the returned vectors.  Vectors are primitive,
-    sign-normalised to a positive leading entry, in deterministic order.
-    Basis size equals dim - rank(rows).
-    """
-    rows = [list(r) for r in rows]
-    if rows:
-        n = len(rows[0])
-        if any(len(r) != n for r in rows):
-            raise InternalError("kernel rows must share one dimension")
-        if dim is not None and dim != n:
-            raise InternalError("dim disagrees with row length")
-    else:
-        if dim is None:
-            raise InternalError("dim required when no rows are given")
-        n = dim
-
-    m = len(rows)
-    # column-major working pair: each entry is (matrix column, unimodular column)
-    cols = [([rows[r][c] for r in range(m)], [1 if i == c else 0 for i in range(n)]) for c in range(n)]
-
-    active = list(range(n))
-    for r in range(m):
-        live = [c for c in active if cols[c][0][r] != 0]
-        while len(live) > 1:
-            live.sort(key=lambda c: (abs(cols[c][0][r]), c))
-            piv = live[0]
-            pv = cols[piv][0][r]
-            for c in live[1:]:
-                q = cols[c][0][r] // pv
-                if q:
-                    for i in range(m):
-                        cols[c][0][i] -= q * cols[piv][0][i]
-                    for i in range(n):
-                        cols[c][1][i] -= q * cols[piv][1][i]
-            live = [c for c in live if cols[c][0][r] != 0]
-        if live:
-            active.remove(live[0])
-
-    basis: List[Tuple[int, ...]] = []
-    for c in active:
-        vec = list(cols[c][1])
-        lead = next((v for v in vec if v != 0), 0)
-        if lead < 0:
-            vec = [-v for v in vec]
-        basis.append(tuple(vec))
-    return basis

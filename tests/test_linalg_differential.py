@@ -18,11 +18,6 @@ equality.
 Against the compiled solver every result is exactly identical: RowSystem
 builds the same node duals, once per set of shared rows and free columns
 instead of once per solve, and takes the same pivots.
-
-`integer_kernel_basis` stops reducing rows once no active column is left;
-the reference reduces every row.  Both must return the same basis on the
-cycle rows of every canonical system of at most 4 states and 2 labels,
-which are the engine's kernel inputs, and on random integer matrices.
 """
 
 import random
@@ -34,10 +29,9 @@ import pytest
 
 from aptk import synthesis
 from aptk.common import AptError, BoundExceededError
-from aptk.linalg import LinearSystem, RowSystem, integer_kernel_basis
+from aptk.linalg import LinearSystem, RowSystem
 from aptk.synthesis import PropertySet, enumerate_separation_problems
 from reference_linalg import CompiledLinearSystem, ReferenceLinearSystem
-from reference_linalg import integer_kernel_basis as reference_kernel_basis
 from test_synthesis import _canonical_instances, _solve
 
 F = Fraction
@@ -279,20 +273,3 @@ def test_row_entry_matches_the_compiled_solver():
         assert _outcome(_build(LinearSystem, spec).solve) == expected, spec
         kinds[_kind(expected)] += 1
     assert set(kinds) == {"dict", "NoneType"} and min(kinds.values()) > 300
-
-
-def test_kernel_basis_matches_reference():
-    # most canonical systems have full-rank cycle rows: an empty basis,
-    # found before the last row
-    sizes = Counter()
-    for lts in _canonical_instances(4, 2):
-        rows = synthesis._Engine(lts, PropertySet()).cycle_rows
-        basis = integer_kernel_basis(rows, dim=len(lts.labels))
-        assert basis == reference_kernel_basis(rows, dim=len(lts.labels)), sorted(map(str, lts.arcs))
-        sizes[len(basis), len(rows) > len(lts.labels)] += 1
-    assert sizes[0, True] > 10000 and sizes[1, True] and sizes[2, False]
-    rng = random.Random(20261019)
-    for _ in range(2000):
-        dim = rng.randint(1, 5)
-        rows = [[rng.randint(-3, 3) for _ in range(dim)] for _ in range(rng.randint(0, 7))]
-        assert integer_kernel_basis(rows, dim=dim) == reference_kernel_basis(rows, dim=dim), rows
