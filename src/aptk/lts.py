@@ -9,7 +9,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .common import AptError, Check, CycleCapExceededError, PreconditionError
 
@@ -125,18 +125,12 @@ class Lts:
                 raise AptError(f"unknown state {state!r}")
         if label not in self._labels:
             raise AptError(f"unknown label {label!r}")
-        arc = Arc(source, label, target)
-        if arc in self._arc_set:
-            return
-        self._arc_set.add(arc)
-        self._arcs.append(arc)
-        self._out[source].append(arc)
-        self._in[target].append(arc)
+        self._append_arcs(((source, label, target),))
 
     def _append_arcs(self, triples: Iterable[Tuple[str, str, str]]) -> None:
         """add_arc for each (source, label, target) tuple of `triples`, in
-        order, for a caller that declared their states and labels itself:
-        only a repeated arc is dropped."""
+        order, without its checks, for a caller that declared their states
+        and labels itself: only a repeated arc is dropped."""
         arc_set, arcs, out, into = self._arc_set, self._arcs, self._out, self._in
         for triple in triples:
             if triple not in arc_set:  # an Arc equals and hashes as its tuple
@@ -585,7 +579,11 @@ def isomorphic(l1: Lts, l2: Lts) -> Check:
     if len(arcs1) != len(arcs2):
         return Check(False, None, "arc counts differ")
 
-    def consistent(mapping: Dict[str, str], s1: str, s2: str) -> bool:
+    mapping: Dict[str, str] = {}
+    inverse: Dict[str, str] = {}  # mapping's inverse, kept in step with it
+    others = [s for s in l2.states if s != l2.initial]
+
+    def consistent(s1: str, s2: str) -> bool:
         for arc in l1.arcs_from(s1):
             other = mapping.get(arc.target)
             if other is not None and (s2, arc.label, other) not in arcs2:
@@ -595,7 +593,6 @@ def isomorphic(l1: Lts, l2: Lts) -> Check:
             if other is not None and (other, arc.label, s2) not in arcs2:
                 return False
         # mirror direction: mapped arcs of l2 touching s2 must exist in l1
-        inverse = {v: k for k, v in mapping.items()}
         for arc in l2.arcs_from(s2):
             other = inverse.get(arc.target)
             if other is not None and (s1, arc.label, other) not in arcs1:
@@ -606,33 +603,30 @@ def isomorphic(l1: Lts, l2: Lts) -> Check:
                 return False
         return True
 
-    used: set = set()
-    mapping: Dict[str, str] = {}
+    def candidates(s1: str) -> Iterator[str]:
+        """The images of s1 still open, tested as the search reaches them."""
+        pool = [l2.initial] if s1 == l1.initial else others
+        return (
+            s2 for s2 in pool if s2 not in inverse and sig1[s1] == sig2[s2] and consistent(s1, s2)
+        )
 
-    def backtrack(i: int) -> bool:
-        if i == len(order):
-            return True
-        s1 = order[i]
-        if s1 == l1.initial:
-            candidates = [l2.initial]
-        else:
-            candidates = [s for s in l2.states if s != l2.initial]
-        for s2 in candidates:
-            if s2 in used or sig1[s1] != sig2[s2]:
-                continue
-            if not consistent(mapping, s1, s2):
-                continue
+    # stack[i] holds the images left to try for order[i]; an explicit stack,
+    # since a recursion as deep as the state count overflows Python's
+    stack: List[Iterator[str]] = []
+    while len(mapping) < len(order):
+        if len(stack) == len(mapping):
+            stack.append(candidates(order[len(mapping)]))
+        s1 = order[len(stack) - 1]
+        s2 = next(stack[-1], None)
+        if s2 is not None:
             mapping[s1] = s2
-            used.add(s2)
-            if backtrack(i + 1):
-                return True
-            del mapping[s1]
-            used.remove(s2)
-        return False
-
-    if backtrack(0):
-        return Check(True, dict(mapping))
-    return Check(False, None, "no arc-preserving bijection exists")
+            inverse[s2] = s1
+            continue
+        stack.pop()
+        if not stack:
+            return Check(False, None, "no arc-preserving bijection exists")
+        del inverse[mapping.popitem()[1]]
+    return Check(True, dict(mapping))
 
 
 def bisimilar(l1: Lts, l2: Lts) -> Check:

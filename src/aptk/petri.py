@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 from functools import cache, reduce
 from math import inf
 from operator import ge, itemgetter
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from .common import (
     AptError,
@@ -391,21 +391,23 @@ def _accelerate(path: List[Tuple], k: int, counts: Tuple) -> Tuple:
 
 
 def _explore(
-    net: PetriNet, state_limit: int, accelerate: bool
-) -> Iterator[Tuple[StateGraph, str]]:
+    net: PetriNet, state_limit: int, accelerate: bool, bound: float = inf
+) -> Tuple[StateGraph, Optional[str]]:
     """Breadth-first search over markings, shared by every state-space
-    construction of this module.
+    construction of this module: returns (graph, None) once every state is
+    explored.
 
-    Yields (graph, state) for each state as it is discovered, so a caller
-    can stop early; the graph then holds what was found so far, the arc into
-    `state` included.  States are named s0, s1, ... in discovery order by
-    `lts.state_name`.  The search declares every state and label itself, so
-    it appends the arcs of a state, labelled with their transitions' labels,
-    in bulk and in transition order.  With `accelerate`, every successor
-    marking goes through Karp-Miller acceleration, which makes the search
-    finite; only then are the path entries it reads built.  Raises
-    StateLimitExceededError, naming the graph being built, before a state
-    past `state_limit` is added.
+    States are named s0, s1, ... in discovery order by `lts.state_name`.
+    The search declares every state and label itself, so it appends the
+    arcs of a state, labelled with their transitions' labels, in bulk and
+    in transition order once all of its transitions are fired.  With
+    `accelerate`, every successor marking goes through Karp-Miller
+    acceleration, which makes the search finite; only then are the path
+    entries it reads built.  Raises StateLimitExceededError, naming the
+    graph being built, before a state past `state_limit` is added.  The
+    first discovered state, the initial one included, with a place above
+    `bound` ends the search: it returns the graph found so far, the arc
+    into that state included, and that state.
     """
     table = tuple(net._compiled().items())
     lts = Lts(name="", description="")
@@ -417,7 +419,8 @@ def _explore(
     names: Dict[Tuple, str] = {initial.counts: first}
     lts.add_state(first, initial=True)
     graph = StateGraph(lts, {first: initial})
-    yield graph, first
+    if max(initial.counts, default=0) > bound:
+        return graph, first
     queue = [(initial.counts, first)]
     if accelerate:
         weight = _weight(initial.counts)
@@ -453,18 +456,11 @@ def _explore(
                 queue.append((nxt, name))
             graph.fired_transitions.add(t)
             arcs.append((state, label, name))
-            if fresh:
+            if fresh and max(nxt, default=0) > bound:
                 lts._append_arcs(arcs)
-                arcs.clear()
-                yield graph, name
+                return graph, name
         lts._append_arcs(arcs)
-
-
-def _graph(net: PetriNet, state_limit: int, accelerate: bool) -> StateGraph:
-    """The whole graph of `_explore`."""
-    for graph, _ in _explore(net, state_limit, accelerate):
-        pass
-    return graph
+    return graph, None
 
 
 def reachability_graph(net: PetriNet, state_limit: Optional[int] = None) -> StateGraph:
@@ -477,7 +473,7 @@ def reachability_graph(net: PetriNet, state_limit: Optional[int] = None) -> Stat
     net; the coverability graph of an unbounded net is finite.
     """
     limit = DEFAULT_STATE_LIMIT if state_limit is None else state_limit
-    return _graph(net, limit, accelerate=False)
+    return _explore(net, limit, accelerate=False)[0]
 
 
 def coverability_graph(net: PetriNet) -> StateGraph:
@@ -490,13 +486,13 @@ def coverability_graph(net: PetriNet) -> StateGraph:
     The graph is finite, but can be huge: past DEFAULT_STATE_LIMIT states
     it raises StateLimitExceededError.
     """
-    return _graph(net, DEFAULT_STATE_LIMIT, accelerate=True)
+    return _explore(net, DEFAULT_STATE_LIMIT, accelerate=True)[0]
 
 
 def _bounded_graph(net: PetriNet, check: str) -> StateGraph:
     """The reachability graph of a bounded net, which is its coverability
     graph; raises UnboundedNetError if that graph holds an OMEGA."""
-    graph = _graph(net, DEFAULT_STATE_LIMIT, accelerate=True)
+    graph = coverability_graph(net)
     if any(m.has_omega() for m in graph.markings.values()):
         raise UnboundedNetError(f"{check} requires a bounded net")
     return graph
@@ -534,15 +530,11 @@ def bounded(net: PetriNet, k: Optional[int] = None) -> Check:
         )
     if k < 0:
         raise AptError("k must be nonnegative")
-    for graph, state in _explore(net, DEFAULT_STATE_LIMIT, accelerate=False):
-        for place, count in graph.markings[state].items():
-            if count > k:
-                return Check(
-                    False,
-                    (place, graph.path_to(state)),
-                    f"place {place} reaches {count} > {k} tokens",
-                )
-    return Check(True)
+    graph, state = _explore(net, DEFAULT_STATE_LIMIT, accelerate=False, bound=k)
+    if state is None:
+        return Check(True)
+    place, count = next((p, c) for p, c in graph.markings[state].items() if c > k)
+    return Check(False, (place, graph.path_to(state)), f"place {place} reaches {count} > {k} tokens")
 
 
 def weakly_live(net: PetriNet) -> Check:
@@ -881,7 +873,9 @@ def separable(
         marking, sequence = stack.pop()
         if sequence:
             if mode == "weak":
-                ok = weak_decomposes(tuple(sequence.count(t) for t in labels), k)
+                # the zero vector is a base vector: parts beyond the letter
+                # count would be zeros, and each one costs a recursion level
+                ok = weak_decomposes(tuple(sequence.count(t) for t in labels), min(k, len(sequence)))
             else:
                 ok = strong_accepts(sequence)
             if not ok:

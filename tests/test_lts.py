@@ -269,6 +269,15 @@ def test_isomorphic_nondeterministic_backtracking():
     assert check and check.witness["s1"] == "t2"
 
 
+def test_isomorphic_backtracking_on_a_long_chain():
+    # nondeterministic, so the backtracking search maps it; one recursion
+    # level per state overflowed the stack at 1,501 states
+    arcs = [(f"q{i}", "a", f"q{i + 1}") for i in range(1500)] + [("q0", "a", "q2")]
+    chain = Lts.from_data("q0", arcs)
+    check = isomorphic(chain, chain)
+    assert check and check.witness == {s: s for s in chain.states}
+
+
 def test_bisimilar_self(example_lts):
     assert bisimilar(example_lts, example_lts)
 

@@ -354,15 +354,13 @@ def test_same_label_transitions_to_one_marking_give_one_arc():
     assert repr(graph.markings["s1"]) == "[ [p:1] [q:OMEGA] ]"
 
 
-def test_explorer_yields_each_state_with_its_arcs_in():
-    # a caller that stops at a yielded state sees every arc found so far,
-    # the one into that state among them, in the finished graph's order
-    for net, accelerate in ((bitnet(3), False), (accumulator_bitnet(3), True)):
-        whole = petri._graph(net, 100, accelerate).lts.arcs
-        for graph, state in petri._explore(net, 100, accelerate):
-            arcs = graph.lts.arcs
-            assert arcs == whole[: len(arcs)]
-            assert state == "s0" or arcs[-1].target == state
+def test_k_bounded_stops_at_its_witness(monkeypatch):
+    # the witness of bounded(unbounded_net(), 2) is s3; with room for one
+    # state more, a search that ran on past it would hit the limit at once
+    monkeypatch.setattr(petri, "DEFAULT_STATE_LIMIT", 4)
+    check = bounded(unbounded_net(), 2)
+    assert check.witness == ("p", ["t", "t", "t"])
+    assert check.detail == "place p reaches 3 > 2 tokens"
 
 
 def test_state_limit_names_the_construction(monkeypatch):
@@ -635,6 +633,15 @@ def test_separable_finds_violation():
     verdict = separable(net, k=2, length_bound=2, mode="weak")
     assert verdict.verdict == "no"
     assert verdict.counterexample == ("t",)
+
+
+def test_separable_weak_mode_with_many_parts():
+    # one recursion level per part overflowed the stack at k = 3000
+    net = PetriNet()
+    net.add_place("p")
+    net.add_transition("t")
+    net.add_flow("t", "p")
+    assert separable(net, k=3000, length_bound=2).verdict == "inconclusive"
 
 
 # -- gcd ---------------------------------------------------------------------------
