@@ -229,29 +229,34 @@ def solve_cone(
     exists: y >= 0, sum(y) = 1 and sum(y[i] * rows[i]) = 0.
 
     One `solve_lp` call on the dual  min -1.y  s.t.  P^T y = 0, 1.y <= 1,
-    y >= 0, which has d + 1 rows however many rows P has.  Its optimum is 0
-    or -1.  At -1, y is the certificate.  At 0, the multipliers x of the d
-    equality rows and s of the last one meet p . x + s <= -1 for every row
-    with s = 0, so x scaled to coprime integers keeps P x <= -1.  Both
-    results are checked exactly.
+    y >= 0, with one equality row per coordinate that some row of P
+    touches, plus the last row; x is 0 at every other coordinate.  An
+    all-zero equality row would change no pivot: its artificial never
+    leaves the basis, phase 1 drops the row, and its multiplier stays 0.
+    The optimum is 0 or -1.  At -1, y is the certificate.  At 0, the
+    multipliers x of the equality rows and s of the last one meet
+    p . x + s <= -1 for every row with s = 0, so x scaled to coprime
+    integers keeps P x <= -1.  Both results are checked exactly.
     """
     m = len(rows)
-    dual = [([p[i] for p in rows], "=", 0) for i in range(d)] + [([1] * m, "<=", 1)]
+    columns = list(zip(*rows))  # none for m = 0
+    kept = [i for i, column in enumerate(columns) if any(column)]
+    dual = [(columns[i], "=", 0) for i in kept] + [([1] * m, "<=", 1)]
     status, y, multipliers = solve_lp(m, dual, [-1] * m, duals=True)
     if status != "optimal":
         raise InternalError(
             f"cone dual reported {status}, but y = 0 is feasible and 1.y <= 1 bounds it; solver bug"
         )
     if not any(y):
-        x = multipliers[0][:d]
+        x = [0] * d
+        for i, v in zip(kept, multipliers[0]):
+            x[i] = v
         g = math.gcd(*x)
         x = [v // g for v in x] if g > 1 else x
         if any(_dot(p, x) > -1 for p in rows):
             raise InternalError("cone point fails a row; solver bug")
         return x, None
-    if any(v < 0 for v in y) or sum(y) != 1 or any(
-        sum(v * p[i] for v, p in zip(y, rows) if v) for i in range(d)
-    ):
+    if any(v < 0 for v in y) or sum(y) != 1 or any(_dot(y, column) for column in columns):
         raise InternalError("Farkas certificate does not check; solver bug")
     return None, y
 

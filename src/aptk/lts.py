@@ -415,26 +415,27 @@ def weakly_connected_components(lts: Lts) -> List[List[str]]:
 def spanning_tree(lts: Lts) -> SpanningTree:
     """BFS spanning tree from the initial state; arcs explored in insertion order.
 
-    One walk: `order` grows while it is iterated, so it ends as the BFS
-    discovery order.  A state the walk missed raises PreconditionError,
-    naming the first one in declaration order.  The chords are every arc
-    that is no state's parent arc, in insertion order (each arc is one
-    object, so identity tells them apart).
+    One walk over the input's own per-state arc lists, copying none:
+    `order` grows while it is iterated, so it ends as the BFS discovery
+    order.  A state the walk missed raises PreconditionError, naming the
+    first one in declaration order.  The chords are every arc that is no
+    state's parent arc, in insertion order (each arc is one object, so
+    identity tells them apart).
     """
     tree = SpanningTree()
-    parent, order = tree.parent_arc, tree.order
+    parent, order, out = tree.parent_arc, tree.order, lts._out
     seen = {lts.initial}
     order.append(lts.initial)
     for state in order:
-        for arc in lts.arcs_from(state):
+        for arc in out[state]:
             if arc.target not in seen:
                 seen.add(arc.target)
                 parent[arc.target] = arc
                 order.append(arc.target)
-    if len(order) < len(lts.states):
-        unreachable = next(s for s in lts.states if s not in seen)
+    if len(order) < len(lts._states):
+        unreachable = next(s for s in lts._states if s not in seen)
         raise PreconditionError(f"state {unreachable} is unreachable; no spanning tree")
-    tree.chords = [arc for arc in lts.arcs if parent.get(arc.target) is not arc]
+    tree.chords = [arc for arc in lts._arcs if parent.get(arc.target) is not arc]
     return tree
 
 

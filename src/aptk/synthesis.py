@@ -246,35 +246,38 @@ class _Engine:
         states, parent = self.tree.order, self.tree.parent_arc
         self.states, self.index = states, {s: i for i, s in enumerate(states)}
         # states enabling each label and, per state, the (label, target) pair
-        # of each arc; a parent arc is also its target's `parents` entry, and
-        # gives its Parikh vector as the parent's plus that label's unit.  A
-        # (state, label) key, as `problems` lists them, on two arcs is a
-        # nondeterministic state, and a label no state enables is unused
-        n, index = len(labels), self.index
+        # of each arc, read off the input's own arc lists; a parent arc is
+        # also its target's `parents` entry, and gives its Parikh vector as
+        # the parent's plus that label's unit.  A (state, label) key, as
+        # `problems` lists them, on two arcs is a nondeterministic state,
+        # and a label no state enables is unused
+        n, index, out = len(labels), self.index, lts._out
         enabled_states, successors = self.enabled_states, self.successors = [[] for _ in labels], []
-        parents, psi = self.parents, self.psi = [], [(0,) * n]
+        parents, psi = self.parents, self.psi = [], [[0] * n]
         for i, s in enumerate(states):
             successors.append(arcs := [])
-            for arc in lts.arcs_from(s):
+            for arc in out[s]:
                 k = lab[arc.label]
                 enabled_states[k].append(i)
                 arcs.append((k, index[arc.target]))
                 if parent.get(arc.target) is arc:
                     parents.append((i, k))
-                    psi.append(psi[i][:k] + (psi[i][k] + 1,) + psi[i][k + 1 :])
+                    psi.append(row := psi[i][:])
+                    row[k] += 1
         self.enabled = {i * n + k for i, arcs in enumerate(successors) for k, _ in arcs}
-        if len(self.enabled) < len(lts.arcs) or not all(enabled_states):
+        if len(self.enabled) < len(lts._arcs) or not all(enabled_states):
             _check_synthesis_input(lts)
         # the basis solver serves no property, `pure` and `plain,pure`
         # without locations; the general solver everything else
-        self.general = bool(lts.locations) or props.k is not None or (
+        located = any(loc is not None for loc in lts._labels.values())
+        self.general = located or props.k is not None or (
             props.on or props.tnet or props.cf or (props.plain and not props.pure)
         )
         # each chord closes a cycle with Parikh vector psi(source) + label -
         # psi(target); a region's effects are zero on each distinct nonzero one
         rows = []
         for arc in self.tree.chords:
-            row = list(map(sub, psi[self.index[arc.source]], psi[self.index[arc.target]]))
+            row = list(map(sub, psi[index[arc.source]], psi[index[arc.target]]))
             row[lab[arc.label]] += 1
             rows.append(tuple(row))
         self.cycle_rows = [row for row in dict.fromkeys(rows) if any(row)]
@@ -389,7 +392,7 @@ class _Engine:
         consumers of any one place must stay within a single location; labels
         without a location conflict with nothing and are always allowed.
         """
-        locations = self.lts.locations
+        locations = self._locations
         if not locations:
             return [None]
         unlocated = {t for t in self.labels if t not in locations}
@@ -398,6 +401,11 @@ class _Engine:
         else:
             homes = list(dict.fromkeys(locations[t] for t in self.labels if t in locations))
         return [unlocated | {t for t in self.labels if locations.get(t) == loc} for loc in homes]
+
+    @cached_property
+    def _locations(self) -> Dict[str, str]:
+        """The input's label locations, read once per engine."""
+        return self.lts.locations
 
     def _on_scopes(self, kind: str, x: int) -> List[Set[str]]:
         """Unique synthetic location per label: at most one consumer."""
@@ -578,9 +586,10 @@ class _Engine:
         constraint p . x <= -1); a repeated row is the same constraint, so
         only distinct ones are kept.  Under `plain` they go into one boxed
         system for branch and bound.  Otherwise the system is a cone, and
-        one `solve_cone` call on its Farkas dual, with d + 1 tableau rows
-        for a basis of d vectors, returns a checked x or a checked
-        certificate that there is none.
+        one `solve_cone` call on its Farkas dual returns a checked x or a
+        checked certificate that there is none.  The dual has one tableau
+        row per basis coordinate that some projected row touches, plus
+        one; x is 0 at every other coordinate.
         """
         projected = list(dict.fromkeys(rows))
         if plain:
@@ -799,6 +808,9 @@ def _separation_pass(engine: _Engine) -> Tuple[
     them alike."""
     keys, by_label = engine.problems()
     m = 0 if engine.props.language else len(engine.states)  # states in pairs
+    if not (engine.general or engine.basis):  # an empty basis solves nothing
+        essp_failed = [("essp", *divmod(key, len(engine.labels))) for key in keys]
+        return keys, [], essp_failed + [("ssp", i, j) for i, j in combinations(range(m), 2)]
     essp = [(k, group) for k, group in enumerate(by_label) if group]
     found: List[Tuple[Region, List[int], Set[int]]] = []
     covered: Set[int] = set()
@@ -813,9 +825,8 @@ def _separation_pass(engine: _Engine) -> Tuple[
             if block[i] == block[j]:
                 yield "ssp", i, j
 
-    live = engine.general or engine.basis  # an empty basis solves nothing
     for problem in unsolved():
-        region = engine.solve(*problem) if live else None
+        region = engine.solve(*problem)
         if region is None:
             failed.append(problem)
             continue

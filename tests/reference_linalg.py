@@ -18,6 +18,11 @@ limit is read from aptk.linalg and that the node multipliers, which
 `solve_lp` now returns as integer numerators over one denominator, are
 turned back into the Fractions it returned then.
 
+`solve_cone` is the cone solver whose dual had one equality row for every
+coordinate, touched or not.  aptk.linalg drops the all-zero ones, which
+changes no pivot, so both must return identical (x, y).  It is kept
+verbatim.
+
 Declarations (add_variable, add_constraint, set_objective) are inherited,
 so one set of calls builds any of these systems.
 """
@@ -26,7 +31,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from aptk import linalg
 from aptk.common import BoundExceededError, InternalError
@@ -432,3 +437,38 @@ class CompiledLinearSystem(LinearSystem):
             ok = left == rhs if rel == "=" else left <= rhs
             if not ok:
                 raise InternalError("solution fails a constraint; solver bug")
+
+
+def solve_cone(
+    rows: Sequence[Sequence[int]], d: int
+) -> Tuple[Optional[List[int]], Optional[List[Fraction]]]:
+    """An integer x with p . x <= -1 for every row p (each of length d),
+    returned as (x, None), or (None, y) with a Farkas certificate that no x
+    exists: y >= 0, sum(y) = 1 and sum(y[i] * rows[i]) = 0.
+
+    One `solve_lp` call on the dual  min -1.y  s.t.  P^T y = 0, 1.y <= 1,
+    y >= 0, which has d + 1 rows however many rows P has.  Its optimum is 0
+    or -1.  At -1, y is the certificate.  At 0, the multipliers x of the d
+    equality rows and s of the last one meet p . x + s <= -1 for every row
+    with s = 0, so x scaled to coprime integers keeps P x <= -1.  Both
+    results are checked exactly.
+    """
+    m = len(rows)
+    dual = [([p[i] for p in rows], "=", 0) for i in range(d)] + [([1] * m, "<=", 1)]
+    status, y, multipliers = solve_lp(m, dual, [-1] * m, duals=True)
+    if status != "optimal":
+        raise InternalError(
+            f"cone dual reported {status}, but y = 0 is feasible and 1.y <= 1 bounds it; solver bug"
+        )
+    if not any(y):
+        x = multipliers[0][:d]
+        g = math.gcd(*x)
+        x = [v // g for v in x] if g > 1 else x
+        if any(_dot(p, x) > -1 for p in rows):
+            raise InternalError("cone point fails a row; solver bug")
+        return x, None
+    if any(v < 0 for v in y) or sum(y) != 1 or any(
+        sum(v * p[i] for v, p in zip(y, rows) if v) for i in range(d)
+    ):
+        raise InternalError("Farkas certificate does not check; solver bug")
+    return None, y

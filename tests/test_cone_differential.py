@@ -5,6 +5,13 @@ split as x+ - x- over two nonnegative columns.
 The two may return different points, so the verdicts must agree, every
 returned x must meet every row exactly, and every certificate y must check
 exactly: y >= 0, sum(y) = 1 and sum(y[i] * P[i]) = 0.
+
+solve_cone is also checked against the solver it replaced, kept in
+reference_linalg.py, whose dual kept an equality row for every coordinate
+that no row of P touches: both must return identical (x, y), on the hand
+cases, on drawn cones with such coordinates, on every cone the basis path
+makes on the canonical systems, and on every cone of the separation pass
+of none cyclenet(16, 1) and cyclenet(24, 1).
 """
 
 import random
@@ -13,12 +20,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from aptk import PropertySet, enumerate_separation_problems
+from aptk import PropertySet, enumerate_separation_problems, synthesize
 from aptk import linalg
 from aptk import synthesis as synthesis_module
 from aptk.common import InternalError
+from aptk.generators import cyclenet
 from aptk.linalg import solve_cone, solve_lp
+from aptk.petri import reachability_graph
 from aptk.synthesis import _Engine
+from reference_linalg import solve_cone as reference_solve_cone
 from test_synthesis import _canonical_instances, _solve
 
 
@@ -59,6 +69,7 @@ CASES = [
 @pytest.mark.parametrize("rows, d, feasible", CASES)
 def test_solve_cone_hand_cases(rows, d, feasible):
     assert assert_agrees(rows, d) == feasible
+    assert solve_cone(rows, d) == reference_solve_cone(rows, d)
 
 
 def test_solve_cone_random_sweep():
@@ -104,6 +115,8 @@ def test_solve_cone_on_every_basis_path_problem(mode, monkeypatch):
     assert len(captured) > 100
     verdicts = {assert_agrees(rows, d) for rows, d in captured}
     assert verdicts == {True, False}
+    for rows, d in captured:
+        assert solve_cone(rows, d) == reference_solve_cone(rows, d), (rows, d)
 
 
 def test_solve_cone_refuses_a_result_that_does_not_check(monkeypatch):
@@ -124,3 +137,39 @@ def test_solve_cone_refuses_a_result_that_does_not_check(monkeypatch):
         answer(*result)
         with pytest.raises(InternalError):
             solve_cone(rows, 2)
+
+
+def test_solve_cone_matches_the_full_dual_with_untouched_coordinates():
+    # cones in which some coordinates are zero in every row: the full dual
+    # has an all-zero equality row for each, solve_cone none
+    rng = random.Random(24)
+    verdicts, untouched = set(), 0
+    for _ in range(400):
+        d = rng.randint(1, 24)
+        m = rng.randint(0, 6)
+        touched = set(rng.sample(range(d), rng.randint(0, d - 1)))
+        rows = [tuple(rng.randint(-3, 3) if i in touched else 0 for i in range(d)) for _ in range(m)]
+        result = solve_cone(rows, d)
+        assert result == reference_solve_cone(rows, d), (rows, d)
+        verdicts.add(result[0] is not None)
+        untouched += d - len({i for p in rows for i, v in enumerate(p) if v})
+    assert verdicts == {True, False} and untouched > 1000
+
+
+def test_solve_cone_matches_the_full_dual_on_ring_cones(monkeypatch):
+    # every cone of the separation pass of none cyclenet(16, 1) and
+    # cyclenet(24, 1): one row over d = n - 1, most coordinates untouched
+    captured = []
+    original = synthesis_module.solve_cone
+
+    def capturing(rows, d):
+        captured.append((list(rows), d))
+        return original(rows, d)
+
+    monkeypatch.setattr(synthesis_module, "solve_cone", capturing)
+    for n in (16, 24):
+        assert synthesize(reachability_graph(cyclenet(n, 1)).lts).success
+    monkeypatch.undo()
+    assert len(captured) > 400
+    for rows, d in captured:
+        assert solve_cone(rows, d) == reference_solve_cone(rows, d), (rows, d)

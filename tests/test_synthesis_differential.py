@@ -29,6 +29,8 @@ The engine's problem list and its state indices are checked against the
 walking `enumerate_separation_problems` and `_event_state_problems` and the
 pass's re-indexing loop they replaced, on every valid input and on the
 tree unfoldings; a valid synthesis walks its input once before solving.
+That set-up copies nothing from the input: it builds no per-state arc
+tuple, arc tuple, state tuple or location dict.
 
 The engine on integer indices is checked against the engine it replaced,
 kept in reference_synthesis.py with its pass: the same regions, failures
@@ -405,6 +407,52 @@ def test_valid_synthesis_walks_its_input_once_before_solving(monkeypatch):
     monkeypatch.undo()
     assert [format_report(outcome) for outcome in outcomes] == expected_words
     assert {lines[0] for lines in expected_words} == {"success: Yes", "success: No"}
+
+
+def _set_up(engine):
+    """What an engine's set-up builds from its input."""
+    return (
+        engine.tree, engine.states, engine.psi, engine.parents, engine.successors,
+        engine.enabled, engine.enabled_states, engine.general, engine.cycle_rows, engine.basis,
+    )
+
+
+def test_engine_set_up_copies_nothing_from_its_input(monkeypatch):
+    # the engine reads the input's own arc lists and label dict; only the
+    # input check, which runs on a defect, may read the copying accessors
+    located = Lts.from_data("s0", [("s0", "a", "s1"), ("s1", "b", "s0")], locations={"a": "L"})
+    cases = _walk_cases() + [(located, PropertySet())]
+    expected = [_set_up(_Engine(lts, props)) for lts, props in cases]
+    check, checking = synthesis_module._check_synthesis_input, []
+
+    def guarded(read):
+        def refusing(self, *args):
+            if not checking:
+                raise AssertionError("the engine's set-up copied its input")
+            return read(self, *args)
+
+        return refusing
+
+    def checked(lts):
+        checking.append(True)
+        try:
+            return check(lts)
+        finally:
+            checking.pop()
+
+    monkeypatch.setattr(synthesis_module, "_check_synthesis_input", checked)
+    monkeypatch.setattr(Lts, "arcs_from", guarded(Lts.arcs_from))
+    for name in ("arcs", "states", "locations"):
+        monkeypatch.setattr(Lts, name, property(guarded(getattr(Lts, name).fget)))
+    engines = [_Engine(lts, props) for lts, props in cases]
+    assert [engine.general for engine in engines] == [False, False, True, False, True, True]
+    for defect in sorted(DEFECTS):
+        lts, message = DEFECTS[defect]
+        with pytest.raises(PreconditionError) as raised:
+            _Engine(lts, PropertySet())
+        assert str(raised.value) == message
+    monkeypatch.undo()
+    assert [_set_up(engine) for engine in engines] == expected
 
 
 def test_engine_problems_match_reference():
