@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from .common import AptError, Check, CycleCapExceededError, PreconditionError
+from .common import AptError, Check, CycleCapExceededError, PreconditionError, StateLimitExceededError
 
 DEFAULT_CYCLE_CAP = 10 ** 6
 
@@ -290,16 +290,16 @@ def is_persistent(lts: Lts) -> Check:
     """Whether enabled labels can never disable each other.
 
     Only defined on deterministic systems (otherwise the diamond endpoint is
-    ambiguous); nondeterministic input raises PreconditionError.
+    ambiguous); nondeterministic input raises PreconditionError, with the
+    state `is_deterministic`, walking in the same order, names.
     """
-    det = is_deterministic(lts)
-    if not det:
-        raise PreconditionError(f"persistence needs a deterministic input: {det.detail}")
     # label -> target at each reachable state, labels in declaration order
     position = {t: i for i, t in enumerate(lts.labels)}
     step = {}
     for state in reachable_states(lts):
-        targets = {arc.label: arc.target for arc in lts.arcs_from(state)}
+        targets = {arc.label: arc.target for arc in lts._out[state]}
+        if len(targets) < len(lts._out[state]):  # two arcs of one label
+            raise PreconditionError(f"persistence needs a deterministic input: {is_deterministic(lts).detail}")
         step[state] = {t: targets[t] for t in sorted(targets, key=position.__getitem__)}
     for state, targets in step.items():
         enabled = list(targets.items())
@@ -564,8 +564,6 @@ def isomorphic(l1: Lts, l2: Lts) -> Check:
                     queue.append(arc.target)
                 elif known != t2:
                     return Check(False, None, f"targets disagree at {s1}[{arc.label}>")
-        if len(mapping) != len(l1.states):
-            return Check(False, None, "walk did not cover all states")
         return Check(True, mapping)
 
     # Backtracking over states in BFS-then-declaration order.
@@ -669,8 +667,11 @@ def language_equivalent(l1: Lts, l2: Lts) -> Check:
     """Prefix-language equality, via subset construction on the reachable parts.
 
     On inequality the witness is a shortest distinguishing word (enabled in
-    exactly one of the systems).
+    exactly one of the systems).  Past petri.DEFAULT_STATE_LIMIT subset
+    pairs, read at call time, it raises StateLimitExceededError.
     """
+    from .petri import DEFAULT_STATE_LIMIT as limit  # petri imports this module
+
     labels = list(dict.fromkeys(l1.labels + l2.labels))
 
     def step(lts: Lts, states: frozenset, label: str) -> frozenset:
@@ -699,6 +700,8 @@ def language_equivalent(l1: Lts, l2: Lts) -> Check:
                 side = "first" if next1 else "second"
                 return Check(False, word, f"word enabled only in the {side} system")
             if next1 and (next1, next2) not in seen:
+                if len(seen) >= limit:
+                    raise StateLimitExceededError(f"the subset construction has more than {limit} state pairs")
                 seen.add((next1, next2))
                 parents[(next1, next2)] = (pair, label)
                 queue.append((next1, next2))

@@ -281,9 +281,17 @@ class _Engine:
             row[lab[arc.label]] += 1
             rows.append(tuple(row))
         self.cycle_rows = [row for row in dict.fromkeys(rows) if any(row)]
-        self.basis = integer_kernel_basis(self.cycle_rows, dim=len(labels))
         self._values_cache: Dict[Region, List[int]] = {}
         self._systems: Dict[Tuple[bool, bool], RowSystem] = {}
+        self._basis: Optional[List[Tuple[int, ...]]] = None
+
+    @property
+    def basis(self) -> List[Tuple[int, ...]]:
+        """The cycle rows' kernel lattice basis, built when the basis solver
+        first reads it (a `cached_property` would slow tiny inputs)."""
+        if self._basis is None:
+            self._basis = integer_kernel_basis(self.cycle_rows, dim=len(self.labels))
+        return self._basis
 
     # -- generic helpers ---------------------------------------------------
 
@@ -884,14 +892,6 @@ def _is_acyclic(lts: Lts) -> bool:
     )
 
 
-def _is_tree(lts: Lts) -> bool:
-    """Whether no arc enters the initial state and at most one enters each
-    other state.  Such an input, if totally reachable, is acyclic and its
-    own tree unfolding."""
-    incoming = Counter(arc.target for arc in lts.arcs)
-    return lts.initial not in incoming and all(n == 1 for n in incoming.values())
-
-
 def _unfold_to_tree(lts: Lts) -> Tuple[Lts, Dict[str, str]]:
     """Tree unfolding of an acyclic system: one fresh state per path, named
     by `lts.state_name`, and the input state each tree state copies.
@@ -939,25 +939,21 @@ def synthesize_language_only(lts: Lts, props: Optional[PropertySet] = None) -> S
     """Synthesis up to prefix-language equivalence; only acyclic inputs are
     supported (cyclic ones would need an unfolding construction that is out
     of scope here).  State separation is not enforced, so only event/state
-    problems are built.  A tree input (every word) is solved as it is, and
-    the engine's walk checks it; any other is solved on its tree unfolding,
-    and failures name the input states."""
+    problems are built.  The engine's walk checks every input; a tree (every
+    word) is solved as it is, any other on its tree unfolding, and failures
+    name the input states in the walk's order."""
     props = replace(props) if props is not None else PropertySet()
     props.language = True
-    if _is_tree(lts):
-        return _run_engine(_Engine(lts, props))
-    _check_synthesis_input(lts)
+    engine = _Engine(lts, props)  # checks the input on its walk
+    if not engine.tree.chords:  # every arc a tree arc: the input is a tree
+        return _run_engine(engine)
     if not _is_acyclic(lts):
-        raise UnsupportedInputError(
-            "language-only synthesis supports acyclic inputs only"
-        )
+        raise UnsupportedInputError("language-only synthesis supports acyclic inputs only")
     tree, origin = _unfold_to_tree(lts)
     outcome = _run_engine(_Engine(tree, props))
     outcome.lts, outcome.unfolding = lts, (tree, origin)
-    if outcome.failed_essp:
-        order = reachable_states(lts)
-        for label, states in outcome.failed_essp.items():
-            outcome.failed_essp[label] = _input_states(order, origin, states)
+    for label, states in outcome.failed_essp.items():
+        outcome.failed_essp[label] = _input_states(engine.states, origin, states)
     return outcome
 
 

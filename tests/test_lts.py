@@ -9,6 +9,7 @@ from aptk import (
     Lts,
     ParikhVector,
     PreconditionError,
+    StateLimitExceededError,
     bisimilar,
     cycles_same_pv,
     is_deterministic,
@@ -24,7 +25,9 @@ from aptk import (
     weak_small_cycle_property,
     weakly_connected_components,
 )
+from aptk import aptio, petri
 from aptk import lts as lts_module
+from aptk.cli import main
 
 from conftest import EXAMPLE_ARCS
 
@@ -314,6 +317,36 @@ def test_language_nondeterministic_subset_construction():
     )
     l2 = Lts.from_data("t0", [("t0", "a", "t1"), ("t1", "b", "t2")])
     assert language_equivalent(l1, l2)
+
+
+def _nth_letter_from_the_end(n):
+    """The n + 1-state system guessing that the n-th letter from the end is
+    an a: its subset construction reaches all 2^n sets {q0} | S."""
+    arcs = [("q0", "a", "q0"), ("q0", "b", "q0"), ("q0", "a", "q1")]
+    arcs += [(f"q{i}", t, f"q{i + 1}") for i in range(1, n) for t in "ab"]
+    return Lts.from_data("q0", arcs)
+
+
+def test_language_equivalent_stops_at_the_state_limit(monkeypatch, tmp_path, capsys):
+    # against one state looping on a and b, the construction holds one
+    # subset pair per reachable subset: 2^3 = 8 here
+    guess = _nth_letter_from_the_end(3)
+    anything = Lts.from_data("t0", [("t0", "a", "t0"), ("t0", "b", "t0")])
+    monkeypatch.setattr(petri, "DEFAULT_STATE_LIMIT", 7)
+    with pytest.raises(StateLimitExceededError, match="more than 7 state pairs"):
+        language_equivalent(guess, anything)
+    # deterministic pairs hold one singleton pair per reachable state pair
+    word = Lts.from_data("s0", [("s0", "a", "s1"), ("s1", "b", "s2")])
+    assert language_equivalent(word, word) and not language_equivalent(word, anything)
+    files = []
+    for name, lts in (("guess", guess), ("anything", anything)):
+        files.append(tmp_path / f"{name}.apt")
+        files[-1].write_text(aptio.render(aptio.Document(kind="LTS", lts=lts)))
+    assert main(["language_equivalence", *map(str, files)]) == 2
+    assert "more than 7 state pairs" in capsys.readouterr().err
+    monkeypatch.setattr(petri, "DEFAULT_STATE_LIMIT", 8)
+    assert language_equivalent(guess, anything)
+    assert main(["language_equivalence", *map(str, files)]) == 0
 
 
 # -- randomized structure properties ---------------------------------------

@@ -61,7 +61,7 @@ from aptk import (
 )
 from aptk import lts as lts_module
 from aptk import synthesis as synthesis_module
-from aptk.common import AptError, InternalError, PreconditionError
+from aptk.common import AptError, InternalError, PreconditionError, UnsupportedInputError
 from aptk.generators import bitnet, cyclenet
 from aptk.linalg import LinearSystem, RowSystem, integer_kernel_basis
 from aptk.synthesis import (
@@ -91,7 +91,7 @@ from reference_synthesis import separation_pass as reference_pass
 from reference_synthesis import solve_fast_none, solve_fast_pure
 from reference_synthesis import _Engine as ReferenceEngine
 from reference_synthesis import _run_engine as reference_run_engine
-from test_synthesis import _canonical_instances, _solve
+from test_synthesis import _canonical_instances, _diamond_chain, _solve
 
 EXACT = {
     "pure,plain": (PropertySet(pure=True, plain=True), partial(solve_fast_pure, plain=True)),
@@ -325,13 +325,21 @@ def test_defective_input_raises_the_reference_message(defect):
     with pytest.raises(PreconditionError) as expected:
         reference_check_input(lts)
     assert str(expected.value) == message
-    for mode in ("none", "pure", "safe", "plain", "conflict-free"):
+    for mode in ("none", "pure", "safe", "plain", "conflict-free", "language", "plain,language"):
         with pytest.raises(PreconditionError) as raised:
             _Engine(lts, PropertySet.parse(mode))
         assert str(raised.value) == message
         with pytest.raises(PreconditionError) as raised:
             synthesize(lts, PropertySet.parse(mode))
         assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("mode", ["language", "plain,language"])
+def test_language_only_rejects_a_valid_cyclic_input(mode):
+    # a deterministic, totally reachable cycle passes the input check and is
+    # then refused as unsupported
+    with pytest.raises(UnsupportedInputError, match="supports acyclic inputs only"):
+        synthesize(make_example_lts(), PropertySet.parse(mode))
 
 
 def _walk_cases():
@@ -346,16 +354,33 @@ def _walk_cases():
 
 def test_synthesis_checks_its_input_on_the_engine_walk(monkeypatch):
     # a valid input is checked on the engine's own walk, with no call to
-    # the two walking checks
+    # the walking checks, also under language-only synthesis of an input
+    # that is not a tree: its engine walks the input, a second one the
+    # unfolding, and failures name input states in the first one's order
     def refuse(lts):
         raise AssertionError("synthesis walked its input for the input check")
 
-    expected = [format_report(synthesize(lts, props)) for lts, props in _walk_cases()]
-    monkeypatch.setattr(synthesis_module, "is_deterministic", refuse)
-    monkeypatch.setattr(synthesis_module, "is_totally_reachable", refuse)
-    assert [format_report(synthesize(lts, props)) for lts, props in _walk_cases()] == expected
+    language = [PropertySet(language=True), PropertySet(plain=True, language=True)]
+    cases = _walk_cases() + [(_diamond_chain(k), props) for k in (2, 3) for props in language]
+    cases.append((_diamond_chain(2), PropertySet(k=1, language=True)))  # fails
+    expected = [format_report(synthesize(lts, props)) for lts, props in cases]
+    tree, trees = spanning_tree, []
+    monkeypatch.setattr(synthesis_module, "spanning_tree", lambda lts: trees.append(lts) or tree(lts))
+    for name in ("is_deterministic", "is_totally_reachable", "_check_synthesis_input", "reachable_states"):
+        monkeypatch.setattr(synthesis_module, name, refuse)
+    unfolded = 0
+    for (lts, props), lines in zip(cases, expected):
+        trees.clear()
+        outcome = synthesize(lts, props)
+        assert format_report(outcome) == lines
+        if outcome.unfolding is None:
+            assert trees == [lts]
+        else:
+            unfolded += 1
+            assert trees == [lts, outcome.unfolding[0]]
+    assert unfolded == 5
     assert any(lines[0] == "success: Yes" for lines in expected)
-    assert any(lines[0] == "success: No" for lines in expected)
+    assert {lines[0] for lines in expected[len(_walk_cases()):]} == {"success: Yes", "success: No"}
 
 
 def test_valid_synthesis_walks_its_input_once_before_solving(monkeypatch):
@@ -576,6 +601,27 @@ def test_general_solver_systems_match_reference(mode, monkeypatch):
                     assert systems == expected, (sorted(map(str, lts.arcs)), str(problem))
                     count += len(expected)
     assert count > 0
+
+
+def test_general_solver_synthesis_builds_no_kernel_basis(monkeypatch):
+    # only the basis solver reads the engine's lattice basis, so synthesis
+    # on the general solver never computes it, with the same outputs
+    inputs = [(make_example_lts(), False), (reachability_graph(bitnet(3)).lts, False), (_diamond_chain(2), True)]
+    cases = [(lts, replace(PropertySet.parse(mode), language=language)) for mode in GENERAL for lts, language in inputs]
+    cases += [(lts, PropertySet()) for lts in _located_inputs()]
+
+    def outputs():
+        return [(outcome.regions, format_report(outcome)) for outcome in (synthesize(*case) for case in cases)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("synthesis built a kernel basis")
+
+    expected = outputs()
+    monkeypatch.setattr(synthesis_module, "integer_kernel_basis", refuse)
+    assert outputs() == expected
+    assert {lines[0] for _, lines in expected} == {"success: Yes", "success: No"}
+    with pytest.raises(AssertionError, match="built a kernel basis"):  # the basis solver reads it
+        synthesize(make_example_lts())
 
 
 @pytest.mark.parametrize("mode", ["none", "pure"])
