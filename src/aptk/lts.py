@@ -9,6 +9,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
+from operator import attrgetter
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .common import AptError, Check, CycleCapExceededError, PreconditionError, StateLimitExceededError
@@ -245,17 +247,22 @@ class SpanningTree:
         return parikh
 
 
+def _closure(start, step) -> list:
+    """`start` and every node that `step` (node -> its neighbours) reaches
+    from it, in BFS discovery order: the list is its own queue."""
+    order, seen = [start], {start}
+    for node in order:
+        for other in step(node):
+            if other not in seen:
+                seen.add(other)
+                order.append(other)
+    return order
+
+
 def reachable_states(lts: Lts) -> List[str]:
     """Forward closure of the initial state, in BFS discovery order."""
-    seen = {lts.initial: None}
-    queue = deque([lts.initial])
-    while queue:
-        state = queue.popleft()
-        for arc in lts.arcs_from(state):
-            if arc.target not in seen:
-                seen[arc.target] = None
-                queue.append(arc.target)
-    return list(seen)
+    target, out = attrgetter("target"), lts._out
+    return _closure(lts.initial, lambda state: map(target, out[state]))
 
 
 def is_totally_reachable(lts: Lts) -> Check:
@@ -318,17 +325,10 @@ def is_persistent(lts: Lts) -> Check:
 
 def is_reversible(lts: Lts) -> Check:
     """Whether the initial state stays reachable from every reachable state."""
-    reach = reachable_states(lts)
-    back: Dict[str, None] = {lts.initial: None}
-    queue = deque([lts.initial])
-    reach_set = set(reach)
-    while queue:
-        state = queue.popleft()
-        for arc in lts.arcs_to(state):
-            if arc.source in reach_set and arc.source not in back:
-                back[arc.source] = None
-                queue.append(arc.source)
-    for state in reach:
+    # every path from a reachable state stays reachable, so no filter is needed
+    source, into = attrgetter("source"), lts._in
+    back = set(_closure(lts.initial, lambda state: map(source, into[state])))
+    for state in reachable_states(lts):
         if state not in back:
             return Check(False, state, f"initial state not reachable from {state}")
     return Check(True)
@@ -388,27 +388,17 @@ def strongly_connected_components(lts: Lts) -> List[List[str]]:
 
 
 def weakly_connected_components(lts: Lts) -> List[List[str]]:
+    """Undirected components, each in declaration order, ordered by their first state."""
     state_pos = {s: i for i, s in enumerate(lts.states)}
-    seen: Dict[str, None] = {}
+    target, source, out, into = attrgetter("target"), attrgetter("source"), lts._out, lts._in
+    seen: set = set()
     components: List[List[str]] = []
     for root in lts.states:
-        if root in seen:
-            continue
-        component = [root]
-        seen[root] = None
-        queue = deque([root])
-        while queue:
-            state = queue.popleft()
-            neighbours = [a.target for a in lts.arcs_from(state)]
-            neighbours += [a.source for a in lts.arcs_to(state)]
-            for w in neighbours:
-                if w not in seen:
-                    seen[w] = None
-                    component.append(w)
-                    queue.append(w)
-        component.sort(key=state_pos.__getitem__)
-        components.append(component)
-    components.sort(key=lambda c: state_pos[c[0]])
+        if root not in seen:
+            component = _closure(root, lambda s: chain(map(target, out[s]), map(source, into[s])))
+            seen.update(component)
+            component.sort(key=state_pos.__getitem__)
+            components.append(component)
     return components
 
 
@@ -527,44 +517,62 @@ def _signature(lts: Lts, state: str) -> Tuple:
     return (len(lts.arcs_from(state)), len(lts.arcs_to(state)), out_labels, in_labels)
 
 
+def _walk_together(l1: Lts, l2: Lts) -> Check:
+    """Walk both systems in step from their initial states, in BFS order,
+    mapping each state of l1 reached to the first target of its label in
+    l2.  Fails at the first disagreement; on success the witness maps every
+    state of l1 the walk reached, in discovery order."""
+    mapping = {l1.initial: l2.initial}
+    used = {l2.initial}
+    queue = deque([l1.initial])
+    while queue:
+        s1 = queue.popleft()
+        s2 = mapping[s1]
+        if set(l1.enabled_labels(s1)) != set(l2.enabled_labels(s2)):
+            return Check(False, None, f"enabled labels differ at {s1}/{s2}")
+        for arc in l1.arcs_from(s1):
+            t2 = l2.successors(s2, arc.label)[0]
+            known = mapping.get(arc.target)
+            if known is None:
+                if t2 in used:
+                    return Check(False, None, "walk is not injective")
+                used.add(t2)
+                mapping[arc.target] = t2
+                queue.append(arc.target)
+            elif known != t2:
+                return Check(False, None, f"targets disagree at {s1}[{arc.label}>")
+    return Check(True, mapping)
+
+
 def isomorphic(l1: Lts, l2: Lts) -> Check:
     """State bijection fixing the initial states and preserving labelled arcs.
 
-    Labels are matched by identity.  Deterministic totally reachable inputs
-    are compared by a simultaneous walk; otherwise a signature-pruned
-    backtracking search runs over the full state sets.
+    Labels are matched by identity.  A simultaneous walk answers first; it
+    decides deterministic totally reachable inputs.  Otherwise a
+    signature-pruned backtracking search runs over the full state sets;
+    past petri.DEFAULT_STATE_LIMIT assignments, read at call time, it raises
+    StateLimitExceededError.
     """
+    from .petri import DEFAULT_STATE_LIMIT as limit  # petri imports this module
+
     if set(l1.labels) != set(l2.labels):
         return Check(False, None, "label sets differ")
     if len(l1.states) != len(l2.states):
         return Check(False, None, "state counts differ")
 
+    # A walk that maps every state onto as many arcs is the only isomorphism:
+    # both inputs are deterministic and totally reachable.  On such inputs,
+    # any other walk is a failure.
+    walk = _walk_together(l1, l2)
+    if walk and len(walk.witness) == len(l1._states) and len(l1._arcs) == len(l2._arcs):
+        return walk
     if (
         is_deterministic(l1)
         and is_deterministic(l2)
         and is_totally_reachable(l1)
         and is_totally_reachable(l2)
     ):
-        mapping = {l1.initial: l2.initial}
-        used = {l2.initial}
-        queue = deque([l1.initial])
-        while queue:
-            s1 = queue.popleft()
-            s2 = mapping[s1]
-            if set(l1.enabled_labels(s1)) != set(l2.enabled_labels(s2)):
-                return Check(False, None, f"enabled labels differ at {s1}/{s2}")
-            for arc in l1.arcs_from(s1):
-                t2 = l2.successors(s2, arc.label)[0]
-                known = mapping.get(arc.target)
-                if known is None:
-                    if t2 in used:
-                        return Check(False, None, "walk is not injective")
-                    used.add(t2)
-                    mapping[arc.target] = t2
-                    queue.append(arc.target)
-                elif known != t2:
-                    return Check(False, None, f"targets disagree at {s1}[{arc.label}>")
-        return Check(True, mapping)
+        return walk
 
     # Backtracking over states in BFS-then-declaration order.
     order = reachable_states(l1)
@@ -612,12 +620,16 @@ def isomorphic(l1: Lts, l2: Lts) -> Check:
     # stack[i] holds the images left to try for order[i]; an explicit stack,
     # since a recursion as deep as the state count overflows Python's
     stack: List[Iterator[str]] = []
+    assignments = 0
     while len(mapping) < len(order):
         if len(stack) == len(mapping):
             stack.append(candidates(order[len(mapping)]))
         s1 = order[len(stack) - 1]
         s2 = next(stack[-1], None)
         if s2 is not None:
+            assignments += 1
+            if assignments > limit:
+                raise StateLimitExceededError(f"the isomorphism search made more than {limit} assignments")
             mapping[s1] = s2
             inverse[s2] = s1
             continue

@@ -5,7 +5,7 @@ and the behavioural and structural predicates defined on them.
 from __future__ import annotations
 
 import math
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cache, reduce
 from math import inf
@@ -19,7 +19,7 @@ from .common import (
     UnboundedNetError,
 )
 from .lts import Lts, is_persistent as lts_is_persistent, is_reversible as lts_is_reversible
-from .lts import state_name
+from .lts import _closure, state_name
 
 DEFAULT_STATE_LIMIT = 1_000_000
 
@@ -651,24 +651,11 @@ def has_isolated_elements(net: PetriNet) -> Check:
     return Check(False)
 
 
-def _undirected_neighbours(net: PetriNet, node: str) -> Set[str]:
-    out = set(net.postset(node))
-    out.update(net.preset(node))
-    return out
-
-
 def is_weakly_connected(net: PetriNet) -> Check:
     nodes = [*net.places, *net.transitions]
     if not nodes:
         return Check(True)
-    seen = {nodes[0]}
-    queue = deque([nodes[0]])
-    while queue:
-        node = queue.popleft()
-        for other in _undirected_neighbours(net, node):
-            if other not in seen:
-                seen.add(other)
-                queue.append(other)
+    seen = set(_closure(nodes[0], lambda node: [*net._post[node], *net._pre[node]]))
     for node in nodes:
         if node not in seen:
             return Check(False, node, f"{node} is in a different component")
@@ -679,21 +666,8 @@ def is_strongly_connected(net: PetriNet) -> Check:
     nodes = [*net.places, *net.transitions]
     if not nodes:
         return Check(True)
-
-    def closure(start: str, forward: bool) -> Set[str]:
-        seen = {start}
-        queue = deque([start])
-        while queue:
-            node = queue.popleft()
-            step = net.postset(node) if forward else net.preset(node)
-            for other in step:
-                if other not in seen:
-                    seen.add(other)
-                    queue.append(other)
-        return seen
-
-    fwd = closure(nodes[0], True)
-    bwd = closure(nodes[0], False)
+    fwd = set(_closure(nodes[0], net._post.__getitem__))
+    bwd = set(_closure(nodes[0], net._pre.__getitem__))
     for node in nodes:
         if node not in fwd or node not in bwd:
             return Check(False, node, f"{node} breaks strong connectedness")

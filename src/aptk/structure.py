@@ -7,8 +7,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Set, Tuple
 
-from .common import Check, PreconditionError
-from .linalg import minimal_semipositive_solutions
+from . import linalg
+from .common import BoundExceededError, Check, PreconditionError
 from .petri import PetriNet
 
 DEFAULT_PLACE_CAP = 64
@@ -46,10 +46,10 @@ def invariants(net: PetriNet, kind: str) -> List[Tuple[int, ...]]:
         raise PreconditionError("kind must be 'S' or 'T'")
     matrices = incidence_matrices(net)
     if kind == "S":
-        return minimal_semipositive_solutions(
+        return linalg.minimal_semipositive_solutions(
             matrices.incidence, side="left", dim=len(net.places)
         )
-    return minimal_semipositive_solutions(
+    return linalg.minimal_semipositive_solutions(
         matrices.incidence, side="right", dim=len(net.transitions)
     )
 
@@ -73,13 +73,18 @@ def _minimal_closed_sets(net: PetriNet, as_trap: bool) -> List[Tuple[str, ...]]:
     search branches on the least place contained in the set and propagates
     each unsatisfied demand by case-splitting over its candidate suppliers.
     Above DEFAULT_PLACE_CAP places, read at call time, it raises
-    PreconditionError.
+    PreconditionError; the cap also bounds the depth of the recursion.  The
+    search can still visit exponentially many closed sets, so past
+    linalg.DEFAULT_FRONTIER_LIMIT calls of `search`, read at call time, it
+    raises BoundExceededError.
     """
     places = net.places
     if len(places) > DEFAULT_PLACE_CAP:
         raise PreconditionError(
             f"net has {len(places)} places, above the cap of {DEFAULT_PLACE_CAP}"
         )
+    limit = linalg.DEFAULT_FRONTIER_LIMIT
+    calls = 0
     transitions = net.transitions
 
     # For place p: demanding transitions that must be supplied from inside the
@@ -97,6 +102,12 @@ def _minimal_closed_sets(net: PetriNet, as_trap: bool) -> List[Tuple[str, ...]]:
         return any(p in included for p in supply_of[t])
 
     def search(included: Set[str], excluded: Set[str]) -> None:
+        nonlocal calls
+        calls += 1
+        if calls > limit:
+            raise BoundExceededError(
+                f"the {'trap' if as_trap else 'siphon'} search passed its limit of {limit} steps"
+            )
         # find an unsatisfied demand
         pending: Optional[str] = None
         for p in included:

@@ -8,6 +8,12 @@ every pair of states of the two systems; `is_persistent` scanned a state's
 arcs in every `successors` call.  The current functions must give the same
 verdict, witness and detail on every input, and `is_persistent` the same
 PreconditionError.
+
+`reachable_states`, `is_reversible` and `weakly_connected_components` are
+the breadth-first walks that each kept a deque of its own, before all of
+them shared one closure routine; `is_reversible` filtered its backward
+walk to the reachable states.  The current functions must return the same
+lists in the same order, and the same verdict, witness and detail.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from collections import deque
 from typing import Dict, List, Tuple
 
 from aptk.common import Check, PreconditionError
-from aptk.lts import Lts, _signature, is_deterministic, is_totally_reachable, reachable_states
+from aptk.lts import Lts, _signature, is_deterministic, is_totally_reachable
 
 
 def isomorphic(l1: Lts, l2: Lts) -> Check:
@@ -181,3 +187,59 @@ def is_persistent(lts: Lts) -> Check:
                         f"no common state completes the {t}/{u} diamond at {state}",
                     )
     return Check(True)
+
+
+def reachable_states(lts: Lts) -> List[str]:
+    """Forward closure of the initial state, in BFS discovery order."""
+    seen = {lts.initial: None}
+    queue = deque([lts.initial])
+    while queue:
+        state = queue.popleft()
+        for arc in lts.arcs_from(state):
+            if arc.target not in seen:
+                seen[arc.target] = None
+                queue.append(arc.target)
+    return list(seen)
+
+
+def is_reversible(lts: Lts) -> Check:
+    """Whether the initial state stays reachable from every reachable state."""
+    reach = reachable_states(lts)
+    back: Dict[str, None] = {lts.initial: None}
+    queue = deque([lts.initial])
+    reach_set = set(reach)
+    while queue:
+        state = queue.popleft()
+        for arc in lts.arcs_to(state):
+            if arc.source in reach_set and arc.source not in back:
+                back[arc.source] = None
+                queue.append(arc.source)
+    for state in reach:
+        if state not in back:
+            return Check(False, state, f"initial state not reachable from {state}")
+    return Check(True)
+
+
+def weakly_connected_components(lts: Lts) -> List[List[str]]:
+    state_pos = {s: i for i, s in enumerate(lts.states)}
+    seen: Dict[str, None] = {}
+    components: List[List[str]] = []
+    for root in lts.states:
+        if root in seen:
+            continue
+        component = [root]
+        seen[root] = None
+        queue = deque([root])
+        while queue:
+            state = queue.popleft()
+            neighbours = [a.target for a in lts.arcs_from(state)]
+            neighbours += [a.source for a in lts.arcs_to(state)]
+            for w in neighbours:
+                if w not in seen:
+                    seen[w] = None
+                    component.append(w)
+                    queue.append(w)
+        component.sort(key=state_pos.__getitem__)
+        components.append(component)
+    components.sort(key=lambda c: state_pos[c[0]])
+    return components

@@ -11,7 +11,9 @@ markings), the conflict scans of `is_bcf`/`is_bicf`, `word_in_language`
 and `separable` (whose weak decomposition is not memoised).  The compiled
 searches of aptk.petri must return the same results and raise the same
 errors.  So must its structural predicates, which read pre- and postsets,
-against the scans over every (place, transition) pair kept here.
+against the scans over every (place, transition) pair kept here, and its
+connectedness checks against the breadth-first walks with a deque of their
+own, over copied pre- and postsets, kept here too.
 """
 
 from __future__ import annotations
@@ -483,4 +485,53 @@ def is_marked_graph(net: PetriNet) -> Check:
         pre = [t for t in net.transitions if net.flow(t, p) > 0]
         if len(post) != 1 or len(pre) != 1:
             return Check(False, p, f"place {p} has |pre|={len(pre)}, |post|={len(post)}")
+    return Check(True)
+
+
+def _undirected_neighbours(net: PetriNet, node: str) -> Set[str]:
+    out = set(net.postset(node))
+    out.update(net.preset(node))
+    return out
+
+
+def is_weakly_connected(net: PetriNet) -> Check:
+    nodes = [*net.places, *net.transitions]
+    if not nodes:
+        return Check(True)
+    seen = {nodes[0]}
+    queue = deque([nodes[0]])
+    while queue:
+        node = queue.popleft()
+        for other in _undirected_neighbours(net, node):
+            if other not in seen:
+                seen.add(other)
+                queue.append(other)
+    for node in nodes:
+        if node not in seen:
+            return Check(False, node, f"{node} is in a different component")
+    return Check(True)
+
+
+def is_strongly_connected(net: PetriNet) -> Check:
+    nodes = [*net.places, *net.transitions]
+    if not nodes:
+        return Check(True)
+
+    def closure(start: str, forward: bool) -> Set[str]:
+        seen = {start}
+        queue = deque([start])
+        while queue:
+            node = queue.popleft()
+            step = net.postset(node) if forward else net.preset(node)
+            for other in step:
+                if other not in seen:
+                    seen.add(other)
+                    queue.append(other)
+        return seen
+
+    fwd = closure(nodes[0], True)
+    bwd = closure(nodes[0], False)
+    for node in nodes:
+        if node not in fwd or node not in bwd:
+            return Check(False, node, f"{node} breaks strong connectedness")
     return Check(True)

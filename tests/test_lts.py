@@ -281,6 +281,40 @@ def test_isomorphic_backtracking_on_a_long_chain():
     assert check and check.witness == {s: s for s in chain.states}
 
 
+def _rings_of_ys(n):
+    """Two 2n + 2-state systems s0 -a-> x_i -b-> y_i -c-> d (i < n) whose
+    e-arcs join the y's into one n-cycle and into two n/2-cycles: not
+    isomorphic, yet every signature matches, so the backtracking search
+    tries many assignments (2,821 at n = 6) before it says so."""
+
+    def build(cycles):
+        arcs = []
+        for i in range(n):
+            arcs += [("s0", "a", f"x{i}"), (f"x{i}", "b", f"y{i}"), (f"y{i}", "c", "d")]
+        for ring in cycles:
+            arcs += [(f"y{i}", "e", f"y{ring[(j + 1) % len(ring)]}") for j, i in enumerate(ring)]
+        return Lts.from_data("s0", arcs)
+
+    return build([range(n)]), build([range(n // 2), range(n // 2, n)])
+
+
+def test_isomorphism_search_stops_at_the_state_limit(monkeypatch, tmp_path, capsys, example_lts):
+    l1, l2 = _rings_of_ys(6)
+    assert isomorphic(l1, l2).detail == "no arc-preserving bijection exists"
+    monkeypatch.setattr(petri, "DEFAULT_STATE_LIMIT", 1000)
+    with pytest.raises(StateLimitExceededError, match="more than 1000 assignments"):
+        isomorphic(l1, l2)
+    # the walk answers deterministic inputs without searching
+    assert isomorphic(example_lts, example_lts)
+    assert not isomorphic(example_lts, Lts.from_data("s0", EXAMPLE_ARCS[:-1], states=example_lts.states))
+    files = []
+    for name, lts in (("one_ring", l1), ("two_rings", l2)):
+        files.append(tmp_path / f"{name}.apt")
+        files[-1].write_text(aptio.render(aptio.Document(kind="LTS", lts=lts)))
+    assert main(["isomorphism", *map(str, files)]) == 2
+    assert "more than 1000 assignments" in capsys.readouterr().err
+
+
 def test_bisimilar_self(example_lts):
     assert bisimilar(example_lts, example_lts)
 

@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from aptk import (
+    BoundExceededError,
     PetriNet,
     PreconditionError,
     covered_by_invariants,
@@ -12,7 +13,7 @@ from aptk import (
     minimal_traps,
     reachability_graph,
 )
-from aptk import structure
+from aptk import linalg, structure
 from aptk.structure import is_siphon, is_trap
 from aptk.generators import bitnet, cyclenet
 
@@ -131,3 +132,32 @@ def test_place_cap_enforced(n1, monkeypatch):
     for search in (minimal_siphons, minimal_traps):
         with pytest.raises(PreconditionError, match="above the cap of 2"):
             search(n1)
+
+
+def _fan_in(k, reverse=False):
+    """Place r fed by k transitions t_i, each taking from places p_i and q_i
+    (reversed: r feeds each t_i, which feeds p_i and q_i).  Its 2k minimal
+    siphons (traps) are the singletons {p_i}, {q_i}, yet from seed r the
+    search visits all 2^k closed sets."""
+    net = PetriNet()
+    net.add_place("r")
+    for i in range(k):
+        net.add_place(f"p{i}")
+        net.add_place(f"q{i}")
+        net.add_transition(f"t{i}")
+        for place in (f"p{i}", f"q{i}"):
+            net.add_flow(*((f"t{i}", place) if reverse else (place, f"t{i}")))
+        net.add_flow(*(("r", f"t{i}") if reverse else (f"t{i}", "r")))
+    return net
+
+
+def test_siphon_and_trap_search_stops_at_the_frontier_limit(monkeypatch):
+    singletons = [(p,) for i in range(10) for p in (f"p{i}", f"q{i}")]
+    assert minimal_siphons(_fan_in(10)) == minimal_traps(_fan_in(10, reverse=True)) == singletons
+    # the limit is linalg's, read at call time
+    monkeypatch.setattr(linalg, "DEFAULT_FRONTIER_LIMIT", 500)
+    with pytest.raises(BoundExceededError, match="siphon search passed its limit of 500"):
+        minimal_siphons(_fan_in(10))
+    with pytest.raises(BoundExceededError, match="trap search passed its limit of 500"):
+        minimal_traps(_fan_in(10, reverse=True))
+    assert minimal_traps(_fan_in(10)) == [("r",)]
