@@ -6,7 +6,7 @@ in that order so witnesses and outputs are reproducible run to run.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
@@ -435,13 +435,16 @@ def _elementary_cycles(lts: Lts):
     Cycles are enumerated per anchor state using only states that come later
     in discovery order, so each cycle is produced exactly once (up to
     rotation).  Parallel arcs with different labels give distinct cycles.
-    Past DEFAULT_CYCLE_CAP cycles, read at call time, it raises
-    CycleCapExceededError.
+    Past DEFAULT_CYCLE_CAP cycles, or petri.DEFAULT_STATE_LIMIT path
+    extensions (exponentially many paths can close no cycle), both read at
+    call time, it raises CycleCapExceededError.
     """
+    from .petri import DEFAULT_STATE_LIMIT as limit  # petri imports this module
+
     cap = DEFAULT_CYCLE_CAP
     reach = reachable_states(lts)
     pos = {s: i for i, s in enumerate(reach)}
-    produced = 0
+    produced = steps = 0
     for root in reach:
         root_pos = pos[root]
         # path holds the current simple path from root; stack drives the DFS
@@ -460,11 +463,11 @@ def _elementary_cycles(lts: Lts):
                         raise CycleCapExceededError(
                             f"more than {cap} elementary cycles; raise the cap to continue"
                         )
-                    counts: Dict[str, int] = {}
-                    for lab in labels + [arc.label]:
-                        counts[lab] = counts.get(lab, 0) + 1
-                    yield ParikhVector(counts)
+                    yield ParikhVector(Counter(labels + [arc.label]))
                 elif tgt not in on_path:
+                    steps += 1
+                    if steps > limit:
+                        raise CycleCapExceededError(f"the cycle search passed its limit of {limit} path steps")
                     on_path.add(tgt)
                     labels.append(arc.label)
                     stack.append((tgt, iter(lts.arcs_from(tgt))))
@@ -524,21 +527,23 @@ def _walk_together(l1: Lts, l2: Lts) -> Check:
     state of l1 the walk reached, in discovery order."""
     mapping = {l1.initial: l2.initial}
     used = {l2.initial}
-    queue = deque([l1.initial])
-    while queue:
-        s1 = queue.popleft()
+    order = [l1.initial]
+    for s1 in order:  # grows while iterated, as in _closure
         s2 = mapping[s1]
-        if set(l1.enabled_labels(s1)) != set(l2.enabled_labels(s2)):
+        first: Dict[str, str] = {}
+        for arc in l2._out[s2]:
+            first.setdefault(arc.label, arc.target)
+        if {arc.label for arc in l1._out[s1]} != first.keys():
             return Check(False, None, f"enabled labels differ at {s1}/{s2}")
-        for arc in l1.arcs_from(s1):
-            t2 = l2.successors(s2, arc.label)[0]
+        for arc in l1._out[s1]:
+            t2 = first[arc.label]
             known = mapping.get(arc.target)
             if known is None:
                 if t2 in used:
                     return Check(False, None, "walk is not injective")
                 used.add(t2)
                 mapping[arc.target] = t2
-                queue.append(arc.target)
+                order.append(arc.target)
             elif known != t2:
                 return Check(False, None, f"targets disagree at {s1}[{arc.label}>")
     return Check(True, mapping)

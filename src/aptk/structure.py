@@ -5,10 +5,10 @@ S/T-invariants and coveredness, minimal siphons and traps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Set, Tuple
+from typing import List, Tuple
 
 from . import linalg
-from .common import BoundExceededError, Check, PreconditionError
+from .common import AptError, BoundExceededError, Check, PreconditionError
 from .petri import PetriNet
 
 DEFAULT_PLACE_CAP = 64
@@ -68,15 +68,19 @@ def covered_by_invariants(net: PetriNet, kind: str) -> Check:
 def _minimal_closed_sets(net: PetriNet, as_trap: bool) -> List[Tuple[str, ...]]:
     """Shared engine for minimal siphons and traps.
 
-    A siphon S needs: every transition producing into S also consumes from S.
-    A trap is the same with the roles of producing/consuming swapped.  The
-    search branches on the least place contained in the set and propagates
-    each unsatisfied demand by case-splitting over its candidate suppliers.
-    Above DEFAULT_PLACE_CAP places, read at call time, it raises
-    PreconditionError; the cap also bounds the depth of the recursion.  The
-    search can still visit exponentially many closed sets, so past
-    linalg.DEFAULT_FRONTIER_LIMIT calls of `search`, read at call time, it
-    raises BoundExceededError.
+    A siphon S needs: every transition producing into S also consumes from S;
+    a trap swaps producing and consuming.  So a place's demands, and a
+    transition's suppliers, are its preset (siphon) or postset (trap).  Place
+    sets are bitmasks.  A set's largest closed subset drops each place with
+    an unsupplied demand until none is left.  Per seed place, earlier places
+    excluded, a depth-first search grows a set while that subset is empty,
+    splitting over the suppliers of its first unsupplied demand.  It ends a
+    branch whose subset is nonempty but smaller, as every extension strictly
+    contains a closed set, and reports a closed set only when no set one
+    place smaller has a nonempty closed subset, that is, when it is minimal.
+    Above DEFAULT_PLACE_CAP places it raises PreconditionError, and past
+    linalg.DEFAULT_FRONTIER_LIMIT visited sets BoundExceededError; both are
+    read at call time, and the cap bounds the cost of each visited set.
     """
     places = net.places
     if len(places) > DEFAULT_PLACE_CAP:
@@ -84,62 +88,49 @@ def _minimal_closed_sets(net: PetriNet, as_trap: bool) -> List[Tuple[str, ...]]:
             f"net has {len(places)} places, above the cap of {DEFAULT_PLACE_CAP}"
         )
     limit = linalg.DEFAULT_FRONTIER_LIMIT
-    calls = 0
-    transitions = net.transitions
+    arcs = net._post if as_trap else net._pre
+    bit = {p: 1 << i for i, p in enumerate(places)}
+    # per place, the supplier mask of each of its demands, in stored order
+    demands = [[sum(map(bit.__getitem__, arcs[t])) for t in arcs[p]] for p in places]
 
-    # For place p: demanding transitions that must be supplied from inside the
-    # set, and per transition the places that can supply it.
-    if as_trap:
-        demand_of = {p: [t for t in transitions if net.flow(p, t) > 0] for p in places}
-        supply_of = {t: [p for p in places if net.flow(t, p) > 0] for t in transitions}
-    else:
-        demand_of = {p: [t for t in transitions if net.flow(t, p) > 0] for p in places}
-        supply_of = {t: [p for p in places if net.flow(p, t) > 0] for t in transitions}
+    def members(mask: int) -> List[int]:
+        return [i for i in range(len(places)) if mask >> i & 1]
 
-    results: List[Set[str]] = []
+    def closed_part(mask: int) -> int:
+        while True:
+            kept, rest = mask, mask
+            while rest:  # members(mask), inlined: the search's hot path
+                low = rest & -rest
+                rest ^= low
+                for supply in demands[low.bit_length() - 1]:
+                    if not supply & kept:
+                        kept ^= low
+                        break
+            if kept == mask:
+                return mask
+            mask = kept
 
-    def satisfied(t: str, included: Set[str]) -> bool:
-        return any(p in included for p in supply_of[t])
-
-    def search(included: Set[str], excluded: Set[str]) -> None:
-        nonlocal calls
-        calls += 1
-        if calls > limit:
-            raise BoundExceededError(
-                f"the {'trap' if as_trap else 'siphon'} search passed its limit of {limit} steps"
-            )
-        # find an unsatisfied demand
-        pending: Optional[str] = None
-        for p in included:
-            for t in demand_of[p]:
-                if not satisfied(t, included):
-                    pending = t
-                    break
-            if pending:
-                break
-        if pending is None:
-            results.append(set(included))
-            return
-        candidates = [p for p in supply_of[pending] if p not in excluded and p not in included]
-        # split: first candidate in, or excluded and the next one in, ...
-        banned: Set[str] = set()
-        for p in candidates:
-            search(included | {p}, excluded | banned)
-            banned.add(p)
-
-    for i, seed in enumerate(places):
-        search({seed}, set(places[:i]))
-
-    minimal: List[Tuple[str, ...]] = []
-    results.sort(key=lambda s: (len(s), sorted(places.index(p) for p in s)))
-    kept: List[Set[str]] = []
-    for candidate in results:
-        if any(prev <= candidate for prev in kept):
-            continue
-        kept.append(candidate)
-        minimal.append(tuple(p for p in places if p in candidate))
-    minimal.sort(key=lambda s: tuple(places.index(p) for p in s))
-    return minimal
+    found, steps = [], 0
+    for seed in range(len(places)):
+        stack = [(1 << seed, (1 << seed) - 1)]
+        while stack:
+            included, excluded = stack.pop()
+            steps += 1
+            if steps > limit:
+                raise BoundExceededError(
+                    f"the {'trap' if as_trap else 'siphon'} search passed its limit of {limit} steps"
+                )
+            core = closed_part(included)
+            if core == included:
+                if not any(closed_part(included ^ (1 << i)) for i in members(included)):
+                    found.append(tuple(members(included)))
+            elif not core:
+                pending = next(s for i in members(included) for s in demands[i] if not s & included)
+                # first candidate in, or it banned and the next one in, ...; the first on top
+                candidates = pending & ~(included | excluded)
+                for i in reversed(members(candidates)):
+                    stack.append((included | (1 << i), excluded | candidates & ((1 << i) - 1)))
+    return [tuple(places[i] for i in indices) for indices in sorted(found)]
 
 
 def minimal_siphons(net: PetriNet) -> List[Tuple[str, ...]]:
@@ -155,23 +146,26 @@ def minimal_traps(net: PetriNet) -> List[Tuple[str, ...]]:
     return _minimal_closed_sets(net, as_trap=True)
 
 
-def is_siphon(net: PetriNet, place_set) -> bool:
+def _is_closed(net: PetriNet, place_set, as_trap: bool) -> bool:
+    """The definition, checked transition by transition; independent of the
+    search, so tests can judge it.  A name that is no place raises."""
     included = set(place_set)
+    unknown = sorted(included.difference(net._places))
+    if unknown:
+        raise AptError(f"unknown place {unknown[0]!r}")
     if not included:
         return False
     for t in net.transitions:
-        feeds = any(net.flow(t, p) > 0 for p in included)
-        if feeds and not any(net.flow(p, t) > 0 for p in included):
+        into = any(net.flow(t, p) > 0 for p in included)
+        out = any(net.flow(p, t) > 0 for p in included)
+        if (out and not into) if as_trap else (into and not out):
             return False
     return True
+
+
+def is_siphon(net: PetriNet, place_set) -> bool:
+    return _is_closed(net, place_set, as_trap=False)
 
 
 def is_trap(net: PetriNet, place_set) -> bool:
-    included = set(place_set)
-    if not included:
-        return False
-    for t in net.transitions:
-        takes = any(net.flow(p, t) > 0 for p in included)
-        if takes and not any(net.flow(t, p) > 0 for p in included):
-            return False
-    return True
+    return _is_closed(net, place_set, as_trap=True)

@@ -242,6 +242,31 @@ def test_cycle_cap(monkeypatch):
     assert len(small_cycle_parikh_vectors(lts)) == 2
 
 
+def _diamond_chain(k):
+    """k diamonds s_i -a-> u_i -c-> s_i+1 and s_i -b-> v_i -c-> s_i+1, closed
+    by one arc s_k -d-> s_k-1: two elementary cycles, but 2^k paths from s_0."""
+    arcs = [(f"s{k}", "d", f"s{k - 1}")]
+    for i in range(k):
+        for label, middle in (("a", f"u{i}"), ("b", f"v{i}")):
+            arcs += [(f"s{i}", label, middle), (middle, "c", f"s{i + 1}")]
+    return Lts.from_data("s0", arcs)
+
+
+def test_cycle_search_stops_at_the_state_limit(monkeypatch, tmp_path, capsys):
+    lts = _diamond_chain(10)
+    expected = [ParikhVector({"a": 1, "c": 1, "d": 1}), ParikhVector({"b": 1, "c": 1, "d": 1})]
+    assert small_cycle_parikh_vectors(lts) == expected
+    # the limit is petri's, read at call time, and counts path extensions
+    monkeypatch.setattr(petri, "DEFAULT_STATE_LIMIT", 10_000)
+    for check in (small_cycle_parikh_vectors, cycles_same_pv, weak_small_cycle_property):
+        with pytest.raises(CycleCapExceededError, match="cycle search passed its limit of 10000 path steps"):
+            check(lts)
+    path = tmp_path / "chain.apt"
+    path.write_text(aptio.render(aptio.Document(kind="LTS", lts=lts)))
+    assert main(["compute_pvs", str(path)]) == 2
+    assert "passed its limit of 10000 path steps" in capsys.readouterr().err
+
+
 def test_isomorphic_identity(example_lts):
     check = isomorphic(example_lts, example_lts)
     assert check and check.witness == {s: s for s in example_lts.states}

@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from aptk import (
+    AptError,
     BoundExceededError,
     PetriNet,
     PreconditionError,
@@ -137,8 +138,8 @@ def test_place_cap_enforced(n1, monkeypatch):
 def _fan_in(k, reverse=False):
     """Place r fed by k transitions t_i, each taking from places p_i and q_i
     (reversed: r feeds each t_i, which feeds p_i and q_i).  Its 2k minimal
-    siphons (traps) are the singletons {p_i}, {q_i}, yet from seed r the
-    search visits all 2^k closed sets."""
+    siphons (traps) are the singletons {p_i}, {q_i}; from seed r, 2^k closed
+    sets contain one of them."""
     net = PetriNet()
     net.add_place("r")
     for i in range(k):
@@ -151,13 +152,39 @@ def _fan_in(k, reverse=False):
     return net
 
 
+def _choice(k, reverse=False):
+    """The fan-in net plus, for each of p_i and q_i, a transition that moves a
+    token from r into it (reversed: every arc turned round).  Its minimal
+    siphons (traps) are r with one of p_i, q_i for each i: 2^k of them."""
+    net = _fan_in(k, reverse)
+    for place in net.places[1:]:
+        net.add_transition(f"v{place}")
+        for arc in (("r", f"v{place}"), (f"v{place}", place)):
+            net.add_flow(*(arc[::-1] if reverse else arc))
+    return net
+
+
 def test_siphon_and_trap_search_stops_at_the_frontier_limit(monkeypatch):
     singletons = [(p,) for i in range(10) for p in (f"p{i}", f"q{i}")]
     assert minimal_siphons(_fan_in(10)) == minimal_traps(_fan_in(10, reverse=True)) == singletons
+    assert minimal_traps(_fan_in(10)) == [("r",)]
+    # a set that strictly contains a closed set ends its branch, so the 2^20
+    # closed sets from seed r are never visited
+    singletons = [(p,) for i in range(20) for p in (f"p{i}", f"q{i}")]
+    assert minimal_siphons(_fan_in(20)) == minimal_traps(_fan_in(20, reverse=True)) == singletons
+    choices = [("r", *names) for names in itertools.product(*((f"p{i}", f"q{i}") for i in range(4)))]
+    assert minimal_siphons(_choice(4)) == minimal_traps(_choice(4, reverse=True)) == choices
     # the limit is linalg's, read at call time
     monkeypatch.setattr(linalg, "DEFAULT_FRONTIER_LIMIT", 500)
     with pytest.raises(BoundExceededError, match="siphon search passed its limit of 500"):
-        minimal_siphons(_fan_in(10))
+        minimal_siphons(_choice(10))
     with pytest.raises(BoundExceededError, match="trap search passed its limit of 500"):
-        minimal_traps(_fan_in(10, reverse=True))
-    assert minimal_traps(_fan_in(10)) == [("r",)]
+        minimal_traps(_choice(10, reverse=True))
+
+
+def test_siphon_and_trap_predicates_reject_names_that_are_no_places(n1):
+    # a is a transition of n1; of several unknown names, the least is named
+    for names, unknown in (({"zzz"}, "zzz"), ({"a"}, "a"), (("p0", "zzz", "a"), "a")):
+        for predicate in (is_siphon, is_trap):
+            with pytest.raises(AptError, match=f"unknown place '{unknown}'"):
+                predicate(n1, names)
