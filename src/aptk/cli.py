@@ -12,7 +12,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from difflib import get_close_matches
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from . import aptio, generators, structure, synthesis
 from . import lts as ltsmod
@@ -63,7 +63,9 @@ def _load_lts(path: str) -> ltsmod.Lts:
     return doc.lts
 
 
-def _write_or_print(text: str, path: Optional[str]) -> List[str]:
+def _write_apt(path: Optional[str], **document) -> List[str]:
+    """Print the `.apt` document with these fields, or write it to path."""
+    text = aptio.render(aptio.Document(**document))
     if path is None:
         return [text.rstrip("\n")]
     try:
@@ -74,13 +76,49 @@ def _write_or_print(text: str, path: Optional[str]) -> List[str]:
     return [f"output_written_to: {path}"]
 
 
-def _sequence_text(sequence: Sequence[str]) -> str:
+def _sequence_text(sequence: Iterable[str]) -> str:
     return "[" + ", ".join(sequence) + "]"
+
+
+def _braces(groups: Iterable[Iterable[str]]) -> str:
+    """Sets as a list of brace groups: `[{a, b}, {c}]`."""
+    return _sequence_text("{" + ", ".join(group) + "}" for group in groups)
+
+
+def _vectors(names: Sequence[str], rows: Iterable[Iterable[int]]) -> str:
+    """Vectors over `names` as brace groups of their nonzero entries: `[{a:1, c:2}]`."""
+    return _braces([f"{n}:{v}" for n, v in zip(names, row) if v] for row in rows)
 
 
 # ---------------------------------------------------------------------------
 # Module implementations.
 # ---------------------------------------------------------------------------
+
+
+def _report(key: str, check, witness: str = "", when: bool = False) -> List[str]:
+    """`key: Yes|No`; then, given a witness key, the check's witness on that
+    line when the answer is `when`, or else the check's detail if it has one."""
+    lines = [f"{key}: {_yesno(check)}"]
+    if witness and bool(check) == when:
+        value = check.witness
+        lines.append(f"{witness}: {value if isinstance(value, str) else _sequence_text(value)}")
+    elif not witness and check.detail:
+        lines.append(f"detail: {check.detail}")
+    return lines
+
+
+def _reporter(key: str, check) -> Callable[..., List[str]]:
+    return lambda arg: _report(key, check(arg))
+
+
+def _by_kind(path: str, net_check, lts_check):
+    """Check the net or transition system in the file, by the file's kind."""
+    doc = _load(path)
+    return net_check(doc.net) if doc.kind == "LPN" else lts_check(doc.lts)
+
+
+def _write_graph(graph, outfile: Optional[str]) -> List[str]:
+    return _write_apt(outfile, kind="LTS", lts=graph.lts, state_markings=graph.markings)
 
 
 def _run_bounded(net: petri.PetriNet, k: Optional[int] = None) -> List[str]:
@@ -93,47 +131,6 @@ def _run_bounded(net: petri.PetriNet, k: Optional[int] = None) -> List[str]:
     return lines
 
 
-def _run_coverability(net: petri.PetriNet, outfile: Optional[str] = None) -> List[str]:
-    graph = petri.coverability_graph(net)
-    doc = aptio.Document(kind="LTS", lts=graph.lts, state_markings=graph.markings)
-    return _write_or_print(aptio.render(doc), outfile)
-
-
-def _run_reachability(net: petri.PetriNet, outfile: Optional[str] = None) -> List[str]:
-    graph = petri.reachability_graph(net)
-    doc = aptio.Document(kind="LTS", lts=graph.lts, state_markings=graph.markings)
-    return _write_or_print(aptio.render(doc), outfile)
-
-
-def _simple_check(key: str, check) -> List[str]:
-    lines = [f"{key}: {_yesno(check)}"]
-    if check.detail:
-        lines.append(f"detail: {check.detail}")
-    return lines
-
-
-def _run_isolated(net) -> List[str]:
-    check = petri.has_isolated_elements(net)
-    lines = [f"isolated_elements: {_yesno(check)}"]
-    if check.ok:
-        lines.append(f"witness: {check.witness}")
-    return lines
-
-
-def _run_side_conditions(net) -> List[str]:
-    conds = petri.side_conditions(net)
-    rendered = ", ".join(f"({p}, {t})" for p, t in conds)
-    return [f"side_conditions: [{rendered}]"]
-
-
-def _run_word(net, word: List[str]) -> List[str]:
-    check = petri.word_in_language(net, word)
-    lines = [f"word_in_language: {_yesno(check)}"]
-    if not check:
-        lines.append(f"maximal_enabled_prefix: {_sequence_text(check.witness)}")
-    return lines
-
-
 def _run_separable(net, k: int, bound: int, mode: str = "weak") -> List[str]:
     verdict = petri.separable(net, k, bound, mode)
     lines = [f"separable: {verdict.verdict}"]
@@ -142,114 +139,31 @@ def _run_separable(net, k: int, bound: int, mode: str = "weak") -> List[str]:
     return lines
 
 
-def _run_pvs(lts) -> List[str]:
-    vectors = ltsmod.small_cycle_parikh_vectors(lts)
-    rendered = []
-    for pv in vectors:
-        inner = ", ".join(f"{t}:{pv.get(t)}" for t in lts.labels if pv.get(t))
-        rendered.append("{" + inner + "}")
-    return [f"small_cycle_parikh_vectors: [{', '.join(rendered)}]"]
-
-
-def _run_components(lts, strong: bool) -> List[str]:
-    parts = (
-        ltsmod.strongly_connected_components(lts)
-        if strong
-        else ltsmod.weakly_connected_components(lts)
-    )
-    rendered = ", ".join("{" + ", ".join(c) + "}" for c in parts)
-    key = "strongly_connected_components" if strong else "weakly_connected_components"
-    return [f"{key}: [{rendered}]", f"count: {len(parts)}"]
-
-
-def _run_two_lts(kind: str, l1, l2) -> List[str]:
-    if kind == "isomorphism":
-        check = ltsmod.isomorphic(l1, l2)
-        lines = [f"isomorphic: {_yesno(check)}"]
-        if check.ok:
-            pairs = ", ".join(f"{a}->{b}" for a, b in check.witness.items())
-            lines.append(f"mapping: {{{pairs}}}")
-        elif check.detail:
-            lines.append(f"detail: {check.detail}")
-        return lines
-    if kind == "bisimulation":
-        check = ltsmod.bisimilar(l1, l2)
-        return [f"bisimilar: {_yesno(check)}"]
-    check = ltsmod.language_equivalent(l1, l2)
-    lines = [f"language_equivalent: {_yesno(check)}"]
-    if not check:
-        lines.append(f"distinguishing_word: {_sequence_text(check.witness)}")
+def _run_isomorphism(l1, l2) -> List[str]:
+    check = ltsmod.isomorphic(l1, l2)
+    lines = [f"isomorphic: {_yesno(check)}"]
+    if check.ok:
+        pairs = ", ".join(f"{a}->{b}" for a, b in check.witness.items())
+        lines.append(f"mapping: {{{pairs}}}")
+    elif check.detail:
+        lines.append(f"detail: {check.detail}")
     return lines
 
 
-def _run_invariants(net, kind: str) -> List[str]:
-    solutions = structure.invariants(net, kind)
-    names = net.places if kind == "S" else net.transitions
-    rendered = []
-    for sol in solutions:
-        inner = ", ".join(f"{n}:{v}" for n, v in zip(names, sol) if v)
-        rendered.append("{" + inner + "}")
-    return [f"{kind.lower()}_invariants: [{', '.join(rendered)}]"]
+def _components(key: str, find) -> Callable[..., List[str]]:
+    def run(lts: ltsmod.Lts) -> List[str]:
+        parts = find(lts)
+        return [f"{key}: {_braces(parts)}", f"count: {len(parts)}"]
 
-
-def _run_covered(net, kind: str) -> List[str]:
-    check = structure.covered_by_invariants(net, kind)
-    lines = [f"covered: {_yesno(check)}"]
-    if not check:
-        lines.append(f"uncovered: {check.witness}")
-    return lines
-
-
-def _run_siphons(net, traps: bool) -> List[str]:
-    sets = structure.minimal_traps(net) if traps else structure.minimal_siphons(net)
-    rendered = ", ".join("{" + ", ".join(s) + "}" for s in sets)
-    key = "minimal_traps" if traps else "minimal_siphons"
-    return [f"{key}: [{rendered}]"]
-
-
-def _run_synthesize(props: synthesis.PropertySet, lts, outfile: Optional[str] = None) -> List[str]:
-    return _synthesis_output(synthesis.synthesize(lts, props), outfile)
-
-
-def _run_word_synthesize(props: synthesis.PropertySet, word: List[str], outfile: Optional[str] = None) -> List[str]:
-    return _synthesis_output(synthesis.word_synthesize(props, word), outfile)
+    return run
 
 
 def _synthesis_output(outcome: synthesis.SynthesisOutcome, outfile: Optional[str]) -> List[str]:
     """The report, then the synthesized net (printed, or written to outfile)."""
     lines = synthesis.format_report(outcome)
     if outcome.success and outcome.net is not None:
-        lines += _write_or_print(aptio.render(aptio.Document(kind="LPN", net=outcome.net)), outfile)
+        lines += _write_apt(outfile, kind="LPN", net=outcome.net)
     return lines
-
-
-def _run_generator(maker, outfile: Optional[str] = None) -> List[str]:
-    net = maker()
-    return _write_or_print(aptio.render(aptio.Document(kind="LPN", net=net)), outfile)
-
-
-def _run_draw(path: str) -> List[str]:
-    return [aptio.to_dot(_load(path)).rstrip("\n")]
-
-
-def _run_persistent(path: str) -> List[str]:
-    doc = _load(path)
-    check = (
-        petri.persistent(doc.net)
-        if doc.kind == "LPN"
-        else ltsmod.is_persistent(doc.lts)
-    )
-    return _simple_check("persistent", check)
-
-
-def _run_reversible(path: str) -> List[str]:
-    doc = _load(path)
-    check = (
-        petri.reversible(doc.net)
-        if doc.kind == "LPN"
-        else ltsmod.is_reversible(doc.lts)
-    )
-    return _simple_check("reversible", check)
 
 
 # ---------------------------------------------------------------------------
@@ -258,137 +172,106 @@ def _run_reversible(path: str) -> List[str]:
 
 
 def _registry() -> List[ModuleDescriptor]:
-    pn = lambda desc="The Petri net that should be examined": Parameter("pn", "pn", desc)
-    lts_param = lambda desc="The transition system that should be examined": Parameter(
-        "lts", "lts", desc
-    )
+    pn = Parameter("pn", "pn", "The Petri net that should be examined")
+    lts_param = Parameter("lts", "lts", "The transition system that should be examined")
     out = Parameter("output", "outfile", "Optional file to write the result to", optional=True)
+    file = Parameter("file", "file", "A Petri net or transition system file")
+    two_lts = [
+        Parameter("lts", "lts", "The first transition system"),
+        Parameter("lts2", "lts", "The second transition system"),
+    ]
+    word = Parameter("word", "word", "The word, letters separated by commas")
+    properties = Parameter("properties", "properties", "Comma-separated list of properties")
 
+    # modules that report `<name>: Yes|No` and the check's detail
+    net_checks = [
+        ("weakly_live", "Check that a Petri net has no unfireable transitions.", petri.weakly_live),
+        ("plain", "Check if all arc weights are at most one.", petri.is_plain),
+        ("pure", "Check if the net is free of side conditions.", petri.is_pure),
+        ("output_nonbranching", "Check that every place has at most one outgoing transition.",
+         petri.is_output_nonbranching),
+        ("conflict_free", "Check that every place is output-nonbranching or feeds its preset.",
+         petri.is_conflict_free),
+        ("tnet", "Check that every place has at most one pre- and post-transition.", petri.is_tnet),
+        ("marked_graph", "Check that every place has exactly one pre- and post-transition.",
+         petri.is_marked_graph),
+        ("bcf", "Check behavioural conflict freeness over all reachable markings.", petri.is_bcf),
+        ("bicf", "Check binary conflict freeness over all reachable markings.", petri.is_bicf),
+    ]
+    lts_checks = [
+        ("deterministic", "Check determinism of a transition system.", ltsmod.is_deterministic),
+        ("totally_reachable", "Check total reachability of a transition system.",
+         ltsmod.is_totally_reachable),
+    ]
+    file_checks = [
+        ("persistent", "Check persistence of a Petri net or transition system.",
+         lambda path: _by_kind(path, petri.persistent, ltsmod.is_persistent)),
+        ("reversible", "Check reversibility of a Petri net or transition system.",
+         lambda path: _by_kind(path, petri.reversible, ltsmod.is_reversible)),
+    ]
     modules = [
+        ModuleDescriptor(name, description, [parameter], _reporter(name, check))
+        for parameter, checks in ((pn, net_checks), (lts_param, lts_checks), (file, file_checks))
+        for name, description, check in checks
+    ]
+    modules += [
         ModuleDescriptor(
             "bounded",
             "Check if a Petri net is bounded or k-bounded.",
-            [pn(), Parameter("k", "int", "If given, k-boundedness is checked", optional=True)],
+            [pn, Parameter("k", "int", "If given, k-boundedness is checked", optional=True)],
             _run_bounded,
         ),
         ModuleDescriptor(
             "coverability_graph",
             "Compute the coverability graph of a Petri net.",
-            [pn(), out],
-            _run_coverability,
+            [pn, out],
+            lambda net, outfile=None: _write_graph(petri.coverability_graph(net), outfile),
         ),
         ModuleDescriptor(
             "reachability_graph",
             "Compute the reachability graph of a bounded Petri net.",
-            [pn(), out],
-            _run_reachability,
-        ),
-        ModuleDescriptor(
-            "weakly_live",
-            "Check that a Petri net has no unfireable transitions.",
-            [pn()],
-            lambda net: _simple_check("weakly_live", petri.weakly_live(net)),
-        ),
-        ModuleDescriptor(
-            "plain",
-            "Check if all arc weights are at most one.",
-            [pn()],
-            lambda net: _simple_check("plain", petri.is_plain(net)),
-        ),
-        ModuleDescriptor(
-            "pure",
-            "Check if the net is free of side conditions.",
-            [pn()],
-            lambda net: _simple_check("pure", petri.is_pure(net)),
+            [pn, out],
+            lambda net, outfile=None: _write_graph(petri.reachability_graph(net), outfile),
         ),
         ModuleDescriptor(
             "side_conditions",
             "List all side conditions of a Petri net.",
-            [pn()],
-            _run_side_conditions,
+            [pn],
+            lambda net: [
+                "side_conditions: "
+                + _sequence_text(f"({p}, {t})" for p, t in petri.side_conditions(net))
+            ],
         ),
         ModuleDescriptor(
             "isolated_elements",
             "Check for places or transitions without any arcs.",
-            [pn()],
-            _run_isolated,
-        ),
-        ModuleDescriptor(
-            "output_nonbranching",
-            "Check that every place has at most one outgoing transition.",
-            [pn()],
-            lambda net: _simple_check("output_nonbranching", petri.is_output_nonbranching(net)),
-        ),
-        ModuleDescriptor(
-            "conflict_free",
-            "Check that every place is output-nonbranching or feeds its preset.",
-            [pn()],
-            lambda net: _simple_check("conflict_free", petri.is_conflict_free(net)),
-        ),
-        ModuleDescriptor(
-            "tnet",
-            "Check that every place has at most one pre- and post-transition.",
-            [pn()],
-            lambda net: _simple_check("tnet", petri.is_tnet(net)),
-        ),
-        ModuleDescriptor(
-            "marked_graph",
-            "Check that every place has exactly one pre- and post-transition.",
-            [pn()],
-            lambda net: _simple_check("marked_graph", petri.is_marked_graph(net)),
-        ),
-        ModuleDescriptor(
-            "bcf",
-            "Check behavioural conflict freeness over all reachable markings.",
-            [pn()],
-            lambda net: _simple_check("bcf", petri.is_bcf(net)),
-        ),
-        ModuleDescriptor(
-            "bicf",
-            "Check binary conflict freeness over all reachable markings.",
-            [pn()],
-            lambda net: _simple_check("bicf", petri.is_bicf(net)),
-        ),
-        ModuleDescriptor(
-            "persistent",
-            "Check persistence of a Petri net or transition system.",
-            [Parameter("file", "file", "A Petri net or transition system file")],
-            _run_persistent,
-        ),
-        ModuleDescriptor(
-            "reversible",
-            "Check reversibility of a Petri net or transition system.",
-            [Parameter("file", "file", "A Petri net or transition system file")],
-            _run_reversible,
-        ),
-        ModuleDescriptor(
-            "deterministic",
-            "Check determinism of a transition system.",
-            [lts_param()],
-            lambda lts: _simple_check("deterministic", ltsmod.is_deterministic(lts)),
-        ),
-        ModuleDescriptor(
-            "totally_reachable",
-            "Check total reachability of a transition system.",
-            [lts_param()],
-            lambda lts: _simple_check("totally_reachable", ltsmod.is_totally_reachable(lts)),
+            [pn],
+            lambda net: _report(
+                "isolated_elements", petri.has_isolated_elements(net), "witness", when=True
+            ),
         ),
         ModuleDescriptor(
             "compute_pvs",
             "Compute the Parikh vectors of all small cycles.",
-            [lts_param()],
-            _run_pvs,
+            [lts_param],
+            lambda lts: [
+                "small_cycle_parikh_vectors: "
+                + _vectors(
+                    lts.labels,
+                    [map(pv.get, lts.labels) for pv in ltsmod.small_cycle_parikh_vectors(lts)],
+                )
+            ],
         ),
         ModuleDescriptor(
             "cycles_same_pv",
             "Check whether all small cycles have the same Parikh vector.",
-            [lts_param()],
+            [lts_param],
             lambda lts: [f"cycles_same_pv: {_yesno(ltsmod.cycles_same_pv(lts))}"],
         ),
         ModuleDescriptor(
             "weak_small_cycle_property",
             "Check the weak small cycle property.",
-            [lts_param()],
+            [lts_param],
             lambda lts: [
                 f"weak_small_cycle_property: {_yesno(ltsmod.weak_small_cycle_property(lts))}"
             ],
@@ -396,44 +279,48 @@ def _registry() -> List[ModuleDescriptor]:
         ModuleDescriptor(
             "strongly_connected_components",
             "Compute the strongly connected components of a transition system.",
-            [lts_param()],
-            lambda lts: _run_components(lts, strong=True),
+            [lts_param],
+            _components("strongly_connected_components", ltsmod.strongly_connected_components),
         ),
         ModuleDescriptor(
             "weakly_connected_components",
             "Compute the weakly connected components of a transition system.",
-            [lts_param()],
-            lambda lts: _run_components(lts, strong=False),
+            [lts_param],
+            _components("weakly_connected_components", ltsmod.weakly_connected_components),
         ),
         ModuleDescriptor(
             "isomorphism",
             "Check if two transition systems are isomorphic.",
-            [lts_param("The first transition system"), Parameter("lts2", "lts", "The second transition system")],
-            lambda l1, l2: _run_two_lts("isomorphism", l1, l2),
+            two_lts,
+            _run_isomorphism,
         ),
         ModuleDescriptor(
             "bisimulation",
             "Check if two transition systems are bisimilar.",
-            [lts_param("The first transition system"), Parameter("lts2", "lts", "The second transition system")],
-            lambda l1, l2: _run_two_lts("bisimulation", l1, l2),
+            two_lts,
+            lambda l1, l2: [f"bisimilar: {_yesno(ltsmod.bisimilar(l1, l2))}"],
         ),
         ModuleDescriptor(
             "language_equivalence",
             "Check if two transition systems have the same prefix language.",
-            [lts_param("The first transition system"), Parameter("lts2", "lts", "The second transition system")],
-            lambda l1, l2: _run_two_lts("language_equivalence", l1, l2),
+            two_lts,
+            lambda l1, l2: _report(
+                "language_equivalent", ltsmod.language_equivalent(l1, l2), "distinguishing_word"
+            ),
         ),
         ModuleDescriptor(
             "word_in_language",
             "Check whether a word is in the language of a Petri net.",
-            [pn(), Parameter("word", "word", "The word, letters separated by commas")],
-            _run_word,
+            [pn, word],
+            lambda net, w: _report(
+                "word_in_language", petri.word_in_language(net, w), "maximal_enabled_prefix"
+            ),
         ),
         ModuleDescriptor(
             "separable",
             "Search for violations of weak or strong separability.",
             [
-                pn(),
+                pn,
                 Parameter("k", "int", "The divisor of the initial marking"),
                 Parameter("bound", "int", "Maximal length of checked firing sequences"),
                 Parameter("mode", "mode", "weak or strong", optional=True),
@@ -443,54 +330,54 @@ def _registry() -> List[ModuleDescriptor]:
         ModuleDescriptor(
             "gcd_marking",
             "Compute the greatest common divisor of the initial marking.",
-            [pn()],
+            [pn],
             lambda net: [f"gcd: {petri.gcd_initial_marking(net)}"],
         ),
         ModuleDescriptor(
             "s_invariants",
             "Compute all minimal semipositive S-invariants.",
-            [pn()],
-            lambda net: _run_invariants(net, "S"),
+            [pn],
+            lambda net: [f"s_invariants: {_vectors(net.places, structure.invariants(net, 'S'))}"],
         ),
         ModuleDescriptor(
             "t_invariants",
             "Compute all minimal semipositive T-invariants.",
-            [pn()],
-            lambda net: _run_invariants(net, "T"),
+            [pn],
+            lambda net: [
+                f"t_invariants: {_vectors(net.transitions, structure.invariants(net, 'T'))}"
+            ],
         ),
         ModuleDescriptor(
             "covered_by_s_invariants",
             "Check coveredness by S-invariants.",
-            [pn()],
-            lambda net: _run_covered(net, "S"),
+            [pn],
+            lambda net: _report("covered", structure.covered_by_invariants(net, "S"), "uncovered"),
         ),
         ModuleDescriptor(
             "covered_by_t_invariants",
             "Check coveredness by T-invariants.",
-            [pn()],
-            lambda net: _run_covered(net, "T"),
+            [pn],
+            lambda net: _report("covered", structure.covered_by_invariants(net, "T"), "uncovered"),
         ),
         ModuleDescriptor(
             "siphons",
             "Compute all minimal siphons.",
-            [pn()],
-            lambda net: _run_siphons(net, traps=False),
+            [pn],
+            lambda net: [f"minimal_siphons: {_braces(structure.minimal_siphons(net))}"],
         ),
         ModuleDescriptor(
             "traps",
             "Compute all minimal traps.",
-            [pn()],
-            lambda net: _run_siphons(net, traps=True),
+            [pn],
+            lambda net: [f"minimal_traps: {_braces(structure.minimal_traps(net))}"],
         ),
         ModuleDescriptor(
             "synthesize",
             "Synthesize a Petri net from a transition system.",
-            [
-                Parameter("properties", "properties", "Comma-separated list of properties"),
-                lts_param("The transition system to synthesize"),
-                out,
-            ],
-            _run_synthesize,
+            [properties, Parameter("lts", "lts", "The transition system to synthesize"), out],
+            lambda props, lts, outfile=None: _synthesis_output(
+                synthesis.synthesize(lts, props), outfile
+            ),
             extra_help=(
                 "Supported properties: none, pure, plain, output-nonbranching, t-net,\n"
                 "conflict-free, k-bounded (as e.g. 2-bounded), safe, language, verbose."
@@ -499,25 +386,23 @@ def _registry() -> List[ModuleDescriptor]:
         ModuleDescriptor(
             "word_synthesize",
             "Synthesize a Petri net from a word.",
-            [
-                Parameter("properties", "properties", "Comma-separated list of properties"),
-                Parameter("word", "word", "The word, letters separated by commas"),
-                out,
-            ],
-            _run_word_synthesize,
+            [properties, word, out],
+            lambda props, w, outfile=None: _synthesis_output(
+                synthesis.word_synthesize(props, w), outfile
+            ),
         ),
         ModuleDescriptor(
             "bitnet_generator",
             "Generate a net of n independently flippable bits.",
             [Parameter("n", "int", "The number of bits"), out],
-            lambda n, outfile=None: _run_generator(lambda: generators.bitnet(n), outfile),
+            lambda n, outfile=None: _write_apt(outfile, kind="LPN", net=generators.bitnet(n)),
         ),
         ModuleDescriptor(
             "bistate_philnet_generator",
             "Generate a philosophers net where both forks are taken at once.",
             [Parameter("n", "int", "The number of philosophers"), out],
-            lambda n, outfile=None: _run_generator(
-                lambda: generators.philnet_bistate(n), outfile
+            lambda n, outfile=None: _write_apt(
+                outfile, kind="LPN", net=generators.philnet_bistate(n)
             ),
         ),
         ModuleDescriptor(
@@ -528,15 +413,15 @@ def _registry() -> List[ModuleDescriptor]:
                 Parameter("k", "int", "The number of tokens"),
                 out,
             ],
-            lambda n, k, outfile=None: _run_generator(
-                lambda: generators.cyclenet(n, k), outfile
+            lambda n, k, outfile=None: _write_apt(
+                outfile, kind="LPN", net=generators.cyclenet(n, k)
             ),
         ),
         ModuleDescriptor(
             "draw",
             "Translate a net or transition system into the DOT format.",
-            [Parameter("file", "file", "A Petri net or transition system file")],
-            _run_draw,
+            [file],
+            lambda path: [aptio.to_dot(_load(path)).rstrip("\n")],
         ),
     ]
     modules.sort(key=lambda m: m.name)
