@@ -779,7 +779,9 @@ def separable(
 ) -> SeparabilityVerdict:
     """Check (up to `length_bound`) whether behaviour from the initial marking
     k.M decomposes into k behaviours from M: Parikh-wise in weak mode, as a
-    shuffle in strong mode.
+    shuffle in strong mode.  The number of firing sequences can grow
+    exponentially with the bound, so past DEFAULT_STATE_LIMIT sequences,
+    read at call time, it raises StateLimitExceededError.
     """
     if mode not in ("weak", "strong"):
         raise AptError("mode must be 'weak' or 'strong'")
@@ -843,7 +845,13 @@ def separable(
 
     # Depth-first over firing sequences from k.M, shortest first per prefix.
     stack: List[Tuple[Tuple[int, ...], Tuple[str, ...]]] = [(initial.counts, ())]
+    limit, taken = DEFAULT_STATE_LIMIT, 0
     while stack:
+        taken += 1
+        if taken > limit:
+            raise StateLimitExceededError(
+                f"the separability search took more than {limit} firing sequences"
+            )
         marking, sequence = stack.pop()
         if sequence:
             if mode == "weak":

@@ -635,6 +635,32 @@ def test_separable_finds_violation():
     assert verdict.counterexample == ("t",)
 
 
+def _self_loops(labels="abc", tokens=2) -> PetriNet:
+    """One place with `tokens` tokens that every transition reads and returns."""
+    net = PetriNet()
+    net.add_place("p", tokens=tokens)
+    for t in labels:
+        net.add_transition(t)
+        net.add_flow("p", t)
+        net.add_flow(t, "p")
+    return net
+
+
+def test_separable_search_stops_at_the_state_limit(monkeypatch):
+    # every one of the 3^0 + ... + 3^n sequences up to bound n separates, so
+    # the search walks them all: 9,841 at bound 8, 88,573 at bound 10
+    net = _self_loops()
+    monkeypatch.setattr(petri, "DEFAULT_STATE_LIMIT", 10_000)
+    for mode in ("weak", "strong"):
+        assert separable(net, k=2, length_bound=8, mode=mode).verdict == "inconclusive"
+        with pytest.raises(StateLimitExceededError, match="more than 10000 firing sequences"):
+            separable(net, k=2, length_bound=10, mode=mode)
+    # the limit counts the sequences taken, read at call time
+    monkeypatch.setattr(petri, "DEFAULT_STATE_LIMIT", 9_840)
+    with pytest.raises(StateLimitExceededError, match="more than 9840 firing sequences"):
+        separable(net, k=2, length_bound=8)
+
+
 def test_separable_weak_mode_with_many_parts():
     # one recursion level per part overflowed the stack at k = 3000
     net = PetriNet()
