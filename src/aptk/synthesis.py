@@ -393,14 +393,16 @@ class _Engine:
 
     # -- location scopes ---------------------------------------------------
 
-    def _location_scopes(self, kind: str, x: int) -> List[Optional[Set[str]]]:
+    def _location_scopes(
+        self, kind: str, x: int, locations: Dict[str, str]
+    ) -> List[Optional[Set[str]]]:
         """Label sets allowed to consume from the region's place.
 
         Differently-located labels must end up with disjoint presets, so the
         consumers of any one place must stay within a single location; labels
         without a location conflict with nothing and are always allowed.
+        With every label its own location, a place has at most one consumer.
         """
-        locations = self._locations
         if not locations:
             return [None]
         unlocated = {t for t in self.labels if t not in locations}
@@ -415,23 +417,18 @@ class _Engine:
         """The input's label locations, read once per engine."""
         return self.lts.locations
 
-    def _on_scopes(self, kind: str, x: int) -> List[Set[str]]:
-        """Unique synthetic location per label: at most one consumer."""
-        if kind == "essp":
-            return [{self.labels[x]}]
-        return [{t} for t in self.labels]
-
     # -- general solver ----------------------------------------------------
 
     def solve_general(self, kind: str, i: int, x: int) -> Optional[Region]:
-        if self.props.cf:
-            # output-nonbranching region first, then nonnegative effects
-            attempts = [(scope, False) for scope in self._on_scopes(kind, x)]
-            attempts += [(scope, True) for scope in self._location_scopes(kind, x)]
-        elif self.props.on:
-            attempts = [(scope, False) for scope in self._on_scopes(kind, x)]
-        else:
-            attempts = [(scope, False) for scope in self._location_scopes(kind, x)]
+        # output-nonbranching regions first, then (under cf with nonnegative
+        # effects) the input's locations
+        attempts = []
+        if self.props.on or self.props.cf:
+            own = {t: t for t in self.labels}
+            attempts = [(scope, False) for scope in self._location_scopes(kind, x, own)]
+        if self.props.cf or not self.props.on:
+            located = self._location_scopes(kind, x, self._locations)
+            attempts += [(scope, self.props.cf) for scope in located]
         for scope, nonneg in attempts:
             region = self._solve_with(kind, i, x, scope, nonneg)
             if region is not None:

@@ -589,7 +589,9 @@ def test_general_solver_systems_match_reference(mode, monkeypatch):
         engine, old = _Engine(lts, props), ReferenceEngine(lts, props)
         for problem in enumerate_separation_problems(lts):
             kind, i, x = engine.locate(problem)
-            scopes = engine._location_scopes(kind, x) + engine._on_scopes(kind, x)
+            own = {t: t for t in engine.labels}
+            scopes = engine._location_scopes(kind, x, engine._locations)
+            scopes += engine._location_scopes(kind, x, own)
             assert scopes == old._location_scopes(problem) + old._on_scopes(problem)
             for scope in scopes:
                 for nonneg in (False, True) if props.cf else (False,):
