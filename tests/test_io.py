@@ -119,6 +119,21 @@ def test_name_description_escaping():
     assert again.description == "line"
 
 
+def test_lts_description_roundtrip():
+    lts = Lts.from_data("s0", [("s0", "a", "s0")], name="loop")
+    lts.description = 'one "a" loop'
+    text = render(Document(kind="LTS", lts=lts))
+    assert '.description "one \\"a\\" loop"\n.type LTS' in text
+    assert parse_lts(text).description == 'one "a" loop'
+
+
+def test_kind_specific_parsers_reject_the_other_kind():
+    with pytest.raises(AptError, match="expected an LTS document"):
+        parse_lts(N1_TEXT)
+    with pytest.raises(AptError, match="expected an LPN document"):
+        parse_net(EXAMPLE_LTS_TEXT)
+
+
 # (line, column) of each case's error, by its fragment
 ERROR_POSITIONS = {
     "duplicate": (2, 11),

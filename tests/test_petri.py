@@ -86,6 +86,13 @@ def test_marking_scaling_and_order():
     assert not Marking(("p", "q"), (2, 0)) <= marking
 
 
+def test_marking_sum():
+    total = Marking(("p", "q"), (1, OMEGA)) + Marking(("p", "q"), (2, 3))
+    assert total.counts == (3, OMEGA)
+    with pytest.raises(AptError, match="markings over different nets"):
+        Marking(("p", "q"), (1, 2)) + Marking(("p",), (1,))
+
+
 # -- reachability graph --------------------------------------------------------
 
 
@@ -481,6 +488,9 @@ def test_isolated_elements():
     net.add_place("island")
     check = has_isolated_elements(net)
     assert check and check.witness == "island"
+    net.add_flow("t", "island")
+    check = has_isolated_elements(net)
+    assert not check and check.witness is None and check.detail == ""
 
 
 def test_structural_classes_on_cycle():

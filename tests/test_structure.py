@@ -182,6 +182,10 @@ def test_siphon_and_trap_search_stops_at_the_frontier_limit(monkeypatch):
         minimal_traps(_choice(10, reverse=True))
 
 
+def test_empty_set_is_no_siphon_or_trap(n1):
+    assert not is_siphon(n1, set()) and not is_trap(n1, ())
+
+
 def test_siphon_and_trap_predicates_reject_names_that_are_no_places(n1):
     # a is a transition of n1; of several unknown names, the least is named
     for names, unknown in (({"zzz"}, "zzz"), ({"a"}, "a"), (("p0", "zzz", "a"), "a")):

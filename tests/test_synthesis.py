@@ -953,6 +953,23 @@ def test_property_parsing_roundtrip():
     assert PropertySet.parse("language,verbose").language
 
 
+def test_property_description_parses_back():
+    # every net property flag, language, and no bound, safe or 2-bounded
+    flags = ["pure", "plain", "output-nonbranching", "t-net", "conflict-free", "language"]
+    combinations = [
+        list(chosen) + bound
+        for n in range(len(flags) + 1)
+        for chosen in itertools.combinations(flags, n)
+        for bound in ([], ["safe"], ["2-bounded"])
+    ]
+    assert len(combinations) == 192
+    for tokens in combinations:
+        props = PropertySet.parse(",".join(tokens))
+        assert PropertySet.parse(props.describe()) == props
+    assert PropertySet.parse("language,2-bounded,pure").describe() == "pure,2-bounded,language"
+    assert PropertySet.parse("verbose,safe").describe() == "safe"
+
+
 def test_property_parsing_rejects_unknown():
     with pytest.raises(AptError):
         PropertySet.parse("shiny")
