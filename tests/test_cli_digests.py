@@ -148,6 +148,12 @@ def _run(argv):
     return f"status: {status}\nstdout:\n{stdout.getvalue()}stderr:\n{stderr.getvalue()}out.apt:\n{written}"
 
 
+# parameter name -> kind, for reading `apt help`
+_KINDS = {"pn": "pn", "lts": "lts", "lts2": "lts", "file": "file", "output": "outfile",
+          "k": "int", "n": "int", "bound": "int", "word": "word", "properties": "properties",
+          "mode": "mode"}
+
+
 def _modules():
     """(name, parameter kinds, number of required parameters) per module,
     read from `apt help`."""
@@ -164,12 +170,6 @@ def _modules():
         kinds = [_KINDS[word.strip("[<>]")] for word in usage]
         modules.append((name, kinds, sum(not word.startswith("[") for word in usage)))
     return modules
-
-
-# parameter name -> kind, for reading `apt help`
-_KINDS = {"pn": "pn", "lts": "lts", "lts2": "lts", "file": "file", "output": "outfile",
-          "k": "int", "n": "int", "bound": "int", "word": "word", "properties": "properties",
-          "mode": "mode"}
 
 
 def _invocations(name, kinds, required):
@@ -208,8 +208,10 @@ def _corpus_directory():
         os.chdir(directory)
         try:
             for name, content in _files().items():
-                path = pathlib.Path(name)
-                path.write_bytes(content) if isinstance(content, bytes) else path.write_text(content)
+                if isinstance(content, bytes):
+                    pathlib.Path(name).write_bytes(content)
+                else:
+                    pathlib.Path(name).write_text(content)
             yield
         finally:
             os.chdir(cwd)
@@ -223,6 +225,7 @@ def _outputs():
 
 
 def digests(outputs):
+    """One sha256 per group over the argv and output of each of its invocations."""
     shas = {}
     for group, argv, output in outputs:
         sha = shas.setdefault(group, hashlib.sha256())
