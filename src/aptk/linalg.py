@@ -606,6 +606,26 @@ def integer_kernel_basis(rows: Sequence[Sequence[int]], dim: Optional[int] = Non
     return basis
 
 
+def _full_column_rank(rows: Sequence[Sequence[int]], dim: int) -> bool:
+    """Whether the rows span all `dim` coordinates, that is whether
+    `integer_kernel_basis(rows, dim)` is empty.  Fraction-free (Bareiss)
+    elimination, one column at a time, stopping at the first column that no
+    remaining row has a pivot in; each step's division is exact."""
+    if len(rows) < dim:
+        return False
+    rows, last = list(rows), 1
+    for column in range(dim):
+        at = next((r for r, row in enumerate(rows) if row[0]), None)
+        if at is None:
+            return False
+        pivot = rows.pop(at)
+        if column + 1 < dim:
+            p = pivot[0]
+            rows = [[(p * v - row[0] * w) // last for v, w in zip(row[1:], pivot[1:])] for row in rows]
+            last = p
+    return True
+
+
 # ---------------------------------------------------------------------------
 # Minimal semipositive solutions (Contejean-Devie completion).
 # ---------------------------------------------------------------------------

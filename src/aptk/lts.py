@@ -152,15 +152,18 @@ class Lts:
         locations: Optional[Dict[str, str]] = None,
         name: str = "",
     ) -> "Lts":
-        """Convenience constructor; declares states/labels in first-seen order."""
-        arcs = list(arcs)
+        """Convenience constructor; declares states/labels in first-seen order.
+        Every state and label an arc names is declared, so the arcs are
+        appended without `add_arc`'s checks; a repeated arc is dropped."""
         lts = cls(name=name)
         seen_states: Dict[str, None] = {initial: None}
         seen_labels: Dict[str, None] = {}
+        triples = []
         for s, t, s2 in arcs:
             seen_states.setdefault(s, None)
             seen_states.setdefault(s2, None)
             seen_labels.setdefault(t, None)
+            triples.append((s, t, s2))
         for s in states:
             seen_states.setdefault(s, None)
         for t in labels:
@@ -170,8 +173,7 @@ class Lts:
         locations = locations or {}
         for t in seen_labels:
             lts.add_label(t, location=locations.get(t))
-        for arc in arcs:
-            lts.add_arc(*arc)
+        lts._append_arcs(triples)
         return lts
 
     # -- read access ------------------------------------------------------

@@ -801,6 +801,8 @@ def separable(
     base_vectors: Set[Tuple[int, ...]] = {(0,) * len(labels)}
     frontier: Dict[Tuple[int, ...], Tuple[int, ...]] = dict.fromkeys(base_vectors, base)
     for _ in range(length_bound):
+        if not frontier:
+            break
         nxt: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
         for vec, marking in frontier.items():
             for i, (_, pre, delta) in enumerate(compiled.values()):

@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from math import ceil
-from operator import sub
+from operator import add, sub
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .common import (
@@ -26,7 +26,7 @@ from .common import (
     StateLimitExceededError,
     UnsupportedInputError,
 )
-from .linalg import RowSystem, _dot, integer_kernel_basis, solve_cone
+from .linalg import RowSystem, _dot, _full_column_rank, integer_kernel_basis, solve_cone
 from .lts import (
     Lts,
     is_deterministic,
@@ -579,9 +579,15 @@ class _Engine:
     @cached_property
     def _projection(self) -> List[Tuple[int, ...]]:
         """psi(s) projected onto the basis, per state index, computed on
-        first use.  Projection is linear: a path difference psi(s) - psi(e)
-        projects to the difference of the two projections."""
-        return [tuple([_dot(v, row) for v in self.basis]) for row in self.psi]
+        first use down the tree, as psi is: a state's projection is its
+        parent's plus the basis column of its parent arc's label.
+        Projection is linear: a path difference psi(s) - psi(e) projects to
+        the difference of the two projections."""
+        columns = list(zip(*self.basis))
+        projection = [(0,) * len(self.basis)]
+        for u, k in self.parents:
+            projection.append(tuple(map(add, projection[u], columns[k])))
+        return projection
 
     def _basis_effects(self, rows, plain: bool) -> Optional[Tuple[int, ...]]:
         """Effects of an integer x with every row's effect at most -1 and,
@@ -810,17 +816,16 @@ def _separation_pass(engine: _Engine) -> Tuple[
     backward weight b > 0 at states valued below b, and the state pairs
     whose values differ.  A pair is solved once its states fall in
     different blocks: two states share one while every found region values
-    them alike."""
+    them alike.  Past `petri.DEFAULT_STATE_LIMIT` failed pairs, read at call
+    time, it raises StateLimitExceededError."""
     keys, by_label = engine.problems()
     m = 0 if engine.props.language else len(engine.states)  # states in pairs
-    if not (engine.general or engine.basis):  # an empty basis solves nothing
-        essp_failed = [("essp", *divmod(key, len(engine.labels))) for key in keys]
-        return keys, [], essp_failed + [("ssp", i, j) for i, j in combinations(range(m), 2)]
     essp = [(k, group) for k, group in enumerate(by_label) if group]
     found: List[Tuple[Region, List[int], Set[int]]] = []
     covered: Set[int] = set()
     failed: List[Tuple[str, int, int]] = []
     block = [0] * m  # the found regions' blocks
+    limit, pairs_failed = _petri.DEFAULT_STATE_LIMIT, 0
 
     def unsolved():  # lazy, so each check sees every region found before it
         for p, key in enumerate(keys):
@@ -833,6 +838,10 @@ def _separation_pass(engine: _Engine) -> Tuple[
     for problem in unsolved():
         region = engine.solve(*problem)
         if region is None:
+            if problem[0] == "ssp":
+                pairs_failed += 1
+                if pairs_failed > limit:
+                    raise _too_many_pairs(limit)
             failed.append(problem)
             continue
         values, b = engine.value_array(region), region.backward
@@ -843,25 +852,47 @@ def _separation_pass(engine: _Engine) -> Tuple[
     return keys, found, failed
 
 
+def _too_many_pairs(limit: int) -> StateLimitExceededError:
+    """The error for a report that would list more failed state pairs than
+    the budget, `petri.DEFAULT_STATE_LIMIT` read at call time, allows."""
+    return StateLimitExceededError(f"more than {limit} state pairs fail to separate")
+
+
 def _run_engine(engine: _Engine) -> SynthesisOutcome:
     """Run the separation pass.  On failure, report the unsolvable problems
     with every region found; on success, keep the regions that
-    `minimize_regions` picks, build their net and verify it."""
-    lts, props, states = engine.lts, engine.props, engine.states
-    keys, found, failed = _separation_pass(engine)
-    outcome = SynthesisOutcome(success=not failed, properties=props, lts=lts)
-    if failed:
-        outcome.regions = [region for region, _, _ in found]
+    `minimize_regions` picks, build their net and verify it.
+
+    If the cycle rows span every label, every region's effects are 0,
+    whatever the property set, so its count is the same at every state and
+    it solves no problem: the report lists every problem, in the pass's
+    order, and nothing is solved."""
+    lts, props, states, labels = engine.lts, engine.props, engine.states, engine.labels
+    outcome = SynthesisOutcome(success=False, properties=props, lts=lts)
+    if _full_column_rank(engine.cycle_rows, len(labels)):
+        keys, found = engine.problems()[0], []
+        for key in keys:
+            i, x = divmod(key, len(labels))
+            outcome.failed_essp.setdefault(labels[x], []).append(states[i])
+        if not props.language:
+            if len(states) * (len(states) - 1) // 2 > _petri.DEFAULT_STATE_LIMIT:
+                raise _too_many_pairs(_petri.DEFAULT_STATE_LIMIT)
+            outcome.failed_ssp = list(combinations(states, 2))
+    else:
+        keys, found, failed = _separation_pass(engine)
         for kind, i, x in failed:
             if kind == "ssp":
                 outcome.failed_ssp.append((states[i], states[x]))
             else:
-                outcome.failed_essp.setdefault(engine.labels[x], []).append(states[i])
+                outcome.failed_essp.setdefault(labels[x], []).append(states[i])
+    if outcome.failed_ssp or outcome.failed_essp:
+        outcome.regions = [region for region, _, _ in found]
         return outcome
 
     minimized = minimize_regions(engine, found, keys) if found else []
     name = f"synthesized from {lts.name}" if lts.name else "synthesized"
     net = _build_net(lts, minimized, name=name)
+    outcome.success = True
     outcome.regions = minimized
     outcome.net = net
     _verify_success(engine, net)

@@ -112,6 +112,26 @@ def test_kernel_deterministic():
     assert integer_kernel_basis(rows) == integer_kernel_basis(rows)
 
 
+def test_full_column_rank_is_an_empty_kernel_basis():
+    # the rank test against the basis it stands in for, on seeded random
+    # matrices and on the cycle rows of every canonical system
+    from test_synthesis import _canonical_instances
+    from aptk.synthesis import _Engine, PropertySet
+
+    rng = random.Random(20150601)
+    cases = []
+    for _ in range(3000):
+        dim = rng.randint(1, 5)
+        cases.append(([tuple(rng.randint(-3, 3) for _ in range(dim)) for _ in range(rng.randint(0, 8))], dim))
+    for lts in _canonical_instances(3, 2):
+        engine = _Engine(lts, PropertySet())
+        cases.append((engine.cycle_rows, len(engine.labels)))
+    verdicts = [linalg._full_column_rank(rows, dim) for rows, dim in cases]
+    assert verdicts == [integer_kernel_basis(rows, dim=dim) == [] for rows, dim in cases]
+    assert sum(verdicts[:3000]) > 1000 and sum(verdicts[3000:]) > 500
+    assert not all(verdicts[:3000]) and not all(verdicts[3000:])
+
+
 # -- integer feasibility ------------------------------------------------------
 
 

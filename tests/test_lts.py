@@ -44,6 +44,29 @@ def test_arcs_deduplicate():
     assert len(lts.arcs) == 1
 
 
+def test_from_data_matches_adding_one_by_one():
+    # from_data declares what its arcs name and appends them unchecked: the
+    # same states, labels, arcs and per-state arc lists as add_arc, whether
+    # the arcs come as lists, as Arcs or with one repeated
+    triples = [("s0", "a", "s1"), ("s1", "b", "s0"), ("s1", "a", "s2"), ("s2", "b", "s2")]
+    expected = Lts()
+    expected.add_state("s0", initial=True)
+    for state in ("s1", "s2", "lost"):
+        expected.add_state(state)
+    for label in ("a", "b", "e"):
+        expected.add_label(label)
+    for triple in triples:
+        expected.add_arc(*triple)
+    for arcs in (triples, [list(t) for t in triples], list(expected.arcs), triples + triples[1:2]):
+        lts = Lts.from_data("s0", arcs, states=["lost"], labels=["e"])
+        assert (lts.initial, lts.states, lts.labels, lts.arcs) == (
+            expected.initial, expected.states, expected.labels, expected.arcs
+        )
+        for state in expected.states:
+            assert lts.arcs_from(state) == expected.arcs_from(state)
+            assert lts.arcs_to(state) == expected.arcs_to(state)
+
+
 def test_reachable_states_example(example_lts):
     assert reachable_states(example_lts) == ["s0", "s1", "s2", "s3", "s4", "s5", "s6"]
 

@@ -671,6 +671,16 @@ def test_separable_search_stops_at_the_state_limit(monkeypatch):
         separable(net, k=2, length_bound=8)
 
 
+def test_separable_stops_once_nothing_fires():
+    # from M no transition fires, so the Parikh search ends at once however
+    # large the bound; it ran to the bound, about 1.4 s per 10^7
+    net = PetriNet()
+    net.add_place("p", tokens=2)
+    net.add_transition("t")
+    net.add_flow("p", "t", 2)
+    assert separable(net, k=2, length_bound=10**9).verdict == "no"
+
+
 def test_separable_weak_mode_with_many_parts():
     # one recursion level per part overflowed the stack at k = 3000
     net = PetriNet()

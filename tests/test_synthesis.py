@@ -896,6 +896,31 @@ def test_language_only_unfolding_stops_at_the_state_limit(monkeypatch):
     assert synthesize_language_only(lts).success
 
 
+def _one_label_cycle(n, tail=False):
+    """s0 -a-> s1 ... -a-> s0, with `tail` also s0 -b-> t."""
+    arcs = [(f"s{i}", "a", f"s{(i + 1) % n}") for i in range(n)]
+    return Lts.from_data("s0", arcs + [("s0", "b", "t")] * tail)
+
+
+@pytest.mark.parametrize("mode", ["none", "safe"])
+def test_failed_state_pairs_stop_at_the_state_limit(mode, monkeypatch):
+    # a six-state one-label cycle fails its 15 state pairs at once; with a
+    # b-arc out of it the basis is not empty, and the pass fails them one by
+    # one.  Either report raises past the limit, read at call time
+    props = PropertySet.parse(mode)
+    for lts in (_one_label_cycle(6), _one_label_cycle(6, tail=True)):
+        pairs = len(synthesize(lts, props).failed_ssp)
+        assert pairs >= 15
+        monkeypatch.setattr(petri, "DEFAULT_STATE_LIMIT", pairs - 1)
+        with pytest.raises(StateLimitExceededError, match=f"more than {pairs - 1} state pairs"):
+            synthesize(lts, props)
+        monkeypatch.setattr(petri, "DEFAULT_STATE_LIMIT", pairs)
+        assert len(synthesize(lts, props).failed_ssp) == pairs
+    monkeypatch.setattr(petri, "DEFAULT_STATE_LIMIT", 10)
+    with pytest.raises(StateLimitExceededError, match="more than 10 state pairs"):
+        synthesize(_one_label_cycle(6), props)
+
+
 # -- report rendering -----------------------------------------------------------
 
 

@@ -38,6 +38,12 @@ and reports on the canonical systems, bitnet(3..5), cyclenet(16, 1) and
 the words of the `words` digest family, in five modes with and without
 `verbose`; and the same initial value for random weights.  Synthesis
 builds no `SeparationProblem`.
+
+An input whose cycle rows span every label is reported without the pass:
+the same success and failures as the reference engine's pass on every
+such canonical system, under five property sets with and without
+`language`, with no pass run, no kernel basis built and no system solved.
+The basis projections built down the tree equal the dot products.
 """
 
 from dataclasses import replace
@@ -642,6 +648,79 @@ def test_empty_basis_fails_every_problem_without_solving(mode, monkeypatch):
         assert (outcome.failed_ssp, outcome.failed_essp) == (reference.failed_ssp, reference.failed_essp)
         assert format_report(outcome) == format_report(reference)
     assert sum(not outcome.success for outcome in outcomes) > 100
+
+
+def _refuse(what):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"synthesis {what}")
+    return refuse
+
+
+@pytest.mark.parametrize("mode", ["none", "pure", "plain,pure", "safe", "conflict-free"])
+def test_full_rank_report_matches_the_reference_pass(mode, monkeypatch):
+    # cycle rows that span every label leave every region with zero effects,
+    # under any property set: the report lists every problem, as the
+    # reference pass fails them one by one, and nothing is solved.  With
+    # `language` the engine also runs on each cyclic input itself, as no
+    # public entry point does, so that the report without state pairs is
+    # checked; the public language-only calls are compared as they are
+    props = PropertySet.parse(mode)
+    language = replace(props, language=True)
+    inputs = [
+        lts for lts in _canonical_instances(3, 2)
+        if integer_kernel_basis(_Engine(lts, props).cycle_rows, dim=len(lts.labels)) == []
+    ]
+    cases = [(lts, p) for lts in inputs for p in (props, language)]
+    expected = [reference_run_engine(ReferenceEngine(lts, p)) for lts, p in cases]
+    public = [_outcome_or_error(lts, language) for lts in inputs]
+    with monkeypatch.context() as patched:
+        patched.setattr(synthesis_module, "_Engine", ReferenceEngine)
+        patched.setattr(synthesis_module, "_run_engine", reference_run_engine)
+        assert public == [_outcome_or_error(lts, language) for lts in inputs]
+    monkeypatch.setattr(synthesis_module, "_separation_pass", _refuse("ran the separation pass"))
+    monkeypatch.setattr(synthesis_module, "integer_kernel_basis", _refuse("built a kernel basis"))
+    monkeypatch.setattr(RowSystem, "solve", _refuse("solved a system"))
+    outcomes = [synthesis_module._run_engine(_Engine(lts, p)) for lts, p in cases]
+    for (lts, _), outcome, reference in zip(cases, outcomes, expected):
+        got = (outcome.success, outcome.failed_ssp, list(outcome.failed_essp.items()))
+        want = (reference.success, reference.failed_ssp, list(reference.failed_essp.items()))
+        assert got == want, sorted(map(str, lts.arcs))
+        assert format_report(outcome) == format_report(reference)
+    assert len(inputs) > 500 and {outcome.success for outcome in outcomes} == {True, False}
+    assert any(outcome.failed_ssp for outcome in outcomes)
+
+
+def _outcome_or_error(lts, props):
+    try:
+        outcome = synthesize(lts, props)
+    except AptError as err:
+        return f"{type(err).__name__}: {err}"
+    return format_report(outcome)
+
+
+@pytest.mark.parametrize("mode", ["none", "safe", "output-nonbranching"])
+def test_full_rank_synthesis_of_a_long_cycle_solves_nothing(mode, monkeypatch):
+    # a one-label cycle of 200 states: 19,900 state pairs no region
+    # separates, listed without a kernel basis or a system to solve
+    lts = Lts.from_data("s0", [(f"s{i}", "a", f"s{(i + 1) % 200}") for i in range(200)])
+    monkeypatch.setattr(synthesis_module, "integer_kernel_basis", _refuse("built a kernel basis"))
+    monkeypatch.setattr(RowSystem, "solve", _refuse("solved a system"))
+    outcome = synthesize(lts, PropertySet.parse(mode))
+    assert not outcome.success and outcome.failed_essp == {} and outcome.regions == []
+    assert outcome.failed_ssp == list(combinations(lts.states, 2))
+
+
+def test_projection_down_the_tree_matches_the_dot_products():
+    # each state's projection is its parent's plus one basis column, against
+    # psi(s) . v for every basis vector v
+    count = 0
+    for lts in _canonical_instances(3, 2) + [reachability_graph(net).lts for net in (bitnet(5), cyclenet(24, 1))]:
+        engine = _Engine(lts, PropertySet())
+        if engine.basis:  # the basis solver reads no projection of an empty basis
+            expected = [tuple(sum(a * b for a, b in zip(v, row)) for v in engine.basis) for row in engine.psi]
+            assert engine._projection == expected, sorted(map(str, lts.arcs))
+            count += 1
+    assert count > 50
 
 
 def _engine_inputs():
