@@ -6,16 +6,14 @@ in that order so witnesses and outputs are reproducible run to run.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
-from operator import attrgetter
+from operator import attrgetter, le
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .common import AptError, Check, CycleCapExceededError, PreconditionError, StateLimitExceededError
-
-DEFAULT_CYCLE_CAP = 10 ** 6
 
 
 class ParikhVector:
@@ -431,74 +429,71 @@ def spanning_tree(lts: Lts) -> SpanningTree:
     return tree
 
 
-def _elementary_cycles(lts: Lts):
-    """Yield Parikh vectors of all simple cycles in the reachable part.
+def _elementary_cycles(lts: Lts) -> Iterator[Tuple[int, ...]]:
+    """Yield the Parikh vector of every simple cycle in the reachable part,
+    as a tuple over `lts.labels`.
 
     Cycles are enumerated per anchor state using only states that come later
     in discovery order, so each cycle is produced exactly once (up to
     rotation).  Parallel arcs with different labels give distinct cycles.
-    Past DEFAULT_CYCLE_CAP cycles, or petri.DEFAULT_STATE_LIMIT path
-    extensions (exponentially many paths can close no cycle), both read at
-    call time, it raises CycleCapExceededError.
+    One count list follows the current path: an arc adds one as the path
+    takes it and subtracts it on backtracking.  Path extensions and cycles
+    count as steps (exponentially many paths can close no cycle); past
+    petri.DEFAULT_STATE_LIMIT steps, read at call time, it raises
+    CycleCapExceededError.
     """
     from .petri import DEFAULT_STATE_LIMIT as limit  # petri imports this module
 
-    cap = DEFAULT_CYCLE_CAP
     reach = reachable_states(lts)
     pos = {s: i for i, s in enumerate(reach)}
-    produced = steps = 0
+    index = {t: i for i, t in enumerate(lts._labels)}
+    counts = [0] * len(index)
+    steps = 0
     for root in reach:
         root_pos = pos[root]
-        # path holds the current simple path from root; stack drives the DFS
-        stack: List[Tuple[str, Iterable[Arc]]] = [(root, iter(lts.arcs_from(root)))]
+        # the DFS stack: each path state, its unread arcs and the label index
+        # of the arc that entered it (None at the root)
+        stack: List[Tuple[str, Iterator[Arc], Optional[int]]] = [(root, iter(lts._out[root]), None)]
         on_path = {root}
-        labels: List[str] = []
         while stack:
-            state, it = stack[-1]
+            state, it, entered = stack[-1]
             for arc in it:
                 tgt = arc.target
-                if pos.get(tgt, -1) < root_pos:
+                if pos.get(tgt, -1) < root_pos or (tgt in on_path and tgt != root):
                     continue
+                steps += 1
+                if steps > limit:
+                    raise CycleCapExceededError(f"the cycle search passed its limit of {limit} steps")
+                i = index[arc.label]
+                counts[i] += 1
                 if tgt == root:
-                    produced += 1
-                    if produced > cap:
-                        raise CycleCapExceededError(
-                            f"more than {cap} elementary cycles; raise the cap to continue"
-                        )
-                    yield ParikhVector(Counter(labels + [arc.label]))
-                elif tgt not in on_path:
-                    steps += 1
-                    if steps > limit:
-                        raise CycleCapExceededError(f"the cycle search passed its limit of {limit} path steps")
+                    yield tuple(counts)
+                    counts[i] -= 1
+                else:
                     on_path.add(tgt)
-                    labels.append(arc.label)
-                    stack.append((tgt, iter(lts.arcs_from(tgt))))
+                    stack.append((tgt, iter(lts._out[tgt]), i))
                     break
             else:
                 stack.pop()
-                if labels:
-                    labels.pop()
                 on_path.discard(state)
+                if entered is not None:
+                    counts[entered] -= 1
 
 
 def small_cycle_parikh_vectors(lts: Lts) -> List[ParikhVector]:
     """Parikh vectors of small cycles: the minimal elements, under the strict
     componentwise order, among Parikh vectors of all simple cycles reachable
-    from the initial state.
+    from the initial state, in order of first appearance.
 
     Every cycle decomposes into simple cycles through its own states, so the
     minimal vectors are attained on simple cycles.
     """
-    vectors: List[ParikhVector] = []
-    for pv in _elementary_cycles(lts):
-        if pv not in vectors:
-            vectors.append(pv)
-    minimal = [
-        pv
-        for pv in vectors
-        if not any(other.strictly_below(pv) for other in vectors)
+    vectors = list(dict.fromkeys(_elementary_cycles(lts)))
+    return [
+        ParikhVector(dict(zip(lts.labels, vec)))
+        for vec in vectors
+        if not any(other != vec and all(map(le, other, vec)) for other in vectors)
     ]
-    return minimal
 
 
 def cycles_same_pv(lts: Lts) -> bool:

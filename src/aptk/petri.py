@@ -9,7 +9,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cache, reduce
 from math import inf
-from operator import ge, itemgetter
+from operator import ge, itemgetter, le
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from .common import (
@@ -818,35 +818,32 @@ def separable(
     def weak_decomposes(target: Tuple[int, ...], parts: int) -> bool:
         if parts == 1:
             return target in base_vectors
-        candidates = [
-            v for v in base_vectors if all(a <= b for a, b in zip(v, target))
-        ]
-        for v in candidates:
-            rest = tuple(b - a for a, b in zip(v, target))
-            if weak_decomposes(rest, parts - 1):
-                return True
-        return False
+        return any(
+            weak_decomposes(tuple(b - a for a, b in zip(v, target)), parts - 1)
+            for v in base_vectors
+            if all(map(le, v, target))
+        )
 
-    def strong_accepts(sequence: Tuple[str, ...]) -> bool:
-        # States: multisets of k component markings, advanced letter by letter.
-        states: Set[Tuple[Tuple[int, ...], ...]] = {tuple([base] * k)}
-        for t in sequence:
-            _, pre, delta = compiled[t]
-            nxt_states: Set[Tuple[Tuple[int, ...], ...]] = set()
-            for combo in states:
-                for i in range(k):
-                    if i > 0 and combo[i] == combo[i - 1]:
-                        continue  # symmetric choice
-                    fired = _successor(pre, delta, combo[i])
-                    if fired is not None:
-                        nxt_states.add(tuple(sorted(combo[:i] + (fired,) + combo[i + 1 :])))
-            if not nxt_states:
-                return False
-            states = nxt_states
-        return True
+    # Each stack entry carries what its check reads, built from its parent's:
+    # in weak mode the sequence's Parikh vector, in strong mode the set of
+    # multisets of k component markings (sorted tuples) that split it.
+    def step(data, i: int, pre: Tuple, delta: Tuple):
+        if mode == "weak":
+            return data[:i] + (data[i] + 1,) + data[i + 1 :]
+        splits = set()
+        for combo in data:
+            for j in range(k):
+                if j > 0 and combo[j] == combo[j - 1]:
+                    continue  # symmetric choice
+                fired = _successor(pre, delta, combo[j])
+                if fired is not None:
+                    splits.add(tuple(sorted(combo[:j] + (fired,) + combo[j + 1 :])))
+        return splits
 
     # Depth-first over firing sequences from k.M, shortest first per prefix.
-    stack: List[Tuple[Tuple[int, ...], Tuple[str, ...]]] = [(initial.counts, ())]
+    start = (0,) * len(labels) if mode == "weak" else {(base,) * k}
+    stack: List[Tuple[Tuple[int, ...], Tuple[str, ...], object]] = [(initial.counts, (), start)]
+    transitions = list(enumerate(compiled.items()))[::-1]
     limit, taken = DEFAULT_STATE_LIMIT, 0
     while stack:
         taken += 1
@@ -854,21 +851,18 @@ def separable(
             raise StateLimitExceededError(
                 f"the separability search took more than {limit} firing sequences"
             )
-        marking, sequence = stack.pop()
+        marking, sequence, data = stack.pop()
         if sequence:
-            if mode == "weak":
-                # the zero vector is a base vector: parts beyond the letter
-                # count would be zeros, and each one costs a recursion level
-                ok = weak_decomposes(tuple(sequence.count(t) for t in labels), min(k, len(sequence)))
-            else:
-                ok = strong_accepts(sequence)
+            # the zero vector is a base vector: parts beyond the letter count
+            # would be zeros, and each one costs a recursion level
+            ok = weak_decomposes(data, min(k, len(sequence))) if mode == "weak" else data
             if not ok:
                 return SeparabilityVerdict("no", sequence)
         if len(sequence) < length_bound:
-            for t, (_, pre, delta) in reversed(compiled.items()):
+            for i, (t, (_, pre, delta)) in transitions:
                 fired = _successor(pre, delta, marking)
                 if fired is not None:
-                    stack.append((fired, sequence + (t,)))
+                    stack.append((fired, sequence + (t,), step(data, i, pre, delta)))
     return SeparabilityVerdict("inconclusive")
 
 

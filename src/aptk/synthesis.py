@@ -990,14 +990,7 @@ def word_lts(word: Sequence[str]) -> Lts:
     each named by `lts.state_name` (ss1 where a letter is s1)."""
     letters = set(word)
     names = [state_name(i, letters) for i in range(len(word) + 1)]
-    lts = Lts(name="word")
-    lts.add_state(names[0], initial=True)
-    for t in dict.fromkeys(word):
-        lts.add_label(t)
-    for i, letter in enumerate(word, start=1):
-        lts.add_state(names[i])
-        lts.add_arc(names[i - 1], letter, names[i])
-    return lts
+    return Lts.from_data(names[0], zip(names, word, names[1:]), name="word")
 
 
 def word_synthesize(props: Optional[PropertySet], word: Sequence[str]) -> SynthesisOutcome:

@@ -14,15 +14,24 @@ the breadth-first walks that each kept a deque of its own, before all of
 them shared one closure routine; `is_reversible` filtered its backward
 walk to the reachable states.  The current functions must return the same
 lists in the same order, and the same verdict, witness and detail.
+
+`_elementary_cycles` is the cycle search that built a Counter from the
+whole path for each cycle, with a cap of its own on cycles besides the
+state limit on path extensions; `small_cycle_parikh_vectors`
+deduplicated its ParikhVectors by a list-membership scan and filtered
+them with `strictly_below`.  The current small-cycle checks must return
+the same vectors in the same order, or raise the same error type.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Dict, List, Tuple
+from collections import Counter, deque
+from typing import Dict, Iterable, List, Tuple
 
-from aptk.common import Check, PreconditionError
-from aptk.lts import Lts, _signature, is_deterministic, is_totally_reachable
+from aptk.common import Check, CycleCapExceededError, PreconditionError
+from aptk.lts import Arc, Lts, ParikhVector, _signature, is_deterministic, is_totally_reachable
+
+DEFAULT_CYCLE_CAP = 10 ** 6
 
 
 def isomorphic(l1: Lts, l2: Lts) -> Check:
@@ -243,3 +252,88 @@ def weakly_connected_components(lts: Lts) -> List[List[str]]:
         components.append(component)
     components.sort(key=lambda c: state_pos[c[0]])
     return components
+
+
+def _elementary_cycles(lts: Lts):
+    """Yield Parikh vectors of all simple cycles in the reachable part.
+
+    Cycles are enumerated per anchor state using only states that come later
+    in discovery order, so each cycle is produced exactly once (up to
+    rotation).  Parallel arcs with different labels give distinct cycles.
+    Past DEFAULT_CYCLE_CAP cycles, or petri.DEFAULT_STATE_LIMIT path
+    extensions (exponentially many paths can close no cycle), both read at
+    call time, it raises CycleCapExceededError.
+    """
+    from aptk.petri import DEFAULT_STATE_LIMIT as limit
+
+    cap = DEFAULT_CYCLE_CAP
+    reach = reachable_states(lts)
+    pos = {s: i for i, s in enumerate(reach)}
+    produced = steps = 0
+    for root in reach:
+        root_pos = pos[root]
+        # path holds the current simple path from root; stack drives the DFS
+        stack: List[Tuple[str, Iterable[Arc]]] = [(root, iter(lts.arcs_from(root)))]
+        on_path = {root}
+        labels: List[str] = []
+        while stack:
+            state, it = stack[-1]
+            for arc in it:
+                tgt = arc.target
+                if pos.get(tgt, -1) < root_pos:
+                    continue
+                if tgt == root:
+                    produced += 1
+                    if produced > cap:
+                        raise CycleCapExceededError(
+                            f"more than {cap} elementary cycles; raise the cap to continue"
+                        )
+                    yield ParikhVector(Counter(labels + [arc.label]))
+                elif tgt not in on_path:
+                    steps += 1
+                    if steps > limit:
+                        raise CycleCapExceededError(f"the cycle search passed its limit of {limit} path steps")
+                    on_path.add(tgt)
+                    labels.append(arc.label)
+                    stack.append((tgt, iter(lts.arcs_from(tgt))))
+                    break
+            else:
+                stack.pop()
+                if labels:
+                    labels.pop()
+                on_path.discard(state)
+
+
+def small_cycle_parikh_vectors(lts: Lts) -> List[ParikhVector]:
+    """Parikh vectors of small cycles: the minimal elements, under the strict
+    componentwise order, among Parikh vectors of all simple cycles reachable
+    from the initial state.
+
+    Every cycle decomposes into simple cycles through its own states, so the
+    minimal vectors are attained on simple cycles.
+    """
+    vectors: List[ParikhVector] = []
+    for pv in _elementary_cycles(lts):
+        if pv not in vectors:
+            vectors.append(pv)
+    minimal = [
+        pv
+        for pv in vectors
+        if not any(other.strictly_below(pv) for other in vectors)
+    ]
+    return minimal
+
+
+def cycles_same_pv(lts: Lts) -> bool:
+    """Strong small cycle property: all small cycles share one Parikh vector."""
+    return len(small_cycle_parikh_vectors(lts)) <= 1
+
+
+def weak_small_cycle_property(lts: Lts) -> bool:
+    """Distinct small-cycle Parikh vectors must have pairwise disjoint supports."""
+    vectors = small_cycle_parikh_vectors(lts)
+    for i, pv in enumerate(vectors):
+        for other in vectors[i + 1 :]:
+            if pv.support() & other.support():
+                return False
+    return True

@@ -26,7 +26,6 @@ from aptk import (
     weakly_connected_components,
 )
 from aptk import aptio, petri
-from aptk import lts as lts_module
 from aptk.cli import main
 
 from conftest import EXAMPLE_ARCS
@@ -255,14 +254,17 @@ def test_weak_but_not_strong_overlap():
 
 
 def test_cycle_cap(monkeypatch):
-    # two elementary cycles; the cap is the module's, read at call time
+    # one path extension (s0 -a-> s1) and two cycles: the cycle search's one
+    # budget is petri's state limit, read at call time, and counts all three
     lts = Lts.from_data("s0", [("s0", "a", "s1"), ("s1", "b", "s0"), ("s0", "c", "s0")])
-    monkeypatch.setattr(lts_module, "DEFAULT_CYCLE_CAP", 1)
+    monkeypatch.setattr(petri, "DEFAULT_STATE_LIMIT", 2)
     for check in (small_cycle_parikh_vectors, cycles_same_pv, weak_small_cycle_property):
-        with pytest.raises(CycleCapExceededError, match="more than 1 elementary cycles"):
+        with pytest.raises(CycleCapExceededError, match="cycle search passed its limit of 2 steps"):
             check(lts)
-    monkeypatch.setattr(lts_module, "DEFAULT_CYCLE_CAP", 2)
-    assert len(small_cycle_parikh_vectors(lts)) == 2
+    monkeypatch.setattr(petri, "DEFAULT_STATE_LIMIT", 3)
+    assert small_cycle_parikh_vectors(lts) == [ParikhVector({"a": 1, "b": 1}), ParikhVector({"c": 1})]
+    assert not cycles_same_pv(lts)
+    assert weak_small_cycle_property(lts)
 
 
 def _diamond_chain(k):
@@ -280,14 +282,15 @@ def test_cycle_search_stops_at_the_state_limit(monkeypatch, tmp_path, capsys):
     expected = [ParikhVector({"a": 1, "c": 1, "d": 1}), ParikhVector({"b": 1, "c": 1, "d": 1})]
     assert small_cycle_parikh_vectors(lts) == expected
     # the limit is petri's, read at call time, and counts path extensions
+    # as well as cycles
     monkeypatch.setattr(petri, "DEFAULT_STATE_LIMIT", 10_000)
     for check in (small_cycle_parikh_vectors, cycles_same_pv, weak_small_cycle_property):
-        with pytest.raises(CycleCapExceededError, match="cycle search passed its limit of 10000 path steps"):
+        with pytest.raises(CycleCapExceededError, match="cycle search passed its limit of 10000 steps"):
             check(lts)
     path = tmp_path / "chain.apt"
     path.write_text(aptio.render(aptio.Document(kind="LTS", lts=lts)))
     assert main(["compute_pvs", str(path)]) == 2
-    assert "passed its limit of 10000 path steps" in capsys.readouterr().err
+    assert "passed its limit of 10000 steps" in capsys.readouterr().err
 
 
 def test_isomorphic_identity(example_lts):

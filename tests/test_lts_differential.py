@@ -2,18 +2,25 @@
 aptk.lts.is_persistent against the versions kept in reference_lts.py,
 which scanned `mapping.values()` once per mapped state, tested every pair
 of states for the relation, and scanned a state's arcs for each successor.
-They must give the same verdict, witness and detail on every input."""
+They must give the same verdict, witness and detail on every input.
 
+The small-cycle checks are compared with the reference cycle search,
+which counted each cycle's labels from its whole path: the same vectors
+in the same order, the same verdicts, or the same error type."""
+
+import random
 from collections import Counter, defaultdict
 
 from hypothesis import given, seed, settings, strategies as st
 
-from aptk import Lts, bisimilar, is_persistent, isomorphic, reachability_graph
-from aptk.common import PreconditionError
+import reference_lts
+from aptk import Lts, bisimilar, is_persistent, isomorphic, lts as ltsmod, reachability_graph
+from aptk.common import AptError, PreconditionError
 from aptk.generators import bitnet, cyclenet, philnet_bistate
 from reference_lts import bisimilar as reference_bisimilar
 from reference_lts import is_persistent as reference_is_persistent
 from reference_lts import isomorphic as reference_isomorphic
+from test_closure_differential import random_lts
 from test_lts import small_lts
 from test_synthesis import _canonical_instances
 
@@ -142,3 +149,45 @@ def test_is_persistent_matches_reference_on_nondeterminism():
         ("s0", "a", "b"),
         "no common state completes the a/b diamond at s0",
     )
+
+
+def _small_cycles(checks, lts):
+    """The three small-cycle results of `checks` (a module), or the type of
+    the error the first of them raises."""
+    try:
+        vectors = checks.small_cycle_parikh_vectors(lts)
+    except AptError as err:
+        return type(err)
+    return (
+        [v.as_tuple(lts.labels) for v in vectors],
+        checks.cycles_same_pv(lts),
+        checks.weak_small_cycle_property(lts),
+    )
+
+
+def _complete(n, shared):
+    """Every arc between n distinct states, each under a label of its own,
+    or under the labels a and b only."""
+    arcs = [
+        (f"s{i}", "ab"[(i + j) % 2] if shared else f"t{i}_{j}", f"s{j}")
+        for i in range(n)
+        for j in range(n)
+        if i != j
+    ]
+    return Lts.from_data("s0", arcs)
+
+
+def test_small_cycles_match_reference():
+    systems = [random_lts(random.Random(seed)) for seed in range(400)]
+    systems += _canonical_instances(3, 2)
+    systems += [_complete(n, shared) for n in range(2, 7) for shared in (False, True)]
+    nets = (bitnet(4), cyclenet(4, 2), cyclenet(2, 4), philnet_bistate(2), philnet_bistate(3))
+    systems += [reachability_graph(net).lts for net in nets]
+    verdicts = Counter()
+    for lts in systems:
+        expected = _small_cycles(reference_lts, lts)
+        assert _small_cycles(ltsmod, lts) == expected, lts.arcs
+        verdicts[expected[1:]] += 1
+    assert len(systems) == 1271
+    # no cycle, one small cycle, and several with and without shared labels
+    assert set(verdicts) == {(True, True), (False, True), (False, False)}

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -669,6 +670,34 @@ def test_separable_search_stops_at_the_state_limit(monkeypatch):
     monkeypatch.setattr(petri, "DEFAULT_STATE_LIMIT", 9_840)
     with pytest.raises(StateLimitExceededError, match="more than 9840 firing sequences"):
         separable(net, k=2, length_bound=8)
+
+
+def test_separable_strong_mode_extends_its_parent_splits(monkeypatch):
+    # a child's splits are its parent's, each advanced by one firing, so
+    # the 9,840 children cost about two firings each (20,040 calls in all);
+    # replaying every sequence from its first letter made 84,012
+    calls = 0
+    successor = petri._successor
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return successor(*args)
+
+    monkeypatch.setattr(petri, "_successor", counted)
+    assert separable(_self_loops(), k=2, length_bound=8, mode="strong").verdict == "inconclusive"
+    assert calls <= 3 * 9_841
+
+
+def test_separable_weak_mode_reaches_its_budget_fast(monkeypatch):
+    # 8 self-loops have C(18, 8) = 43,758 Parikh vectors up to bound 10; a
+    # recount of each sequence and a list of every base vector per check
+    # took about a minute to pass 20,000 sequences
+    monkeypatch.setattr(petri, "DEFAULT_STATE_LIMIT", 20_000)
+    start = time.perf_counter()
+    with pytest.raises(StateLimitExceededError, match="more than 20000 firing sequences"):
+        separable(_self_loops("abcdefgh"), k=2, length_bound=10)
+    assert time.perf_counter() - start < 5
 
 
 def test_separable_stops_once_nothing_fires():
