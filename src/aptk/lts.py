@@ -104,12 +104,12 @@ class Lts:
             raise AptError(f"duplicate state {name!r}")
         if name in self._labels:
             raise AptError(f"{name!r} is already a label; states and labels must be disjoint")
+        if initial and self._initial is not None:
+            raise AptError(f"initial state already set to {self._initial!r}")
         self._states[name] = None
         self._out[name] = []
         self._in[name] = []
         if initial:
-            if self._initial is not None:
-                raise AptError(f"initial state already set to {self._initial!r}")
             self._initial = name
 
     def add_label(self, name: str, location: Optional[str] = None) -> None:
@@ -503,12 +503,8 @@ def cycles_same_pv(lts: Lts) -> bool:
 
 def weak_small_cycle_property(lts: Lts) -> bool:
     """Distinct small-cycle Parikh vectors must have pairwise disjoint supports."""
-    vectors = small_cycle_parikh_vectors(lts)
-    for i, pv in enumerate(vectors):
-        for other in vectors[i + 1 :]:
-            if pv.support() & other.support():
-                return False
-    return True
+    supports = [pv.support() for pv in small_cycle_parikh_vectors(lts)]
+    return sum(map(len, supports)) == len(frozenset().union(*supports))
 
 
 def _signature(lts: Lts, state: str) -> Tuple:
@@ -593,8 +589,8 @@ def isomorphic(l1: Lts, l2: Lts) -> Check:
     others = [s for s in l2.states if s != l2.initial]
 
     def consistent(s1: str, s2: str) -> bool:
-        for arc in l1.arcs_from(s1):
-            other = mapping.get(arc.target)
+        for arc in l1.arcs_from(s1):  # a self-loop's target is s1 itself
+            other = s2 if arc.target == s1 else mapping.get(arc.target)
             if other is not None and (s2, arc.label, other) not in arcs2:
                 return False
         for arc in l1.arcs_to(s1):
@@ -603,7 +599,7 @@ def isomorphic(l1: Lts, l2: Lts) -> Check:
                 return False
         # mirror direction: mapped arcs of l2 touching s2 must exist in l1
         for arc in l2.arcs_from(s2):
-            other = inverse.get(arc.target)
+            other = s1 if arc.target == s2 else inverse.get(arc.target)
             if other is not None and (s1, arc.label, other) not in arcs1:
                 return False
         for arc in l2.arcs_to(s2):
@@ -695,8 +691,8 @@ def language_equivalent(l1: Lts, l2: Lts) -> Check:
         return frozenset(out)
 
     start = (frozenset({l1.initial}), frozenset({l2.initial}))
-    parents: Dict[Tuple[frozenset, frozenset], Tuple[Tuple[frozenset, frozenset], str]] = {}
-    seen = {start}
+    # each subset pair reached, with the (pair, label) it was reached by
+    parents: Dict[Tuple[frozenset, frozenset], Optional[Tuple]] = {start: None}
     queue = deque([start])
     while queue:
         pair = queue.popleft()
@@ -707,16 +703,15 @@ def language_equivalent(l1: Lts, l2: Lts) -> Check:
             if bool(next1) != bool(next2):
                 word = [label]
                 cursor = pair
-                while cursor in parents:
+                while parents[cursor] is not None:
                     cursor, lab = parents[cursor]
                     word.append(lab)
                 word.reverse()
                 side = "first" if next1 else "second"
                 return Check(False, word, f"word enabled only in the {side} system")
-            if next1 and (next1, next2) not in seen:
-                if len(seen) >= limit:
+            if next1 and (next1, next2) not in parents:
+                if len(parents) >= limit:
                     raise StateLimitExceededError(f"the subset construction has more than {limit} state pairs")
-                seen.add((next1, next2))
                 parents[(next1, next2)] = (pair, label)
                 queue.append((next1, next2))
     return Check(True)

@@ -641,12 +641,8 @@ def is_marked_graph(net: PetriNet) -> Check:
 
 def has_isolated_elements(net: PetriNet) -> Check:
     """True when some place or transition touches no flow arc."""
-    touched = set()
-    for src, tgt in net.flows:
-        touched.add(src)
-        touched.add(tgt)
     for node in (*net.places, *net.transitions):
-        if node not in touched:
+        if not (net._pre[node] or net._post[node]):
             return Check(True, node, f"{node} is isolated")
     return Check(False)
 

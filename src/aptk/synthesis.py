@@ -281,7 +281,6 @@ class _Engine:
             row[lab[arc.label]] += 1
             rows.append(tuple(row))
         self.cycle_rows = [row for row in dict.fromkeys(rows) if any(row)]
-        self._values_cache: Dict[Region, List[int]] = {}
         self._systems: Dict[Tuple[bool, bool], RowSystem] = {}
         self._basis: Optional[List[Tuple[int, ...]]] = None
 
@@ -327,18 +326,11 @@ class _Engine:
             return "essp", self.index[problem.state], self.lab_index[problem.label]
         return "ssp", self.index[problem.state], self.index[problem.other]
 
-    def value_array(self, region: Region) -> List[int]:
-        """The region's token count at every state, in `states` order, as
-        `check_region` returns it; `_checked` keeps it for found regions."""
-        cached = self._values_cache.get(region)
-        if cached is None:
-            cached = self._values_cache[region] = self._replay(region)
-        return cached
-
     def _replay(self, region: Region) -> List[int]:
         """`check_region` on indices, with its errors in its order: the value
-        array of the region replayed over every arc of `successors`.  A
-        state's tree parent comes first, so it is valued before its arcs."""
+        array of the region, its token count at every state in `states`
+        order, replayed over every arc of `successors`.  A state's tree
+        parent comes first, so it is valued before its arcs."""
         if region.initial < 0:
             raise InternalError("region has negative initial value")
         states, labels = self.states, self.labels
@@ -359,15 +351,6 @@ class _Engine:
                 elif known != nxt:
                     raise InternalError(f"region value at {states[j]} is path-dependent")
         return values
-
-    def region_values(self, region: Region) -> Dict[str, int]:
-        return dict(zip(self.states, self.value_array(region)))
-
-    def solves(self, region: Region, kind: str, i: int, x: int) -> bool:
-        values = self.value_array(region)
-        if kind == "essp":
-            return values[i] < region.backward[x]
-        return values[i] != values[x]
 
     def region(self, backward: Tuple[int, ...], forward: Tuple[int, ...]) -> Region:
         """The region with these weights and the smallest initial value that
@@ -419,7 +402,7 @@ class _Engine:
 
     # -- general solver ----------------------------------------------------
 
-    def solve_general(self, kind: str, i: int, x: int) -> Optional[Region]:
+    def solve_general(self, kind: str, i: int, x: int) -> Optional[Tuple[Region, List[int]]]:
         # output-nonbranching regions first, then (under cf with nonnegative
         # effects) the input's locations
         attempts = []
@@ -430,9 +413,9 @@ class _Engine:
             located = self._location_scopes(kind, x, self._locations)
             attempts += [(scope, self.props.cf) for scope in located]
         for scope, nonneg in attempts:
-            region = self._solve_with(kind, i, x, scope, nonneg)
-            if region is not None:
-                return region
+            found = self._solve_with(kind, i, x, scope, nonneg)
+            if found is not None:
+                return found
         return None
 
     def _effect_row(self, vector: Sequence[int], r0: int = 0) -> List[int]:
@@ -471,7 +454,7 @@ class _Engine:
 
     def _solve_with(
         self, kind: str, i: int, x: int, scope: Optional[Set[str]], nonneg_effects: bool
-    ) -> Optional[Region]:
+    ) -> Optional[Tuple[Region, List[int]]]:
         """One exact integer solve per orientation (two for a state pair; the
         first feasible one wins).  Variables are the initial value and the
         backward/forward weights; with `pure` the event/state inequality is
@@ -524,7 +507,7 @@ class _Engine:
 
     # -- basis solver --------------------------------------------------------
 
-    def solve_basis(self, kind: str, i: int, x: int) -> Optional[Region]:
+    def solve_basis(self, kind: str, i: int, x: int) -> Optional[Tuple[Region, List[int]]]:
         """Solving over basis coefficients x: effects = sum of x[j] * basis[j].
 
         Serves the property-free case and `pure`, optionally with `plain`.
@@ -622,21 +605,22 @@ class _Engine:
     def _boxes(self) -> List[int]:
         return _coefficient_boxes(self.basis)
 
-    def _checked(self, region: Region, kind: str, i: int, x: int) -> Region:
+    def _checked(self, region: Region, kind: str, i: int, x: int) -> Tuple[Region, List[int]]:
         """Every solver's exit: the region must be valid, pure under `pure`,
-        and solve its problem.  The replay's values are the region's value
-        array."""
-        self._values_cache[region] = self._replay(region)
+        and solve its problem.  Returns it with its value array, the values
+        of its one replay."""
+        values = self._replay(region)
         if self.props.pure and not region.is_pure():
             raise InternalError("solver produced an impure region")
-        if not self.solves(region, kind, i, x):
+        if not (values[i] < region.backward[x] if kind == "essp" else values[i] != values[x]):
             raise InternalError(f"solver failed to separate {self.problem(kind, i, x)}")
-        return region
+        return region, values
 
     # -- dispatch ------------------------------------------------------------
 
-    def solve(self, kind: str, i: int, x: int) -> Optional[Region]:
-        """The solver `__init__` picked for this input and property set."""
+    def solve(self, kind: str, i: int, x: int) -> Optional[Tuple[Region, List[int]]]:
+        """The solver `__init__` picked for this input and property set: a
+        region that solves the problem, with its value array, or None."""
         return (self.solve_general if self.general else self.solve_basis)(kind, i, x)
 
 
@@ -679,7 +663,8 @@ def solve_separation(
     """A region of the requested properties that solves one separation
     problem, or None when there is none."""
     engine = _Engine(lts, props or PropertySet())
-    return engine.solve(*engine.locate(problem))
+    found = engine.solve(*engine.locate(problem))
+    return None if found is None else found[0]
 
 
 def minimize_regions(
@@ -749,9 +734,7 @@ def _build_net(lts: Lts, regions: Sequence[Region], name: str = "") -> PetriNet:
     for t in lts.labels:
         net.add_transition(t, location=locations.get(t))
     for i, region in enumerate(regions):
-        for t in lts.labels:
-            b = region.b(t)
-            f = region.f(t)
+        for t, b, f in zip(region.labels, region.backward, region.forward):
             if b:
                 net.add_flow(f"p{i}", t, b)
             if f:
@@ -811,10 +794,10 @@ def _separation_pass(engine: _Engine) -> Tuple[
     region with its value array and the indices of the event/state
     problems it solves, and the unsolvable (kind, i, x).
 
-    Each found region is evaluated once, as a value array read at state
-    indices: it solves the (problem, state) pairs of each label with
-    backward weight b > 0 at states valued below b, and the state pairs
-    whose values differ.  A pair is solved once its states fall in
+    Each found region comes with the value array of its one replay, read
+    at state indices: it solves the (problem, state) pairs of each label
+    with backward weight b > 0 at states valued below b, and the state
+    pairs whose values differ.  A pair is solved once its states fall in
     different blocks: two states share one while every found region values
     them alike.  Past `petri.DEFAULT_STATE_LIMIT` failed pairs, read at call
     time, it raises StateLimitExceededError."""
@@ -836,15 +819,16 @@ def _separation_pass(engine: _Engine) -> Tuple[
                 yield "ssp", i, j
 
     for problem in unsolved():
-        region = engine.solve(*problem)
-        if region is None:
+        solved = engine.solve(*problem)
+        if solved is None:
             if problem[0] == "ssp":
                 pairs_failed += 1
                 if pairs_failed > limit:
                     raise _too_many_pairs(limit)
             failed.append(problem)
             continue
-        values, b = engine.value_array(region), region.backward
+        region, values = solved
+        b = region.backward
         problem_set = {p for k, group in essp if b[k] for p, s in group if values[s] < b[k]}
         covered.update(problem_set)
         block[:] = _refine(block, values)

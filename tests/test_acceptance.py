@@ -39,7 +39,7 @@ from aptk import (
     word_synthesize,
 )
 from aptk.structure import is_siphon, is_trap
-from aptk.synthesis import _Engine
+from aptk.synthesis import check_region
 from aptk.generators import bitnet, cyclenet, philnet_bistate
 
 from conftest import N1_TEXT, make_example_lts, make_n1
@@ -172,11 +172,10 @@ def test_criterion_07_safe_failure():
     assert not outcome.success
     assert outcome.failed_ssp == []
     assert outcome.failed_essp == {"b": ["s4"]}
-    engine = _Engine(lts, PropertySet())
     expected = {"s4", "s5", "s6"}
     found = False
     for region in outcome.regions:
-        values = engine.region_values(region)
+        values = check_region(lts, region)
         disabled = {s for s in lts.states if values[s] < region.b("c")}
         if disabled == expected:
             found = True

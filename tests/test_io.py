@@ -148,6 +148,8 @@ ERROR_POSITIONS = {
     "duplicate flow": (6, 1),
     "unterminated string": (2, 7),
     "unterminated comment": (1, 11),
+    "expected an attribute value": (2, 12),
+    'labels only take location="..."': (3, 11),
 }
 
 
@@ -167,6 +169,8 @@ ERROR_POSITIONS = {
         (".type LPN\n.places p\n.transitions t\n.flows\nt: { p } -> { }\nt: { } -> { }\n.initial_marking { }", "duplicate flow"),
         ('.type LPN\n.name "open', "unterminated string"),
         (".type LPN /* open", "unterminated comment"),
+        (".type LTS\n.states s0[initial=]\n.labels a\n.arcs", "expected an attribute value"),
+        ('.type LTS\n.states s0[initial]\n.labels a[weight="2"]\n.arcs', 'labels only take location="..."'),
     ],
 )
 def test_errors_have_positions(text, fragment):

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -213,6 +214,27 @@ def test_duplicate_variable_rejected():
     system.add_variable("x")
     with pytest.raises(InternalError):
         system.add_variable("x")
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: LinearSystem().add_variable("x", lower=2, upper=1), "empty box for 'x'"),
+        (lambda: LinearSystem().add_constraint({}, "<", 0), "bad relation '<'"),
+        (lambda: integer_kernel_basis([[1, 0], [1]]), "kernel rows must share one dimension"),
+        (lambda: integer_kernel_basis([[1, 0]], dim=3), "dim disagrees with row length"),
+        (lambda: integer_kernel_basis([]), "dim required when no rows are given"),
+        (lambda: minimal_semipositive_solutions([[1]], side="up"), "side must be 'right' or 'left'"),
+        (lambda: minimal_semipositive_solutions([]), "dim required when the matrix is empty"),
+    ],
+    ids=[
+        "empty box", "bad relation", "ragged kernel rows", "kernel dim mismatch",
+        "kernel without rows or dim", "bad side", "empty matrix without dim",
+    ],
+)
+def test_linalg_refuses_bad_arguments(call, message):
+    with pytest.raises(InternalError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_objective_with_unknown_variable_rejected():

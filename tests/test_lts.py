@@ -1,4 +1,6 @@
 import itertools
+import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -36,6 +38,22 @@ def test_states_and_labels_must_be_disjoint():
     lts.add_state("x", initial=True)
     with pytest.raises(AptError):
         lts.add_label("x")
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (lambda lts: lts.add_state("a"), "'a' is already a label; states and labels must be disjoint"),
+        (lambda lts: lts.add_state("s2", initial=True), "initial state already set to 's0'"),
+        (lambda lts: lts.add_label("a"), "duplicate label 'a'"),
+    ],
+    ids=["state named like a label", "second initial state", "duplicate label"],
+)
+def test_lts_construction_refuses_bad_input(change, message):
+    lts = Lts.from_data("s0", [("s0", "a", "s1")])
+    with pytest.raises(AptError, match=f"^{re.escape(message)}$"):
+        change(lts)
+    assert (lts.initial, lts.states, lts.labels) == ("s0", ("s0", "s1"), ("a",))
 
 
 def test_arcs_deduplicate():
@@ -330,6 +348,75 @@ def test_isomorphic_backtracking_on_a_long_chain():
     chain = Lts.from_data("q0", arcs)
     check = isomorphic(chain, chain)
     assert check and check.witness == {s: s for s in chain.states}
+
+
+def _has_isomorphism(l1, l2):
+    """The definition, by brute force: some bijection of the states maps the
+    initial state to the initial state and the arcs onto the arcs."""
+    if set(l1.labels) != set(l2.labels) or len(l1.states) != len(l2.states):
+        return False
+    arcs1 = {(a.source, a.label, a.target) for a in l1.arcs}
+    arcs2 = {(a.source, a.label, a.target) for a in l2.arcs}
+    rest = [s for s in l1.states if s != l1.initial]
+    for image in itertools.permutations([s for s in l2.states if s != l2.initial]):
+        f = {l1.initial: l2.initial, **dict(zip(rest, image))}
+        if {(f[s], t, f[u]) for s, t, u in arcs1} == arcs2:
+            return True
+    return False
+
+
+def _self_loop_pair(rng):
+    """A random system of 1-5 states over a and b, with self-loops on about
+    half its states, and a copy with its states renamed; half the time one
+    self-loop of the copy has the other label."""
+    states = [f"q{i}" for i in range(rng.randint(1, 5))]
+    arcs = {
+        (rng.choice(states), rng.choice("ab"), rng.choice(states))
+        for _ in range(rng.randint(0, 3 * len(states)))
+    }
+    arcs |= {(s, rng.choice("ab"), s) for s in states if rng.random() < 0.5}
+    names = states[1:]
+    rng.shuffle(names)
+    names = dict(zip(states, ["q0", *names]))
+    copy = {(names[s], t, names[u]) for s, t, u in arcs}
+    loops = sorted(arc for arc in copy if arc[0] == arc[2])
+    if loops and rng.random() < 0.5:
+        s, t, _ = rng.choice(loops)
+        copy ^= {(s, t, s), (s, "b" if t == "a" else "a", s)}
+    return tuple(Lts.from_data("q0", sorted(a), states=states, labels=["a", "b"]) for a in (arcs, copy))
+
+
+SELF_LOOP_PAIR = (
+    [("q0", "a", "q1"), ("q0", "b", "q0"), ("q0", "b", "q1"), ("q1", "a", "q0"), ("q1", "a", "q1"),
+     ("q1", "b", "q0"), ("q1", "b", "q1")],
+    [("q0", "a", "q1"), ("q0", "a", "q0"), ("q0", "b", "q1"), ("q1", "a", "q0"), ("q1", "a", "q1"),
+     ("q1", "b", "q0"), ("q1", "b", "q1")],
+)
+
+
+def test_isomorphic_matches_brute_force_with_self_loops(tmp_path, capsys):
+    # both systems are nondeterministic, so the backtracking search answers;
+    # no bijection maps q0's b-loop in the first onto an arc of the second
+    l1, l2 = (Lts.from_data("q0", arcs) for arcs in SELF_LOOP_PAIR)
+    assert not _has_isomorphism(l1, l2)
+    assert isomorphic(l1, l2).detail == "no arc-preserving bijection exists"
+    files = [tmp_path / "l1.apt", tmp_path / "l2.apt"]
+    for path, lts in zip(files, (l1, l2)):
+        path.write_text(aptio.render(aptio.Document(kind="LTS", lts=lts)))
+    assert main(["isomorphism", *map(str, files)]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "isomorphic: No"
+    rng = random.Random(31)
+    verdicts = set()
+    for _ in range(2000):
+        l1, l2 = _self_loop_pair(rng)
+        check, expected = isomorphic(l1, l2), _has_isomorphism(l1, l2)
+        assert check.ok == expected, (sorted(map(tuple, l1.arcs)), sorted(map(tuple, l2.arcs)))
+        if check:  # the witness is such a bijection
+            f = check.witness
+            assert f[l1.initial] == l2.initial and sorted(f.values()) == sorted(l2.states)
+            assert {(f[a.source], a.label, f[a.target]) for a in l1.arcs} == {tuple(a) for a in l2.arcs}
+        verdicts.add((expected, bool(is_deterministic(l1) and is_deterministic(l2))))
+    assert verdicts == {(True, True), (True, False), (False, True), (False, False)}
 
 
 def _rings_of_ys(n):

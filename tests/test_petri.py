@@ -1,4 +1,5 @@
 import random
+import re
 import time
 
 import pytest
@@ -761,6 +762,42 @@ def _two_tokens_net() -> PetriNet:
     net.add_transition("t")
     net.add_flow("p", "t")
     return net
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (lambda net: net.add_place("t"), "'t' is already a transition; P and T must be disjoint"),
+        (lambda net: net.add_place("q", tokens=-1), "token counts are nonnegative"),
+        (lambda net: net.add_transition("t"), "duplicate transition 't'"),
+        (lambda net: net.add_transition("p"), "'p' is already a place; P and T must be disjoint"),
+        (lambda net: net.add_flow("p", "t", 0), "flow weights are positive"),
+        (lambda net: net.add_flow("t", "p", -1), "flow weights are positive"),
+        (lambda net: net.add_flow("p", "p"), "flow 'p' -> 'p' must connect a place and a transition"),
+        (lambda net: net.add_flow("nope", "p"), "unknown node 'nope'"),
+        (lambda net: net.add_flow("p", "nope"), "unknown node 'nope'"),
+        (lambda net: net.set_tokens("nope", 1), "unknown place 'nope'"),
+        (lambda net: net.set_tokens("p", -1), "token counts are nonnegative"),
+        (lambda net: net.set_label("nope", "x"), "unknown transition 'nope'"),
+        (lambda net: net.marking({"p": 1, "nope": 1}), "unknown place 'nope'"),
+        (lambda net: bounded(net, -1), "k must be nonnegative"),
+        (lambda net: separable(net, 2, 3, mode="x"), "mode must be 'weak' or 'strong'"),
+    ],
+    ids=[
+        "place named like a transition", "negative tokens", "duplicate transition",
+        "transition named like a place", "zero flow weight", "negative flow weight",
+        "place-to-place flow", "unknown flow source", "unknown flow target",
+        "set_tokens on an unknown place", "set_tokens negative", "set_label on an unknown transition",
+        "marking with an unknown place", "bounded with negative k", "separable with an unknown mode",
+    ],
+)
+def test_net_refuses_bad_input(change, message):
+    net = _two_tokens_net()
+    with pytest.raises(AptError, match=f"^{re.escape(message)}$"):
+        change(net)
+    # a refused change leaves the net as it was
+    assert (net.places, net.transitions, net.flows) == (("p",), ("t",), {("p", "t"): 1})
+    assert net.initial_marking() == net.marking({"p": 2}) and net.label("t") == "t"
 
 
 def _add_place_r(net):

@@ -96,8 +96,25 @@ def test_problem_counts_two_states():
 
 def _solve(solver, problem):
     """Call an engine's solver method on a problem object: the solvers take
-    a problem's kind and indices, which the engine's `locate` gives."""
-    return solver(*solver.__self__.locate(problem))
+    a problem's kind and indices, which the engine's `locate` gives.  A
+    solver returns a region with its value array, or None; this returns the
+    region, after checking that the array is the region's replay."""
+    engine = solver.__self__
+    found = solver(*engine.locate(problem))
+    if found is None:
+        return None
+    region, values = found
+    assert values == engine._replay(region)
+    return region
+
+
+def _solves(engine, region, kind, i, x):
+    """Whether the region solves the problem at these indices, read off a
+    fresh replay of the region."""
+    values = engine._replay(region)
+    if kind == "essp":
+        return values[i] < region.backward[x]
+    return values[i] != values[x]
 
 
 def test_fast_none_word_essp():
@@ -282,7 +299,7 @@ def test_safe_and_plain_pure_solvability_match_brute_force():
             ):
                 continue
             region = engine.region_from_effects(effects)
-            pure_plain.append((region, engine.region_values(region)))
+            pure_plain.append((region, check_region(lts, region)))
         assert synthesize(
             lts, PropertySet(plain=True, pure=True)
         ).success == _all_problems_covered(lts, pure_plain)
@@ -299,7 +316,7 @@ def test_plain_pure_effect_bound():
     solvable = False
     for e_a, e_b in itertools.product((-1, 0, 1), repeat=2):
         region = engine.region_from_effects((e_a, e_b))
-        if engine.solves(region, *engine.locate(problem)):
+        if _solves(engine, region, *engine.locate(problem)):
             solvable = True
     restricted = _solve(engine.solve_basis, problem)
     assert (restricted is not None) == solvable
@@ -348,7 +365,7 @@ def test_cone_path_solves_with_one_lp_on_d_plus_one_rows(example_lts, monkeypatc
     region = _solve(engine.solve_basis, problem)
     assert seen == [(len(engine.basis) + 1, None)] and len(engine.basis) == 3
     check_region(example_lts, region)
-    assert region.is_pure() and engine.solves(region, *engine.locate(problem))
+    assert region.is_pure() and _solves(engine, region, *engine.locate(problem))
 
 
 def test_cone_path_failure_carries_a_checked_certificate(monkeypatch):
@@ -436,7 +453,7 @@ def test_all_zero_region_never_solves_essp(example_lts):
     zero = Region(example_lts.labels, 0, (0, 0, 0, 0), (0, 0, 0, 0))
     for problem in enumerate_separation_problems(example_lts):
         if problem.kind == "essp":
-            assert not engine.solves(zero, *engine.locate(problem))
+            assert not _solves(engine, zero, *engine.locate(problem))
 
 
 def test_emitted_regions_are_valid(example_lts):
@@ -484,11 +501,10 @@ def test_synthesize_safe_example_fails_exactly_at_b_s4(example_lts):
     assert outcome.failed_ssp == []
     assert outcome.failed_essp == {"b": ["s4"]}
     # some found region disables c at exactly s4, s5, s6
-    engine = _Engine(example_lts, PropertySet())
     expected = {"s4", "s5", "s6"}
     hits = []
     for region in outcome.regions:
-        values = engine.region_values(region)
+        values = check_region(example_lts, region)
         disabled = {s for s in example_lts.states if values[s] < region.b("c")}
         if disabled == expected:
             hits.append(region)
@@ -660,27 +676,21 @@ def test_minimize_preserves_feasibility_example(example_lts):
     problems = enumerate_separation_problems(example_lts)
     engine = _Engine(example_lts, PropertySet())
     for problem in problems:
-        assert any(engine.solves(r, *engine.locate(problem)) for r in outcome.regions)
+        assert any(_solves(engine, r, *engine.locate(problem)) for r in outcome.regions)
 
 
 def test_separation_pass_evaluates_each_region_once(example_lts, monkeypatch):
-    # outside the solvers, the pass evaluates each found region once, as a
-    # value array, and asks no per-(region, problem) `solves` question
-    calls = {"values": 0, "solves": 0}
+    # each found region is replayed once, inside the solvers, and the pass
+    # reads the value array the solver returns with it
+    calls = {"inside": 0, "outside": 0}
     inside = []
     found = []
-    value_array, solves = _Engine.value_array, _Engine.solves
+    replay = _Engine._replay
     solve, minimize = _Engine.solve, synthesis_module.minimize_regions
 
-    def counting_values(self, region):
-        if not inside:
-            calls["values"] += 1
-        return value_array(self, region)
-
-    def counting_solves(self, region, *key):
-        if not inside:
-            calls["solves"] += 1
-        return solves(self, region, *key)
+    def counting_replay(self, region):
+        calls["inside" if inside else "outside"] += 1
+        return replay(self, region)
 
     def marked_solve(self, *key):
         inside.append(key)
@@ -693,14 +703,13 @@ def test_separation_pass_evaluates_each_region_once(example_lts, monkeypatch):
         found.extend(solved)
         return minimize(engine, solved, keys)
 
-    monkeypatch.setattr(_Engine, "value_array", counting_values)
-    monkeypatch.setattr(_Engine, "solves", counting_solves)
+    monkeypatch.setattr(_Engine, "_replay", counting_replay)
     monkeypatch.setattr(_Engine, "solve", marked_solve)
     monkeypatch.setattr(synthesis_module, "minimize_regions", recording_minimize)
     assert synthesize(example_lts).success
     regions = [region for region, _, _ in found]
     assert len(set(regions)) == len(regions) > 0
-    assert calls == {"values": len(regions), "solves": 0}
+    assert calls == {"inside": len(regions), "outside": 0}
     # the one evaluation gives each region exactly the event/state problems
     # it solves, and its value array splits exactly the state pairs it solves
     monkeypatch.undo()
@@ -708,9 +717,10 @@ def test_separation_pass_evaluates_each_region_once(example_lts, monkeypatch):
     keys, width = engine.problems()[0], len(engine.labels)
     for region, values, problem_set in found:
         essp = [divmod(key, width) for key in keys]
-        assert problem_set == {p for p, (i, x) in enumerate(essp) if engine.solves(region, "essp", i, x)}
+        assert values == engine._replay(region)
+        assert problem_set == {p for p, (i, x) in enumerate(essp) if _solves(engine, region, "essp", i, x)}
         for i, j in itertools.combinations(range(len(engine.states)), 2):
-            assert (values[i] != values[j]) == engine.solves(region, "ssp", i, j)
+            assert (values[i] != values[j]) == _solves(engine, region, "ssp", i, j)
 
 
 # -- word synthesis ----------------------------------------------------------------
@@ -1003,6 +1013,9 @@ def test_property_parsing_rejects_unknown():
     with pytest.raises(AptError):
         PropertySet.parse("2-bounded,safe")
     assert PropertySet.parse("safe,1-bounded").k == 1
+    for bound_zero in (lambda: PropertySet(k=0), lambda: PropertySet.parse("0-bounded")):
+        with pytest.raises(AptError, match="^k-bounded needs k >= 1$"):
+            bound_zero()
 
 
 def test_property_parsing_rejects_non_decimal_bound():

@@ -97,7 +97,7 @@ from reference_synthesis import separation_pass as reference_pass
 from reference_synthesis import solve_fast_none, solve_fast_pure
 from reference_synthesis import _Engine as ReferenceEngine
 from reference_synthesis import _run_engine as reference_run_engine
-from test_synthesis import _canonical_instances, _diamond_chain, _solve
+from test_synthesis import _canonical_instances, _diamond_chain, _solve, _solves
 
 EXACT = {
     "pure,plain": (PropertySet(pure=True, plain=True), partial(solve_fast_pure, plain=True)),
@@ -208,7 +208,7 @@ def test_solve_basis_verdict_matches_reference(mode):
             assert (region is None) == (reference(old, problem) is None), where
             if region is not None:
                 check_region(lts, region)
-                assert engine.solves(region, *engine.locate(problem)), where
+                assert _solves(engine, region, *engine.locate(problem)), where
                 assert region.is_pure() or not props.pure, where
     assert count == 3545
 
@@ -545,8 +545,8 @@ def test_value_arrays_are_the_check_region_values(mode):
             values = check_region(lts, region)
             assert list(values) == engine.states
             expected = reference_value_array(ReferenceEngine(lts, props), region)
-            assert array == engine.value_array(region) == list(values.values()) == expected
-            assert _Engine(lts, props).value_array(region) == expected
+            assert array == engine._replay(region) == list(values.values()) == expected
+            assert _Engine(lts, props)._replay(region) == expected
     assert counts["input"] and counts["tree"]
     # the diamond among them unfolds into more states than it has
     diamond = _hand_inputs()[-1]

@@ -42,7 +42,7 @@ from aptk import petri as petri_module
 from aptk import synthesis as synthesis_module
 from aptk.common import InternalError, StateLimitExceededError
 from aptk.generators import bitnet
-from aptk.synthesis import _verify_success, check_region, synthesize_language_only
+from aptk.synthesis import _Engine, _verify_success, check_region, synthesize_language_only
 from conftest import make_example_lts
 from reference_synthesis import _verify_success as reference_verify
 from test_output_digests import LANGUAGE_MODES, MODES, WORD_MODES, _family
@@ -50,29 +50,39 @@ from test_synthesis import _canonical_instances
 
 
 @lru_cache(maxsize=None)
-def _runs():
+def _recorded():
     """(family, engine, outcome) of every engine run for the digest
-    families and the canonical sweep, in order."""
-    runs, family = [], [""]
-    run = synthesis_module._run_engine
+    families and the canonical sweep, in order; and each (engine, region)
+    of a region a solver returned in those runs, once."""
+    runs, family, found = [], [""], {}
+    run, checked = synthesis_module._run_engine, _Engine._checked
 
     def recording(engine):
         outcome = run(engine)
         runs.append((family[0], engine, outcome))
         return outcome
 
+    def recording_checked(self, region, *problem):
+        found[self, region] = None
+        return checked(self, region, *problem)
+
     cases = [("canonical", mode, lts) for mode in MODES for lts in _family("canonical")]
     cases += [("acyclic", mode, lts) for mode in LANGUAGE_MODES for lts in _family("canonical-acyclic")]
     cases += [("sweep", "none", lts) for lts in _canonical_instances(4, 2)]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(synthesis_module, "_run_engine", recording)
+        patch.setattr(_Engine, "_checked", recording_checked)
         for family[0], mode, lts in cases:
             synthesize(lts, PropertySet.parse(mode))
         family[0] = "words"
         for mode in WORD_MODES:
             for word in _family("words"):
                 word_synthesize(PropertySet.parse(mode), word)
-    return runs
+    return runs, list(found)
+
+
+def _runs():
+    return _recorded()[0]
 
 
 def _nets():
@@ -172,17 +182,16 @@ def _corrupted(engine, region):
 
 def test_replay_matches_check_region():
     counts = {}
-    for _, engine, _ in _runs():
-        for region in engine._values_cache:
-            assert engine._replay(region) == list(check_region(engine.lts, region).values())
-            for kind, corrupted in _corrupted(engine, region):
-                with pytest.raises(InternalError) as expected:
-                    check_region(engine.lts, corrupted)
-                with pytest.raises(InternalError) as raised:
-                    engine._replay(corrupted)
-                assert str(raised.value) == str(expected.value)
-                assert kind in str(raised.value)
-                counts[kind] = counts.get(kind, 0) + 1
+    for engine, region in _recorded()[1]:
+        assert engine._replay(region) == list(check_region(engine.lts, region).values())
+        for kind, corrupted in _corrupted(engine, region):
+            with pytest.raises(InternalError) as expected:
+                check_region(engine.lts, corrupted)
+            with pytest.raises(InternalError) as raised:
+                engine._replay(corrupted)
+            assert str(raised.value) == str(expected.value)
+            assert kind in str(raised.value)
+            counts[kind] = counts.get(kind, 0) + 1
     assert counts.keys() == {"negative initial value", "blocks", "path-dependent"}
     assert min(counts.values()) > 1000, counts
 
