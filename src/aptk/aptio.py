@@ -177,11 +177,6 @@ class _Parser:
 
     # -- shared helpers -----------------------------------------------------
 
-    def _string_section(self, h: int, end: int) -> str:
-        if end - h != 2 or self.kinds[h + 1] != "STR":
-            self.fail(f".{self.values[h]} takes one quoted string", h)
-        return self.values[h + 1]
-
     def _ids_with_attrs(self, h: int, end: int):
         """Parse `id [attr, attr=...]...` lists: [(k, [(name k, value k or None)])]."""
         kinds = self.kinds
@@ -219,15 +214,15 @@ class _Parser:
         return out
 
     def _multiset(self, k: int, end: int, h: int):
-        """Parse a `{ [n *] id, ... }` multiset starting at token k."""
+        """Parse a `{ [n *] id, ... }` multiset starting at token k: its
+        counts in first-seen order, and the token after it."""
         kinds, values = self.kinds, self.values
         if k >= end or kinds[k] != "LBRACE":
             self.fail("expected '{'", k if k < end else h)
         k += 1
         counts: Dict[str, int] = {}
-        order: List[str] = []
         if k < end and kinds[k] == "RBRACE":
-            return counts, order, k + 1
+            return counts, k + 1
         while True:
             mult = 1
             if k < end and kinds[k] == "NUM":
@@ -242,58 +237,65 @@ class _Parser:
                 k += 1
             if k >= end or kinds[k] != "ID":
                 self.fail("expected a place name", k if k < end else h)
-            name = values[k]
-            if name not in counts:
-                counts[name] = 0
-                order.append(name)
-            counts[name] += mult
+            counts[values[k]] = counts.get(values[k], 0) + mult
             k += 1
             if k < end and kinds[k] == "RBRACE":
-                return counts, order, k + 1
+                return counts, k + 1
             if k >= end or kinds[k] != "COMMA":
                 self.fail("expected ',' or '}' in multiset", k if k < end else h)
             k += 1
+
+    def _sections(self, sections, model, kind: str, lists: Tuple[str, ...], spans: Tuple[str, ...]) -> dict:
+        """Read the sections of a `kind` document in order: `.name` and
+        `.description` set `model`'s attributes, each of `lists` is read as
+        its (k, attrs) entries (places take no attributes) and each of
+        `spans` kept as its (h, end).  Returns both by section name, an
+        absent list as () and an absent span as None; fails at the first
+        unknown section."""
+        values = self.values
+        found = {**dict.fromkeys(lists, ()), **dict.fromkeys(spans)}
+        for h, end in sections:
+            key = values[h]
+            if key in ("name", "description"):
+                if end - h != 2 or self.kinds[h + 1] != "STR":
+                    self.fail(f".{key} takes one quoted string", h)
+                setattr(model, key, values[h + 1])
+            elif key in lists:
+                found[key] = self._ids_with_attrs(h, end)
+                for tok, attrs in found[key] if key == "places" else ():
+                    if attrs:
+                        self.fail("places take no attributes", tok)
+            elif key in spans:
+                found[key] = (h, end)
+            elif key != "type":
+                self.fail(f"unknown section .{key} in an {kind} file", h)
+        return found
+
+    def _string_attribute(self, attrs, key: str, what: str) -> Optional[str]:
+        """The value of `key="..."`, the only attribute `what` take, or None
+        without one; fails at any other attribute."""
+        string = None
+        for name, value in attrs:
+            if self.values[name] != key or value is None or self.kinds[value] != "STR":
+                self.fail(f'{what} only take {key}="..."', name)
+            string = self.values[value]
+        return string
 
     # -- LPN ----------------------------------------------------------------
 
     def _build_net(self, sections) -> Document:
         kinds, values = self.kinds, self.values
         net = PetriNet()
-        place_toks: List[int] = []
-        transition_entries = []
-        flow_section = marking_section = None
-        for h, end in sections:
-            if values[h] == "type":
-                continue
-            elif values[h] in ("name", "description"):
-                setattr(net, values[h], self._string_section(h, end))
-            elif values[h] == "places":
-                for tok, attrs in self._ids_with_attrs(h, end):
-                    if attrs:
-                        self.fail("places take no attributes", tok)
-                    place_toks.append(tok)
-            elif values[h] == "transitions":
-                transition_entries = self._ids_with_attrs(h, end)
-            elif values[h] == "flows":
-                flow_section = (h, end)
-            elif values[h] == "initial_marking":
-                marking_section = (h, end)
-            else:
-                self.fail(f"unknown section .{values[h]} in an LPN file", h)
-
-        for tok in place_toks:
+        found = self._sections(sections, net, "LPN", ("places", "transitions"), ("flows", "initial_marking"))
+        for tok, _ in found["places"]:
             self._add(tok, net.add_place, values[tok])
-        for tok, attrs in transition_entries:
-            label = None
-            for name, value in attrs:
-                if values[name] != "label" or value is None or kinds[value] != "STR":
-                    self.fail("transitions only take label=\"...\"", name)
-                label = values[value]
+        for tok, attrs in found["transitions"]:
+            label = self._string_attribute(attrs, "label", "transitions")
             self._add(tok, net.add_transition, values[tok], label=label)
 
         places, transitions = set(net.places), set(net.transitions)
-        if flow_section is not None:
-            h, end = flow_section
+        if found["flows"] is not None:
+            h, end = found["flows"]
             defined = set()
             k = h + 1
             while k < end:
@@ -309,30 +311,27 @@ class _Parser:
                 k += 1
                 if k >= end or kinds[k] != "COLON":
                     self.fail("expected ':'", tok)
-                k += 1
-                pre, pre_order, k = self._multiset(k, end, h)
+                pre, k = self._multiset(k + 1, end, h)
                 if k >= end or kinds[k] != "ARROW":
                     self.fail("expected '->'", tok)
-                k += 1
-                post, post_order, k = self._multiset(k, end, h)
-                for name in pre_order:
+                post, k = self._multiset(k + 1, end, h)
+                for name in [*pre, *post]:
                     if name not in places:
                         self.fail(f"unknown place {name!r}", tok)
-                    net.add_flow(name, t, pre[name])
-                for name in post_order:
-                    if name not in places:
-                        self.fail(f"unknown place {name!r}", tok)
-                    net.add_flow(t, name, post[name])
+                for name, weight in pre.items():
+                    net.add_flow(name, t, weight)
+                for name, weight in post.items():
+                    net.add_flow(t, name, weight)
 
-        if marking_section is not None:
-            h, end = marking_section
-            counts, order, k = self._multiset(h + 1, end, h)
+        if found["initial_marking"] is not None:
+            h, end = found["initial_marking"]
+            counts, k = self._multiset(h + 1, end, h)
             if k != end:
                 self.fail("trailing tokens after the initial marking", k)
-            for name in order:
+            for name, tokens in counts.items():
                 if name not in places:
                     self.fail(f"unknown place {name!r} in the initial marking", h)
-                net.set_tokens(name, counts[name])
+                net.set_tokens(name, tokens)
         return Document(kind="LPN", net=net)
 
     # -- LTS ----------------------------------------------------------------
@@ -340,48 +339,22 @@ class _Parser:
     def _build_lts(self, sections) -> Document:
         kinds, values = self.kinds, self.values
         lts = Lts()
-        state_entries = []
-        label_entries = []
-        arc_section = None
-        for h, end in sections:
-            if values[h] == "type":
-                continue
-            elif values[h] in ("name", "description"):
-                setattr(lts, values[h], self._string_section(h, end))
-            elif values[h] == "states":
-                state_entries = self._ids_with_attrs(h, end)
-            elif values[h] == "labels":
-                label_entries = self._ids_with_attrs(h, end)
-            elif values[h] == "arcs":
-                arc_section = (h, end)
-            else:
-                self.fail(f"unknown section .{values[h]} in an LTS file", h)
-
-        initial_seen = None
-        for tok, attrs in state_entries:
-            initial = False
+        found = self._sections(sections, lts, "LTS", ("states", "labels"), ("arcs",))
+        for tok, attrs in found["states"]:
             for name, value in attrs:
                 if values[name] != "initial" or value is not None:
                     self.fail("states only take the bare attribute 'initial'", name)
-                initial = True
-            if initial:
-                if initial_seen is not None:
-                    self.fail(f"second [initial] state (first was {initial_seen!r})", tok)
-                initial_seen = values[tok]
-            self._add(tok, lts.add_state, values[tok], initial=initial)
-        if initial_seen is None:
+            if attrs and lts._initial is not None:
+                self.fail(f"second [initial] state (first was {lts._initial!r})", tok)
+            self._add(tok, lts.add_state, values[tok], initial=bool(attrs))
+        if lts._initial is None:
             self.fail("no state is marked [initial]", sections[0][0])
 
-        for tok, attrs in label_entries:
-            location = None
-            for name, value in attrs:
-                if values[name] != "location" or value is None or kinds[value] != "STR":
-                    self.fail("labels only take location=\"...\"", name)
-                location = values[value]
-            self._add(tok, lts.add_label, values[tok], location=location)
+        for tok, attrs in found["labels"]:
+            self._add(tok, lts.add_label, values[tok], location=self._string_attribute(attrs, "location", "labels"))
 
-        if arc_section is not None:
-            h, end = arc_section
+        if found["arcs"] is not None:
+            h, end = found["arcs"]
             if (end - h - 1) % 3 != 0:
                 self.fail(".arcs needs 'source label target' triples", h)
             body = values[h + 1 : end]
@@ -438,6 +411,11 @@ def _multiset_text(counts: List[Tuple[str, int]]) -> str:
     return "{ " + ", ".join(parts) + " }" if parts else "{ }"
 
 
+def _entries(names: Sequence[str], key: str, strings: Dict[str, str]) -> str:
+    """The names joined by spaces, each with its `key="..."` attribute if `strings` has one."""
+    return " ".join(f"{n}[{key}={_quote(strings[n])}]" if n in strings else n for n in names)
+
+
 # Names joined by single spaces, each an ASCII identifier.
 _ASCII_IDS = re.compile(r"[A-Za-z_]\w*(?: [A-Za-z_]\w*)*", re.ASCII)
 
@@ -478,11 +456,8 @@ def _render_net(net: PetriNet) -> str:
         lines.append(" ".join(net.places))
     lines.append(".transitions")
     if net.transitions:
-        entries = []
-        for t in net.transitions:
-            label = net.label(t)
-            entries.append(t if label == t else f'{t}[label={_quote(label)}]')
-        lines.append(" ".join(entries))
+        labels = {t: net.label(t) for t in net.transitions if net.label(t) != t}
+        lines.append(_entries(net.transitions, "label", labels))
     lines.append(".flows")
     index = {p: i for i, p in enumerate(net.places)}
     for t in net.transitions:
@@ -517,11 +492,7 @@ def _render_lts(lts: Lts, markings: Optional[Dict[str, Marking]] = None) -> str:
         lines.append(entry)
     lines.append(".labels")
     if lts.labels:
-        entries = []
-        for t in lts.labels:
-            location = lts.location(t)
-            entries.append(t if location is None else f'{t}[location={_quote(location)}]')
-        lines.append(" ".join(entries))
+        lines.append(_entries(lts.labels, "location", lts.locations))
     lines.append(".arcs")
     for arc in lts.arcs:
         lines.append(f"{arc.source} {arc.label} {arc.target}")

@@ -6,10 +6,9 @@ in that order so witnesses and outputs are reproducible run to run.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
+from itertools import chain, filterfalse
 from operator import attrgetter, le
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -335,54 +334,36 @@ def is_reversible(lts: Lts) -> Check:
 
 
 def strongly_connected_components(lts: Lts) -> List[List[str]]:
-    """Tarjan SCCs; components ordered by their earliest-declared state."""
-    index: Dict[str, int] = {}
-    lowlink: Dict[str, int] = {}
-    on_stack: Dict[str, bool] = {}
-    stack: List[str] = []
-    counter = [0]
+    """Kosaraju's SCCs, each in declaration order, ordered by their first
+    state.  One DFS, from each state it has not seen in declaration order,
+    records the order in which states finish; then, in reverse finish
+    order, each state in no component yet and the states in none that
+    reach it (a backward closure) form the next component."""
+    state_pos = {s: i for i, s in enumerate(lts._states)}
+    target, source, out, into = attrgetter("target"), attrgetter("source"), lts._out, lts._in
+    # the DFS stack: each state with its unread successors, under a root
+    # (None) whose successors are all states
+    stack: List[Tuple[Optional[str], Iterator[str]]] = [(None, iter(lts._states))]
+    seen: set = set()
+    finished: List[Optional[str]] = []
+    while stack:
+        state, successors = stack[-1]
+        for other in successors:
+            if other not in seen:
+                seen.add(other)
+                stack.append((other, map(target, out[other])))
+                break
+        else:
+            stack.pop()
+            finished.append(state)
+    assigned: set = set()
     components: List[List[str]] = []
-    state_pos = {s: i for i, s in enumerate(lts.states)}
-
-    for root in lts.states:
-        if root in index:
-            continue
-        work = [(root, iter(lts.arcs_from(root)))]
-        index[root] = lowlink[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        on_stack[root] = True
-        while work:
-            state, it = work[-1]
-            advanced = False
-            for arc in it:
-                w = arc.target
-                if w not in index:
-                    index[w] = lowlink[w] = counter[0]
-                    counter[0] += 1
-                    stack.append(w)
-                    on_stack[w] = True
-                    work.append((w, iter(lts.arcs_from(w))))
-                    advanced = True
-                    break
-                if on_stack.get(w):
-                    lowlink[state] = min(lowlink[state], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[state])
-            if lowlink[state] == index[state]:
-                component = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    component.append(w)
-                    if w == state:
-                        break
-                component.sort(key=state_pos.__getitem__)
-                components.append(component)
+    for root in reversed(finished[:-1]):  # the root None finishes last
+        if root not in assigned:
+            component = _closure(root, lambda s: filterfalse(assigned.__contains__, map(source, into[s])))
+            assigned.update(component)
+            component.sort(key=state_pos.__getitem__)
+            components.append(component)
     components.sort(key=lambda c: state_pos[c[0]])
     return components
 
@@ -676,42 +657,54 @@ def bisimilar(l1: Lts, l2: Lts) -> Check:
 def language_equivalent(l1: Lts, l2: Lts) -> Check:
     """Prefix-language equality, via subset construction on the reachable parts.
 
-    On inequality the witness is a shortest distinguishing word (enabled in
-    exactly one of the systems).  Past petri.DEFAULT_STATE_LIMIT subset
-    pairs, read at call time, it raises StateLimitExceededError.
+    A subset is (low, mask), the states of declaration index low + i for
+    each bit i of mask, low the least: a few close states take a few bytes
+    in a system of any size.  On inequality the witness is a shortest
+    distinguishing word (enabled in exactly one of the systems).  Past
+    petri.DEFAULT_STATE_LIMIT subset pairs, read at call time, it raises
+    StateLimitExceededError.
     """
     from .petri import DEFAULT_STATE_LIMIT as limit  # petri imports this module
 
     labels = list(dict.fromkeys(l1.labels + l2.labels))
 
-    def step(lts: Lts, states: frozenset, label: str) -> frozenset:
-        out = set()
-        for s in states:
-            out.update(lts.successors(s, label))
-        return frozenset(out)
+    def successors(lts: Lts):
+        """The initial state's index, and per label each state index's successor indices."""
+        index = {s: i for i, s in enumerate(lts._states)}
+        rows: Dict[str, Dict[int, List[int]]] = {t: {} for t in labels}
+        for source, label, target in lts._arcs:
+            rows[label].setdefault(index[source], []).append(index[target])
+        return index[lts.initial], [rows[t] for t in labels]
 
-    start = (frozenset({l1.initial}), frozenset({l2.initial}))
-    # each subset pair reached, with the (pair, label) it was reached by
-    parents: Dict[Tuple[frozenset, frozenset], Optional[Tuple]] = {start: None}
-    queue = deque([start])
-    while queue:
-        pair = queue.popleft()
-        set1, set2 = pair
-        for label in labels:
-            next1 = step(l1, set1, label)
-            next2 = step(l2, set2, label)
-            if bool(next1) != bool(next2):
+    def step(row: Dict[int, List[int]], low: int, mask: int) -> Tuple[int, int]:
+        targets: List[int] = []
+        while mask:
+            bit = mask & -mask
+            targets += row.get(low + bit.bit_length() - 1, ())
+            mask ^= bit
+        low, after = min(targets, default=0), 0
+        for j in targets:
+            after |= 1 << j - low
+        return low, after
+
+    (start1, rows1), (start2, rows2) = successors(l1), successors(l2)
+    # every subset pair reached, in BFS order (the list is its own queue),
+    # each with its parent's index and the label it was reached by
+    pairs = [(start1, 1, start2, 1)]
+    parents = {pairs[0]: (0, "")}
+    for i, (low1, set1, low2, set2) in enumerate(pairs):
+        for label, row1, row2 in zip(labels, rows1, rows2):
+            pair = step(row1, low1, set1) + step(row2, low2, set2)
+            if bool(pair[1]) != bool(pair[3]):
                 word = [label]
-                cursor = pair
-                while parents[cursor] is not None:
-                    cursor, lab = parents[cursor]
-                    word.append(lab)
-                word.reverse()
-                side = "first" if next1 else "second"
-                return Check(False, word, f"word enabled only in the {side} system")
-            if next1 and (next1, next2) not in parents:
-                if len(parents) >= limit:
+                while i:  # pair 0, the start, has no parent
+                    i, via = parents[pairs[i]]
+                    word.append(via)
+                side = "first" if pair[1] else "second"
+                return Check(False, word[::-1], f"word enabled only in the {side} system")
+            if pair[1] and pair not in parents:
+                if len(pairs) >= limit:
                     raise StateLimitExceededError(f"the subset construction has more than {limit} state pairs")
-                parents[(next1, next2)] = (pair, label)
-                queue.append((next1, next2))
+                parents[pair] = (i, label)
+                pairs.append(pair)
     return Check(True)

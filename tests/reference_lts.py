@@ -21,14 +21,22 @@ state limit on path extensions; `small_cycle_parikh_vectors`
 deduplicated its ParikhVectors by a list-membership scan and filtered
 them with `strictly_below`.  The current small-cycle checks must return
 the same vectors in the same order, or raise the same error type.
+
+`strongly_connected_components` is Tarjan's one-pass stack algorithm,
+before Kosaraju's two passes over `_closure` replaced it; the current
+function must return the same components in the same order.
+`language_equivalent` is the subset construction over frozensets of state
+names, before a subset became its lowest state index and a bitmask; the
+current function must give the same verdict, witness and detail, or
+raise the same error.
 """
 
 from __future__ import annotations
 
 from collections import Counter, deque
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
-from aptk.common import Check, CycleCapExceededError, PreconditionError
+from aptk.common import Check, CycleCapExceededError, PreconditionError, StateLimitExceededError
 from aptk.lts import Arc, Lts, ParikhVector, _signature, is_deterministic, is_totally_reachable
 
 DEFAULT_CYCLE_CAP = 10 ** 6
@@ -337,3 +345,100 @@ def weak_small_cycle_property(lts: Lts) -> bool:
             if pv.support() & other.support():
                 return False
     return True
+
+
+def strongly_connected_components(lts: Lts) -> List[List[str]]:
+    """Tarjan SCCs; components ordered by their earliest-declared state."""
+    index: Dict[str, int] = {}
+    lowlink: Dict[str, int] = {}
+    on_stack: Dict[str, bool] = {}
+    stack: List[str] = []
+    counter = [0]
+    components: List[List[str]] = []
+    state_pos = {s: i for i, s in enumerate(lts.states)}
+
+    for root in lts.states:
+        if root in index:
+            continue
+        work = [(root, iter(lts.arcs_from(root)))]
+        index[root] = lowlink[root] = counter[0]
+        counter[0] += 1
+        stack.append(root)
+        on_stack[root] = True
+        while work:
+            state, it = work[-1]
+            advanced = False
+            for arc in it:
+                w = arc.target
+                if w not in index:
+                    index[w] = lowlink[w] = counter[0]
+                    counter[0] += 1
+                    stack.append(w)
+                    on_stack[w] = True
+                    work.append((w, iter(lts.arcs_from(w))))
+                    advanced = True
+                    break
+                if on_stack.get(w):
+                    lowlink[state] = min(lowlink[state], index[w])
+            if advanced:
+                continue
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                lowlink[parent] = min(lowlink[parent], lowlink[state])
+            if lowlink[state] == index[state]:
+                component = []
+                while True:
+                    w = stack.pop()
+                    on_stack[w] = False
+                    component.append(w)
+                    if w == state:
+                        break
+                component.sort(key=state_pos.__getitem__)
+                components.append(component)
+    components.sort(key=lambda c: state_pos[c[0]])
+    return components
+
+
+def language_equivalent(l1: Lts, l2: Lts) -> Check:
+    """Prefix-language equality, via subset construction on the reachable parts.
+
+    On inequality the witness is a shortest distinguishing word (enabled in
+    exactly one of the systems).  Past petri.DEFAULT_STATE_LIMIT subset
+    pairs, read at call time, it raises StateLimitExceededError.
+    """
+    from aptk.petri import DEFAULT_STATE_LIMIT as limit
+
+    labels = list(dict.fromkeys(l1.labels + l2.labels))
+
+    def step(lts: Lts, states: frozenset, label: str) -> frozenset:
+        out = set()
+        for s in states:
+            out.update(lts.successors(s, label))
+        return frozenset(out)
+
+    start = (frozenset({l1.initial}), frozenset({l2.initial}))
+    # each subset pair reached, with the (pair, label) it was reached by
+    parents: Dict[Tuple[frozenset, frozenset], Optional[Tuple]] = {start: None}
+    queue = deque([start])
+    while queue:
+        pair = queue.popleft()
+        set1, set2 = pair
+        for label in labels:
+            next1 = step(l1, set1, label)
+            next2 = step(l2, set2, label)
+            if bool(next1) != bool(next2):
+                word = [label]
+                cursor = pair
+                while parents[cursor] is not None:
+                    cursor, lab = parents[cursor]
+                    word.append(lab)
+                word.reverse()
+                side = "first" if next1 else "second"
+                return Check(False, word, f"word enabled only in the {side} system")
+            if next1 and (next1, next2) not in parents:
+                if len(parents) >= limit:
+                    raise StateLimitExceededError(f"the subset construction has more than {limit} state pairs")
+                parents[(next1, next2)] = (pair, label)
+                queue.append((next1, next2))
+    return Check(True)

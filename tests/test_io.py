@@ -180,6 +180,52 @@ def test_errors_have_positions(text, fragment):
     assert (err.value.line, err.value.column) == ERROR_POSITIONS[fragment]
 
 
+# Documents with several defects, each with the one error the reader
+# reports: section syntax and unknown sections in document order, then
+# places, transitions (each label before its add), flows entry by entry
+# and the initial marking; states before labels before arcs.
+SEVERAL_DEFECTS = [
+    (".type LPN\n.transitions t[x]\n.foo", "line 3, column 1: unknown section .foo in an LPN file"),
+    (".type LPN\n.places p[x]\n.foo", "line 2, column 9: places take no attributes"),
+    (".type LPN\n.foo\n.places p[x]", "line 2, column 1: unknown section .foo in an LPN file"),
+    (".type LPN\n.name 1\n.foo", "line 2, column 1: .name takes one quoted string"),
+    ('.type LPN\n.name "a"\n.places p[x]\n.name "b"', "line 4, column 1: duplicate .name section"),
+    (".type LPN\n.places p p\n.transitions t[label=1]", "line 2, column 11: duplicate place 'p'"),
+    ('.type LPN\n.transitions t[label="x"] t[y]\n.places p', 'line 2, column 29: transitions only take label="..."'),
+    (".type LPN\n.flows t: { p } -> { }\n.transitions u[x]", 'line 3, column 16: transitions only take label="..."'),
+    (
+        ".type LPN\n.initial_marking { q }\n.flows t: { p } -> { }\n.places p\n.transitions t t",
+        "line 5, column 16: duplicate transition 't'",
+    ),
+    (".type LPN\n.places p\n.transitions t\n.flows\nt: { q } -> { r }", "line 5, column 1: unknown place 'q'"),
+    (".type LPN\n.places p\n.transitions t\n.flows\nt: { q } -> { 0 * p }", "line 5, column 15: zero multiplicity"),
+    (
+        ".type LPN\n.places p\n.transitions t u\n.flows\nt: { q } -> { }\nu: { 2 * } -> { }",
+        "line 5, column 1: unknown place 'q'",
+    ),
+    (
+        ".type LPN\n.places p\n.transitions t\n.flows\nt: { p } -> { q }\n.initial_marking { r }",
+        "line 5, column 1: unknown place 'q'",
+    ),
+    (".type LPN\n.places p\n.initial_marking { p } q\n.flows t: { } -> { }", "line 4, column 8: unknown transition 't'"),
+    (".type LTS\n.foo\n.states s0", "line 2, column 1: unknown section .foo in an LTS file"),
+    (
+        ".type LTS\n.states s0[initial=1]\n.labels a[y]\n.arcs",
+        "line 2, column 12: states only take the bare attribute 'initial'",
+    ),
+    (".type LTS\n.labels a[y]\n.states s0", "line 1, column 1: no state is marked [initial]"),
+    (".type LTS\n.states s0[initial] s0\n.labels a[y]", "line 2, column 21: duplicate state 's0'"),
+    (".type LTS\n.arcs s0 a\n.states s0[initial]\n.labels a[y]", 'line 4, column 11: labels only take location="..."'),
+]
+
+
+@pytest.mark.parametrize("text,message", SEVERAL_DEFECTS)
+def test_the_first_of_several_defects_is_reported(text, message):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert str(err.value) == message
+
+
 def test_dot_lts(example_lts):
     dot = to_dot(Document(kind="LTS", lts=example_lts))
     assert dot.startswith("digraph")

@@ -9,19 +9,21 @@ which counted each cycle's labels from its whole path: the same vectors
 in the same order, the same verdicts, or the same error type."""
 
 import random
+import tracemalloc
 from collections import Counter, defaultdict
 
+import pytest
 from hypothesis import given, seed, settings, strategies as st
 
 import reference_lts
-from aptk import Lts, bisimilar, is_persistent, isomorphic, lts as ltsmod, reachability_graph
-from aptk.common import AptError, PreconditionError
+from aptk import Lts, bisimilar, is_persistent, isomorphic, lts as ltsmod, petri, reachability_graph
+from aptk.common import AptError, PreconditionError, StateLimitExceededError
 from aptk.generators import bitnet, cyclenet, philnet_bistate
 from reference_lts import bisimilar as reference_bisimilar
 from reference_lts import is_persistent as reference_is_persistent
 from reference_lts import isomorphic as reference_isomorphic
 from test_closure_differential import random_lts
-from test_lts import small_lts
+from test_lts import _nth_letter_from_the_end, small_lts
 from test_synthesis import _canonical_instances
 
 
@@ -191,3 +193,84 @@ def test_small_cycles_match_reference():
     assert len(systems) == 1271
     # no cycle, one small cycle, and several with and without shared labels
     assert set(verdicts) == {(True, True), (False, True), (False, False)}
+
+
+def test_strongly_connected_components_match_reference():
+    rng = random.Random(19810101)
+    systems = [random_lts(rng) for _ in range(1500)]
+    nets = (bitnet(4), bitnet(6), cyclenet(4, 2), cyclenet(2, 4), philnet_bistate(2), philnet_bistate(3))
+    systems += [reachability_graph(net).lts for net in nets]
+    counts = Counter()
+    for lts in systems:
+        expected = reference_lts.strongly_connected_components(lts)
+        assert ltsmod.strongly_connected_components(lts) == expected, lts.arcs
+        counts[min(len(expected), 3)] += 1
+    # one, two, and three or more components all occur
+    assert set(counts) == {1, 2, 3}
+
+
+def test_strongly_connected_components_of_a_long_chain():
+    # 100,000 states deep: a recursive search would pass Python's recursion limit
+    n = 100_000
+    chain = Lts.from_data("s0", [(f"s{i}", "a", f"s{i + 1}") for i in range(n)] + [(f"s{n}", "b", f"s{n - 1}")])
+    components = ltsmod.strongly_connected_components(chain)
+    assert components == reference_lts.strongly_connected_components(chain)
+    assert len(components) == n and components[-1] == [f"s{n - 1}", f"s{n}"]
+
+
+def _with_twin(lts, rng):
+    """`lts` plus a twin of one state, with the same outgoing arcs, that an
+    arc into the state also reaches: the prefix language stays the same."""
+    arcs = [(a.source, a.label, a.target) for a in lts.arcs]
+    if arcs:
+        source, label, state = rng.choice(arcs)
+        arcs += [("twin", a.label, a.target) for a in lts.arcs_from(state)] + [(source, label, "twin")]
+    return Lts.from_data(lts.initial, arcs, states=lts.states, labels=lts.labels)
+
+
+def _language(check, l1, l2):
+    try:
+        result = check(l1, l2)
+    except AptError as err:
+        return (type(err).__name__, str(err))
+    return (result.ok, result.witness, result.detail)
+
+
+def test_language_equivalent_matches_reference_on_random_pairs(monkeypatch):
+    rng = random.Random(20150604)
+    outcomes = Counter()
+    for n in range(1200):
+        l1 = random_lts(rng)
+        l2 = _with_twin(l1, rng) if n % 2 else random_lts(rng)
+        if n % 5 == 0:
+            monkeypatch.setattr(petri, "DEFAULT_STATE_LIMIT", rng.randint(1, 4))
+        expected = _language(reference_lts.language_equivalent, l1, l2)
+        assert _language(ltsmod.language_equivalent, l1, l2) == expected, (l1.arcs, l2.arcs)
+        monkeypatch.undo()
+        outcomes[expected[0] if expected[0] != "StateLimitExceededError" else "limit"] += 1
+    # both verdicts, and the budget, occur
+    assert set(outcomes) == {True, False, "limit"}
+
+
+def test_language_equivalent_matches_reference_on_state_graphs():
+    graphs = [reachability_graph(net).lts for net in (bitnet(4), cyclenet(4, 2), cyclenet(2, 4))]
+    for l1 in graphs:
+        for l2 in graphs + [_renamed(l1)]:
+            assert _language(ltsmod.language_equivalent, l1, l2) == _language(
+                reference_lts.language_equivalent, l1, l2
+            )
+
+
+def test_language_equivalent_keeps_subset_pairs_small(monkeypatch):
+    # the "20th letter from the end is an a" system against itself reaches
+    # 2^20 subset pairs; 20,000 of them took 28 MB as frozensets of names
+    monkeypatch.setattr(petri, "DEFAULT_STATE_LIMIT", 20_000)
+    guess = _nth_letter_from_the_end(20)
+    tracemalloc.start()
+    try:
+        with pytest.raises(StateLimitExceededError, match="more than 20000 state pairs"):
+            ltsmod.language_equivalent(guess, guess)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
