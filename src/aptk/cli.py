@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from functools import partial
 from difflib import get_close_matches
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
@@ -23,8 +24,8 @@ from .common import AptError, ParseError, UsageError
 @dataclass
 class Parameter:
     name: str
-    kind: str  # pn | lts | file | outfile | int | word | properties | mode
     description: str
+    convert: Callable[[str], object] = str  # the argument's text to the value the module takes
     optional: bool = False
 
 
@@ -41,29 +42,47 @@ def _yesno(check) -> str:
     return "Yes" if check else "No"
 
 
-def _load(path: str) -> aptio.Document:
+def _load(path: str, kind: Optional[str] = None) -> aptio.Document:
+    """The document in the file; given a kind, it must be of that kind."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return aptio.parse(handle.read())
+            doc = aptio.parse(handle.read())
     except (OSError, UnicodeDecodeError) as err:
         raise UsageError(f"cannot read {path}: {err}") from None
+    if kind is not None and doc.kind != kind:
+        raise UsageError(f"{path} is not an {kind} file")
+    return doc
 
 
 def _load_net(path: str) -> petri.PetriNet:
-    doc = _load(path)
-    if doc.kind != "LPN":
-        raise UsageError(f"{path} is not an LPN file")
-    return doc.net
+    return _load(path, "LPN").net
 
 
 def _load_lts(path: str) -> ltsmod.Lts:
-    doc = _load(path)
-    if doc.kind != "LTS":
-        raise UsageError(f"{path} is not an LTS file")
-    return doc.lts
+    return _load(path, "LTS").lts
 
 
-def _write_apt(path: Optional[str], **document) -> List[str]:
+def _integer(name: str, description: str, optional: bool = False) -> Parameter:
+    def convert(raw: str) -> int:
+        try:
+            return int(raw)
+        except ValueError:
+            raise UsageError(f"{name} must be an integer, got {raw!r}") from None
+
+    return Parameter(name, description, convert, optional)
+
+
+def _word(raw: str) -> List[str]:
+    return [part.strip() for part in raw.split(",") if part.strip()]
+
+
+def _mode(raw: str) -> str:
+    if raw not in ("weak", "strong"):
+        raise UsageError("mode must be weak or strong")
+    return raw
+
+
+def _write_apt(path: Optional[str] = None, **document) -> List[str]:
     """Print the `.apt` document with these fields, or write it to path."""
     text = aptio.render(aptio.Document(**document))
     if path is None:
@@ -107,18 +126,28 @@ def _report(key: str, check, witness: str = "", when: bool = False) -> List[str]
     return lines
 
 
-def _reporter(key: str, check) -> Callable[..., List[str]]:
-    return lambda arg: _report(key, check(arg))
+def _reporter(key: str, check, arg) -> List[str]:
+    return _report(key, check(arg))
 
 
-def _by_kind(path: str, net_check, lts_check):
-    """Check the net or transition system in the file, by the file's kind."""
-    doc = _load(path)
+def _answer(key: str, check, arg) -> List[str]:
+    """`key: Yes|No` for a check that answers with a bool."""
+    return [f"{key}: {_yesno(check(arg))}"]
+
+
+def _by_kind(doc: aptio.Document, net_check, lts_check):
+    """Check the document's net or transition system, by the document's kind."""
     return net_check(doc.net) if doc.kind == "LPN" else lts_check(doc.lts)
 
 
-def _write_graph(graph, outfile: Optional[str]) -> List[str]:
+def _write_graph(build, net: petri.PetriNet, outfile: Optional[str] = None) -> List[str]:
+    graph = build(net)
     return _write_apt(outfile, kind="LTS", lts=graph.lts, state_markings=graph.markings)
+
+
+def _generator(build, sizes: int) -> Callable[..., List[str]]:
+    """Write the net `build` makes of the first `sizes` arguments (to the next one, if given)."""
+    return lambda *args: _write_apt(*args[sizes:], kind="LPN", net=build(*args[:sizes]))
 
 
 def _run_bounded(net: petri.PetriNet, k: Optional[int] = None) -> List[str]:
@@ -141,21 +170,38 @@ def _run_separable(net, k: int, bound: int, mode: str = "weak") -> List[str]:
 
 def _run_isomorphism(l1, l2) -> List[str]:
     check = ltsmod.isomorphic(l1, l2)
-    lines = [f"isomorphic: {_yesno(check)}"]
-    if check.ok:
+    lines = _report("isomorphic", check)
+    if check:
         pairs = ", ".join(f"{a}->{b}" for a, b in check.witness.items())
         lines.append(f"mapping: {{{pairs}}}")
-    elif check.detail:
-        lines.append(f"detail: {check.detail}")
     return lines
 
 
-def _components(key: str, find) -> Callable[..., List[str]]:
-    def run(lts: ltsmod.Lts) -> List[str]:
-        parts = find(lts)
-        return [f"{key}: {_braces(parts)}", f"count: {len(parts)}"]
+def _components(key: str, find, lts: ltsmod.Lts) -> List[str]:
+    parts = find(lts)
+    return [f"{key}: {_braces(parts)}", f"count: {len(parts)}"]
 
-    return run
+
+def _minimal(sets: str, find, net: petri.PetriNet) -> List[str]:
+    return [f"minimal_{sets}: {_braces(find(net))}"]
+
+
+def _invariants(kind: str, pn: Parameter) -> List[ModuleDescriptor]:
+    """`s_invariants` and `covered_by_s_invariants`, or the same for kind T."""
+    key = f"{kind.lower()}_invariants"
+
+    def show(net: petri.PetriNet) -> List[str]:
+        names = net.places if kind == "S" else net.transitions
+        return [f"{key}: {_vectors(names, structure.invariants(net, kind))}"]
+
+    def covered(net: petri.PetriNet) -> List[str]:
+        return _report("covered", structure.covered_by_invariants(net, kind), "uncovered")
+
+    return [
+        ModuleDescriptor(key, f"Compute all minimal semipositive {kind}-invariants.", [pn], show),
+        ModuleDescriptor(f"covered_by_{key}", f"Check coveredness by {kind}-invariants.", [pn],
+                         covered),
+    ]
 
 
 def _synthesis_output(outcome: synthesis.SynthesisOutcome, outfile: Optional[str]) -> List[str]:
@@ -172,16 +218,20 @@ def _synthesis_output(outcome: synthesis.SynthesisOutcome, outfile: Optional[str
 
 
 def _registry() -> List[ModuleDescriptor]:
-    pn = Parameter("pn", "pn", "The Petri net that should be examined")
-    lts_param = Parameter("lts", "lts", "The transition system that should be examined")
-    out = Parameter("output", "outfile", "Optional file to write the result to", optional=True)
-    file = Parameter("file", "file", "A Petri net or transition system file")
+    """Every module, by name.  Built per call, so that each run looks up the
+    analysis functions on their modules as they are at that moment."""
+    pn = Parameter("pn", "The Petri net that should be examined", _load_net)
+    lts_param = Parameter("lts", "The transition system that should be examined", _load_lts)
+    out = Parameter("output", "Optional file to write the result to", optional=True)
+    file = Parameter("file", "A Petri net or transition system file", _load)
     two_lts = [
-        Parameter("lts", "lts", "The first transition system"),
-        Parameter("lts2", "lts", "The second transition system"),
+        Parameter("lts", "The first transition system", _load_lts),
+        Parameter("lts2", "The second transition system", _load_lts),
     ]
-    word = Parameter("word", "word", "The word, letters separated by commas")
-    properties = Parameter("properties", "properties", "Comma-separated list of properties")
+    word = Parameter("word", "The word, letters separated by commas", _word)
+    properties = Parameter(
+        "properties", "Comma-separated list of properties", synthesis.PropertySet.parse
+    )
 
     # modules that report `<name>: Yes|No` and the check's detail
     net_checks = [
@@ -205,33 +255,68 @@ def _registry() -> List[ModuleDescriptor]:
     ]
     file_checks = [
         ("persistent", "Check persistence of a Petri net or transition system.",
-         lambda path: _by_kind(path, petri.persistent, ltsmod.is_persistent)),
+         lambda doc: _by_kind(doc, petri.persistent, ltsmod.is_persistent)),
         ("reversible", "Check reversibility of a Petri net or transition system.",
-         lambda path: _by_kind(path, petri.reversible, ltsmod.is_reversible)),
+         lambda doc: _by_kind(doc, petri.reversible, ltsmod.is_reversible)),
     ]
+    # (parameter, factory, rows): each row's module runs `factory(name, function, arg)`
     modules = [
-        ModuleDescriptor(name, description, [parameter], _reporter(name, check))
-        for parameter, checks in ((pn, net_checks), (lts_param, lts_checks), (file, file_checks))
-        for name, description, check in checks
+        ModuleDescriptor(name, description, [parameter], partial(make, name, function))
+        for parameter, make, rows in [
+            (pn, _reporter, net_checks),
+            (lts_param, _reporter, lts_checks),
+            (file, _reporter, file_checks),
+            (lts_param, _answer, [
+                ("cycles_same_pv", "Check whether all small cycles have the same Parikh vector.",
+                 ltsmod.cycles_same_pv),
+                ("weak_small_cycle_property", "Check the weak small cycle property.",
+                 ltsmod.weak_small_cycle_property),
+            ]),
+            (lts_param, _components, [
+                ("strongly_connected_components",
+                 "Compute the strongly connected components of a transition system.",
+                 ltsmod.strongly_connected_components),
+                ("weakly_connected_components",
+                 "Compute the weakly connected components of a transition system.",
+                 ltsmod.weakly_connected_components),
+            ]),
+            (pn, _minimal, [
+                ("siphons", "Compute all minimal siphons.", structure.minimal_siphons),
+                ("traps", "Compute all minimal traps.", structure.minimal_traps),
+            ]),
+        ]
+        for name, description, function in rows
+    ]
+    modules += [
+        ModuleDescriptor(name, description, [pn, out], partial(_write_graph, build))
+        for name, description, build in [
+            ("coverability_graph", "Compute the coverability graph of a Petri net.",
+             petri.coverability_graph),
+            ("reachability_graph", "Compute the reachability graph of a bounded Petri net.",
+             petri.reachability_graph),
+        ]
+    ]
+    modules += _invariants("S", pn) + _invariants("T", pn)
+    # generators: (name, description, function, its integer parameters)
+    modules += [
+        ModuleDescriptor(name, description, [_integer(*size) for size in sizes] + [out],
+                         _generator(build, len(sizes)))
+        for name, description, build, sizes in [
+            ("bitnet_generator", "Generate a net of n independently flippable bits.",
+             generators.bitnet, [("n", "The number of bits")]),
+            ("bistate_philnet_generator",
+             "Generate a philosophers net where both forks are taken at once.",
+             generators.philnet_bistate, [("n", "The number of philosophers")]),
+            ("cycle_generator", "Generate a cycle of n places around which k tokens move.",
+             generators.cyclenet, [("n", "The size of the cycle"), ("k", "The number of tokens")]),
+        ]
     ]
     modules += [
         ModuleDescriptor(
             "bounded",
             "Check if a Petri net is bounded or k-bounded.",
-            [pn, Parameter("k", "int", "If given, k-boundedness is checked", optional=True)],
+            [pn, _integer("k", "If given, k-boundedness is checked", optional=True)],
             _run_bounded,
-        ),
-        ModuleDescriptor(
-            "coverability_graph",
-            "Compute the coverability graph of a Petri net.",
-            [pn, out],
-            lambda net, outfile=None: _write_graph(petri.coverability_graph(net), outfile),
-        ),
-        ModuleDescriptor(
-            "reachability_graph",
-            "Compute the reachability graph of a bounded Petri net.",
-            [pn, out],
-            lambda net, outfile=None: _write_graph(petri.reachability_graph(net), outfile),
         ),
         ModuleDescriptor(
             "side_conditions",
@@ -261,32 +346,6 @@ def _registry() -> List[ModuleDescriptor]:
                     [map(pv.get, lts.labels) for pv in ltsmod.small_cycle_parikh_vectors(lts)],
                 )
             ],
-        ),
-        ModuleDescriptor(
-            "cycles_same_pv",
-            "Check whether all small cycles have the same Parikh vector.",
-            [lts_param],
-            lambda lts: [f"cycles_same_pv: {_yesno(ltsmod.cycles_same_pv(lts))}"],
-        ),
-        ModuleDescriptor(
-            "weak_small_cycle_property",
-            "Check the weak small cycle property.",
-            [lts_param],
-            lambda lts: [
-                f"weak_small_cycle_property: {_yesno(ltsmod.weak_small_cycle_property(lts))}"
-            ],
-        ),
-        ModuleDescriptor(
-            "strongly_connected_components",
-            "Compute the strongly connected components of a transition system.",
-            [lts_param],
-            _components("strongly_connected_components", ltsmod.strongly_connected_components),
-        ),
-        ModuleDescriptor(
-            "weakly_connected_components",
-            "Compute the weakly connected components of a transition system.",
-            [lts_param],
-            _components("weakly_connected_components", ltsmod.weakly_connected_components),
         ),
         ModuleDescriptor(
             "isomorphism",
@@ -321,9 +380,9 @@ def _registry() -> List[ModuleDescriptor]:
             "Search for violations of weak or strong separability.",
             [
                 pn,
-                Parameter("k", "int", "The divisor of the initial marking"),
-                Parameter("bound", "int", "Maximal length of checked firing sequences"),
-                Parameter("mode", "mode", "weak or strong", optional=True),
+                _integer("k", "The divisor of the initial marking"),
+                _integer("bound", "Maximal length of checked firing sequences"),
+                Parameter("mode", "weak or strong", _mode, optional=True),
             ],
             _run_separable,
         ),
@@ -334,47 +393,9 @@ def _registry() -> List[ModuleDescriptor]:
             lambda net: [f"gcd: {petri.gcd_initial_marking(net)}"],
         ),
         ModuleDescriptor(
-            "s_invariants",
-            "Compute all minimal semipositive S-invariants.",
-            [pn],
-            lambda net: [f"s_invariants: {_vectors(net.places, structure.invariants(net, 'S'))}"],
-        ),
-        ModuleDescriptor(
-            "t_invariants",
-            "Compute all minimal semipositive T-invariants.",
-            [pn],
-            lambda net: [
-                f"t_invariants: {_vectors(net.transitions, structure.invariants(net, 'T'))}"
-            ],
-        ),
-        ModuleDescriptor(
-            "covered_by_s_invariants",
-            "Check coveredness by S-invariants.",
-            [pn],
-            lambda net: _report("covered", structure.covered_by_invariants(net, "S"), "uncovered"),
-        ),
-        ModuleDescriptor(
-            "covered_by_t_invariants",
-            "Check coveredness by T-invariants.",
-            [pn],
-            lambda net: _report("covered", structure.covered_by_invariants(net, "T"), "uncovered"),
-        ),
-        ModuleDescriptor(
-            "siphons",
-            "Compute all minimal siphons.",
-            [pn],
-            lambda net: [f"minimal_siphons: {_braces(structure.minimal_siphons(net))}"],
-        ),
-        ModuleDescriptor(
-            "traps",
-            "Compute all minimal traps.",
-            [pn],
-            lambda net: [f"minimal_traps: {_braces(structure.minimal_traps(net))}"],
-        ),
-        ModuleDescriptor(
             "synthesize",
             "Synthesize a Petri net from a transition system.",
-            [properties, Parameter("lts", "lts", "The transition system to synthesize"), out],
+            [properties, Parameter("lts", "The transition system to synthesize", _load_lts), out],
             lambda props, lts, outfile=None: _synthesis_output(
                 synthesis.synthesize(lts, props), outfile
             ),
@@ -392,36 +413,10 @@ def _registry() -> List[ModuleDescriptor]:
             ),
         ),
         ModuleDescriptor(
-            "bitnet_generator",
-            "Generate a net of n independently flippable bits.",
-            [Parameter("n", "int", "The number of bits"), out],
-            lambda n, outfile=None: _write_apt(outfile, kind="LPN", net=generators.bitnet(n)),
-        ),
-        ModuleDescriptor(
-            "bistate_philnet_generator",
-            "Generate a philosophers net where both forks are taken at once.",
-            [Parameter("n", "int", "The number of philosophers"), out],
-            lambda n, outfile=None: _write_apt(
-                outfile, kind="LPN", net=generators.philnet_bistate(n)
-            ),
-        ),
-        ModuleDescriptor(
-            "cycle_generator",
-            "Generate a cycle of n places around which k tokens move.",
-            [
-                Parameter("n", "int", "The size of the cycle"),
-                Parameter("k", "int", "The number of tokens"),
-                out,
-            ],
-            lambda n, k, outfile=None: _write_apt(
-                outfile, kind="LPN", net=generators.cyclenet(n, k)
-            ),
-        ),
-        ModuleDescriptor(
             "draw",
             "Translate a net or transition system into the DOT format.",
             [file],
-            lambda path: [aptio.to_dot(_load(path)).rstrip("\n")],
+            lambda doc: [aptio.to_dot(doc).rstrip("\n")],
         ),
     ]
     modules.sort(key=lambda m: m.name)
@@ -437,29 +432,6 @@ def _usage(module: ModuleDescriptor) -> str:
     if module.extra_help:
         lines.append(module.extra_help)
     return "\n".join(lines)
-
-
-def _convert(parameter: Parameter, raw: str):
-    if parameter.kind == "pn":
-        return _load_net(raw)
-    if parameter.kind == "lts":
-        return _load_lts(raw)
-    if parameter.kind in ("file", "outfile"):
-        return raw
-    if parameter.kind == "int":
-        try:
-            return int(raw)
-        except ValueError:
-            raise UsageError(f"{parameter.name} must be an integer, got {raw!r}") from None
-    if parameter.kind == "word":
-        return [part.strip() for part in raw.split(",") if part.strip()]
-    if parameter.kind == "properties":
-        return synthesis.PropertySet.parse(raw)
-    if parameter.kind == "mode":
-        if raw not in ("weak", "strong"):
-            raise UsageError("mode must be weak or strong")
-        return raw
-    raise UsageError(f"unknown parameter kind {parameter.kind}")
 
 
 def _resolve(name: str, modules: List[ModuleDescriptor]) -> ModuleDescriptor:
@@ -497,15 +469,12 @@ def dispatch(argv: Sequence[str]) -> Tuple[int, str]:
     if name == "help":
         if not args:
             return 0, _module_list(modules)
-        module = _resolve(args[0], modules)
-        return 0, _usage(module)
+        return 0, _usage(_resolve(args[0], modules))
     module = _resolve(name, modules)
     required = [p for p in module.parameters if not p.optional]
     if len(args) < len(required) or len(args) > len(module.parameters):
         raise UsageError(_usage(module))
-    values = [
-        _convert(parameter, raw) for parameter, raw in zip(module.parameters, args)
-    ]
+    values = [parameter.convert(raw) for parameter, raw in zip(module.parameters, args)]
     lines = module.run(*values)
     return 0, "\n".join(lines)
 
