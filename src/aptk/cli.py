@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from functools import partial
 from difflib import get_close_matches
+from functools import partial
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from . import aptio, generators, structure, synthesis
@@ -145,9 +145,9 @@ def _write_graph(build, net: petri.PetriNet, outfile: Optional[str] = None) -> L
     return _write_apt(outfile, kind="LTS", lts=graph.lts, state_markings=graph.markings)
 
 
-def _generator(build, sizes: int) -> Callable[..., List[str]]:
+def _generate(build, sizes: int, *args) -> List[str]:
     """Write the net `build` makes of the first `sizes` arguments (to the next one, if given)."""
-    return lambda *args: _write_apt(*args[sizes:], kind="LPN", net=build(*args[:sizes]))
+    return _write_apt(*args[sizes:], kind="LPN", net=build(*args[:sizes]))
 
 
 def _run_bounded(net: petri.PetriNet, k: Optional[int] = None) -> List[str]:
@@ -300,7 +300,7 @@ def _registry() -> List[ModuleDescriptor]:
     # generators: (name, description, function, its integer parameters)
     modules += [
         ModuleDescriptor(name, description, [_integer(*size) for size in sizes] + [out],
-                         _generator(build, len(sizes)))
+                         partial(_generate, build, len(sizes)))
         for name, description, build, sizes in [
             ("bitnet_generator", "Generate a net of n independently flippable bits.",
              generators.bitnet, [("n", "The number of bits")]),

@@ -467,14 +467,33 @@ def small_cycle_parikh_vectors(lts: Lts) -> List[ParikhVector]:
     from the initial state, in order of first appearance.
 
     Every cycle decomposes into simple cycles through its own states, so the
-    minimal vectors are attained on simple cycles.
+    minimal vectors are attained on simple cycles.  A vector lies below vec
+    only if its support lies inside vec's, so only the vectors that use no
+    label vec leaves unused are compared with it.
     """
     vectors = list(dict.fromkeys(_elementary_cycles(lts)))
-    return [
-        ParikhVector(dict(zip(lts.labels, vec)))
-        for vec in vectors
-        if not any(other != vec and all(map(le, other, vec)) for other in vectors)
-    ]
+    labels = lts.labels
+    users = [0] * len(labels)  # bit k of users[i]: vectors[k] uses label i
+    for k, vec in enumerate(vectors):
+        for i, n in enumerate(vec):
+            if n:
+                users[i] |= 1 << k
+    everything = (1 << len(vectors)) - 1
+    minimal = []
+    for k, vec in enumerate(vectors):
+        outside = 1 << k  # vec itself, and every vector using a label vec does not
+        for i, n in enumerate(vec):
+            if not n:
+                outside |= users[i]
+        candidates = everything & ~outside
+        while candidates:
+            j = candidates.bit_length() - 1
+            if all(map(le, vectors[j], vec)):
+                break
+            candidates ^= 1 << j
+        else:
+            minimal.append(ParikhVector(dict(zip(labels, vec))))
+    return minimal
 
 
 def cycles_same_pv(lts: Lts) -> bool:

@@ -204,6 +204,31 @@ def test_spanning_tree_example(example_lts):
         assert ParikhVector(counts) == tree.path_parikh[state]
 
 
+def test_parikh_vector_sum_and_hash():
+    a, b = ParikhVector({"a": 2, "b": 1}), ParikhVector({"b": -1, "c": 3})
+    total = a + b
+    assert dict(total.items()) == {"a": 2, "c": 3}  # b sums to 0 and is dropped
+    assert a == ParikhVector({"a": 2, "b": 1}) and total - b == a
+    assert a + ParikhVector() == a
+    # equal vectors hash equal however they were built, and serve as one key
+    same = ParikhVector({"c": 3, "a": 2, "d": 0})
+    assert total == same and hash(total) == hash(same)
+    assert hash(ParikhVector({"a": 0})) == hash(ParikhVector())
+    keys = {total: 1}
+    keys[same] += 1
+    assert keys == {ParikhVector({"a": 2, "c": 3}): 2}
+    assert len({a, b, total, same, a + b}) == 3
+
+
+def test_initial_state_must_be_declared():
+    lts = Lts()
+    lts.add_state("s0")
+    with pytest.raises(AptError, match="^no initial state was declared$"):
+        lts.initial
+    lts.add_state("s1", initial=True)
+    assert lts.initial == "s1"
+
+
 def test_spanning_tree_single_state():
     tree = spanning_tree(Lts.from_data("s0", []))
     assert tree.chords == [] and tree.parent_arc == {}
@@ -393,6 +418,28 @@ SELF_LOOP_PAIR = (
      ("q1", "b", "q0"), ("q1", "b", "q1")],
 )
 
+# Chains s0 -a-> s1 ... with random arcs, each paired with a copy that has
+# one arc retargeted, its states renamed and its arcs shuffled.  The search
+# refuses a candidate image in each because an arc of l2 into it, from a
+# placed state, has no counterpart into the l1 state (the mirror in-arc
+# test).  None of the pairs is isomorphic.
+MIRROR_IN_ARC_PAIRS = [
+    ([("s0", "a", "s1"), ("s0", "a", "s3"), ("s0", "b", "s0"), ("s0", "b", "s4"), ("s1", "a", "s2"),
+      ("s2", "a", "s1"), ("s2", "a", "s3"), ("s2", "b", "s1"), ("s2", "b", "s3"), ("s2", "b", "s4"),
+      ("s3", "a", "s4"), ("s4", "a", "s1")],
+     [("s3", "a", "s2"), ("s1", "b", "s3"), ("s4", "a", "s3"), ("s1", "a", "s2"), ("s1", "b", "s4"),
+      ("s1", "b", "s2"), ("s0", "b", "s0"), ("s1", "a", "s4"), ("s0", "a", "s2"), ("s0", "b", "s3"),
+      ("s0", "a", "s3"), ("s2", "a", "s1")]),
+    ([("s0", "a", "s1"), ("s0", "b", "s3"), ("s1", "a", "s2"), ("s2", "a", "s3"), ("s3", "a", "s4"),
+      ("s4", "a", "s0"), ("s4", "a", "s1"), ("s4", "b", "s0")],
+     [("s1", "a", "s4"), ("s3", "a", "s0"), ("s3", "b", "s0"), ("s2", "a", "s1"), ("s4", "a", "s3"),
+      ("s3", "a", "s2"), ("s0", "a", "s1"), ("s0", "b", "s4")]),
+    ([("s0", "a", "s1"), ("s0", "a", "s3"), ("s1", "a", "s2"), ("s2", "a", "s3"), ("s2", "b", "s2"),
+      ("s3", "a", "s4"), ("s4", "a", "s1")],
+     [("s0", "a", "s3"), ("s1", "a", "s4"), ("s2", "a", "s1"), ("s0", "a", "s2"), ("s3", "a", "s2"),
+      ("s4", "a", "s3"), ("s4", "b", "s4")]),
+]
+
 
 def test_isomorphic_matches_brute_force_with_self_loops(tmp_path, capsys):
     # both systems are nondeterministic, so the backtracking search answers;
@@ -405,6 +452,10 @@ def test_isomorphic_matches_brute_force_with_self_loops(tmp_path, capsys):
         path.write_text(aptio.render(aptio.Document(kind="LTS", lts=lts)))
     assert main(["isomorphism", *map(str, files)]) == 0
     assert capsys.readouterr().out.splitlines()[0] == "isomorphic: No"
+    for arcs1, arcs2 in MIRROR_IN_ARC_PAIRS:
+        l1, l2 = Lts.from_data("s0", arcs1), Lts.from_data("s0", arcs2)
+        assert not _has_isomorphism(l1, l2)
+        assert isomorphic(l1, l2).detail == "no arc-preserving bijection exists"
     rng = random.Random(31)
     verdicts = set()
     for _ in range(2000):

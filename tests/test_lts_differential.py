@@ -11,6 +11,7 @@ in the same order, the same verdicts, or the same error type."""
 import random
 import tracemalloc
 from collections import Counter, defaultdict
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
@@ -179,10 +180,16 @@ def _complete(n, shared):
     return Lts.from_data("s0", arcs)
 
 
-def test_small_cycles_match_reference():
+def test_small_cycles_match_reference(monkeypatch):
+    # the reference's two verdicts recompute its quadratic filter; reuse its
+    # vectors per system (an error is not cached, so it is raised again)
+    cached = lru_cache(maxsize=None)(reference_lts.small_cycle_parikh_vectors)
+    monkeypatch.setattr(reference_lts, "small_cycle_parikh_vectors", cached)
     systems = [random_lts(random.Random(seed)) for seed in range(400)]
     systems += _canonical_instances(3, 2)
-    systems += [_complete(n, shared) for n in range(2, 7) for shared in (False, True)]
+    # the complete 7-state system with distinct labels has 2,365 cycles, all
+    # minimal: a filter that compares every pair takes seconds on it
+    systems += [_complete(n, shared) for n in range(2, 8) for shared in (False, True)]
     nets = (bitnet(4), cyclenet(4, 2), cyclenet(2, 4), philnet_bistate(2), philnet_bistate(3))
     systems += [reachability_graph(net).lts for net in nets]
     verdicts = Counter()
@@ -190,7 +197,7 @@ def test_small_cycles_match_reference():
         expected = _small_cycles(reference_lts, lts)
         assert _small_cycles(ltsmod, lts) == expected, lts.arcs
         verdicts[expected[1:]] += 1
-    assert len(systems) == 1271
+    assert len(systems) == 1273
     # no cycle, one small cycle, and several with and without shared labels
     assert set(verdicts) == {(True, True), (False, True), (False, False)}
 
