@@ -130,9 +130,9 @@ def _reporter(key: str, check, arg) -> List[str]:
     return _report(key, check(arg))
 
 
-def _answer(key: str, check, arg) -> List[str]:
-    """`key: Yes|No` for a check that answers with a bool."""
-    return [f"{key}: {_yesno(check(arg))}"]
+def _answer(key: str, check, *args) -> List[str]:
+    """`key: Yes|No`, and no detail or witness."""
+    return [f"{key}: {_yesno(check(*args))}"]
 
 
 def _by_kind(doc: aptio.Document, net_check, lts_check):
@@ -357,7 +357,7 @@ def _registry() -> List[ModuleDescriptor]:
             "bisimulation",
             "Check if two transition systems are bisimilar.",
             two_lts,
-            lambda l1, l2: [f"bisimilar: {_yesno(ltsmod.bisimilar(l1, l2))}"],
+            partial(_answer, "bisimilar", ltsmod.bisimilar),
         ),
         ModuleDescriptor(
             "language_equivalence",
